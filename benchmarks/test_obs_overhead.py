@@ -1,27 +1,29 @@
 """Telemetry-shipping overhead gate.
 
-ISSUE acceptance: with worker telemetry shipping enabled (the
-default), the median wall time of a pooled campaign batch regresses by
-less than 3 % against the same batch with ``SEESAW_OBS_SHIP=0``. The
-comparison is timed by hand (interleaved median-of-N against two warm
-pools) so the assertion also runs in CI's ``--benchmark-disable``
-bench-smoke job, where pytest-benchmark's own timer is a no-op.
+Gate: when the parent consumes worker telemetry (here an in-memory
+tracer, which makes every batch ship), the median wall time of a pooled
+campaign batch regresses by less than 3 % against the same batch with
+no consumer, which runs unshipped. The comparison is timed by hand
+(interleaved median-of-N against two warm pools) so the assertion also
+runs in CI's ``--benchmark-disable`` bench-smoke job, where
+pytest-benchmark's own timer is a no-op.
 
 Cell cost is simulated with ``time.sleep`` (the same trick as the
 scale-out benchmark) so the measured gap is pure shipping machinery —
 worker-side emit into the bounded :class:`~repro.obs.ship.ShippingSink`,
 the batch riding the result frame, and the parent's
-:class:`~repro.obs.merge.TelemetryMux` re-stamp — not proxy compute
-noise. Density is pinned at 128 records per 80 ms cell, well above
+:class:`~repro.obs.merge.TelemetryMux` re-stamp and merge into the
+consumer — not proxy compute noise. Density is pinned at 128 records per 80 ms cell, well above
 what per-sync-interval instrumentation emits per wall-second on a
 real in-situ run.
 """
 
 import time
 
+import contextlib
+
 from repro.campaign import CampaignEngine, CellSpec
-from repro.obs.ship import SHIP_ENV
-from repro.telemetry import get_tracer
+from repro.telemetry import MemorySink, Tracer, get_tracer, use_tracer
 from repro.workloads import JobConfig
 
 #: interleaved repetitions per variant; medians shrug off one-off
@@ -29,7 +31,7 @@ from repro.workloads import JobConfig
 ROUNDS = 7
 
 #: ISSUE acceptance threshold plus measurement slop: the gate allows
-#: the regression budget on top of the observed ship-off spread
+#: the regression budget on top of the observed unshipped spread
 BUDGET = 0.03
 
 N_WORKERS = 2
@@ -40,10 +42,10 @@ RECORDS_PER_CELL = 128
 def instrumented_run(spec):
     """A fixed-cost cell that emits a dense, realistic span stream.
 
-    Under a pool worker with shipping on, ``get_tracer()`` is the
-    worker's shipping tracer; with shipping off it is the NullTracer,
-    so the emission loop is the exact code path whose cost the gate
-    bounds.
+    Under a pool worker running a shipped chunk, ``get_tracer()`` is
+    the worker's shipping tracer; in an unshipped chunk it is the
+    NullTracer, so the emission loop is the exact code path whose cost
+    the gate bounds.
     """
     tracer = get_tracer()
     for i in range(RECORDS_PER_CELL):
@@ -71,31 +73,38 @@ def _median(xs):
     return xs[len(xs) // 2]
 
 
-def _warm_engine(monkeypatch, ship: bool) -> CampaignEngine:
-    """A pooled engine whose workers were spawned with shipping set."""
-    monkeypatch.setenv(SHIP_ENV, "1" if ship else "0")
+def _consumer(tracer: Tracer | None):
+    """The scope a batch runs in: under ``tracer`` or with no consumer."""
+    return use_tracer(tracer) if tracer is not None else contextlib.nullcontext()
+
+
+def _warm_engine(tracer: Tracer | None) -> CampaignEngine:
+    """A pooled engine whose workers already ran one batch."""
     engine = CampaignEngine(jobs=N_WORKERS, run_fn=instrumented_run)
-    engine.run_cells(_specs())  # spawn + warm the pool before timing
+    with _consumer(tracer):
+        engine.run_cells(_specs())  # spawn + warm the pool before timing
     return engine
 
 
-def _batch_wall_s(engine: CampaignEngine) -> float:
-    t0 = time.perf_counter()
-    engine.run_cells(_specs())
-    return time.perf_counter() - t0
+def _batch_wall_s(engine: CampaignEngine, tracer: Tracer | None) -> float:
+    with _consumer(tracer):
+        t0 = time.perf_counter()
+        engine.run_cells(_specs())
+        return time.perf_counter() - t0
 
 
-def test_shipping_overhead_under_3_percent(benchmark, monkeypatch):
-    off = _warm_engine(monkeypatch, ship=False)
-    on = _warm_engine(monkeypatch, ship=True)
+def test_shipping_overhead_under_3_percent(benchmark):
+    consumer = Tracer(MemorySink())
+    off = _warm_engine(None)
+    on = _warm_engine(consumer)
     try:
         base, shipped = [], []
         for _ in range(ROUNDS):  # interleaved: drift hits both variants
-            base.append(_batch_wall_s(off))
-            shipped.append(_batch_wall_s(on))
+            base.append(_batch_wall_s(off, None))
+            shipped.append(_batch_wall_s(on, consumer))
 
         # the timed path really shipped: batches arrived and merged on
-        # the ship-on engine only
+        # the consumed engine only
         assert on.obs.absorbed > 0
         assert off.obs.absorbed == 0
 
@@ -106,14 +115,15 @@ def test_shipping_overhead_under_3_percent(benchmark, monkeypatch):
         print(
             f"\nshipping overhead: {overhead * 100:+.2f}% "
             f"(off {med_base * 1e3:.1f} ms, on {med_ship * 1e3:.1f} ms, "
-            f"ship-off spread {spread * 100:.1f}%, "
+            f"unshipped spread {spread * 100:.1f}%, "
             f"{on.obs.absorbed} records merged)"
         )
         assert overhead < BUDGET + spread
 
-        # report one ship-on batch through pytest-benchmark when enabled
+        # report one shipped batch through pytest-benchmark when enabled
         benchmark.pedantic(
-            lambda: _batch_wall_s(on), iterations=1, rounds=1, warmup_rounds=0
+            lambda: _batch_wall_s(on, consumer),
+            iterations=1, rounds=1, warmup_rounds=0,
         )
     finally:
         on.close()

@@ -391,7 +391,9 @@ class CampaignEngine:
         self._batch_t0 = time.perf_counter()
         try:
             outcomes = scheduler.run(
-                [specs[i] for i in todo], timeout_s=self.timeout_s
+                [specs[i] for i in todo],
+                timeout_s=self.timeout_s,
+                ship=self.obs.wanted(),
             )
             for outcome in outcomes:
                 i = todo[outcome.task_id]

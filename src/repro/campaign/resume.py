@@ -48,7 +48,6 @@ def campaign_meta(
     jobs: int,
     cache: str | None,
     output: str | None = None,
-    no_shared_replica: bool = False,
     faulted: bool = False,
 ) -> dict:
     """The JSON-able header payload ``campaign resume`` replays from."""
@@ -58,7 +57,6 @@ def campaign_meta(
         "jobs": jobs,
         "cache": cache,
         "output": output,
-        "no_shared_replica": bool(no_shared_replica),
         "faulted": bool(faulted),
     }
 

@@ -128,8 +128,8 @@ class TaskOutcome:
     ``wid`` is the worker *slot* (stable across respawns; ``-1`` when
     no worker ran the cell); ``worker`` is the executing pid where
     known. ``telemetry`` is the shipped tracer-record batch the worker
-    piggybacked on this result frame (None when shipping is off or the
-    cell emitted nothing) — see :mod:`repro.obs.ship`.
+    piggybacked on this result frame (None when the batch was not
+    shipped or the cell emitted nothing) — see :mod:`repro.obs.ship`.
     """
 
     task_id: int
@@ -187,16 +187,18 @@ def _worker_main(
     conn_in,
     conn_out,
     parent_pid: int,
-    ship: bool = False,
 ) -> None:
-    """Worker loop: receive ``(chunk_id, [(task_id, spec), ...])``,
+    """Worker loop: receive ``(chunk_id, [(task_id, spec), ...], ship)``,
     execute each cell, stream one message back per cell.
 
-    With ``ship`` on, each cell runs under a tracer bound to a bounded
-    :class:`~repro.obs.ship.ShippingSink`; the drained batch rides the
-    cell's own result frame (no extra pipe traffic), and the parent's
+    The parent sets ``ship`` when someone will consume worker records
+    (see :meth:`repro.obs.merge.TelemetryMux.wanted`). Cells of a
+    shipped chunk run under a tracer bound to a bounded
+    :class:`~repro.obs.ship.ShippingSink`, built on the first such
+    chunk; the drained batch rides the cell's own result frame (no
+    extra pipe traffic), and the parent's
     :class:`~repro.obs.merge.TelemetryMux` re-stamps it into the
-    campaign-wide stream.
+    campaign-wide stream. Unshipped chunks run with the null tracer.
 
     The loop polls rather than blocking in ``recv`` so it can notice a
     dead parent. Pipe EOF alone is not a reliable death signal under
@@ -213,14 +215,11 @@ def _worker_main(
     a worker whose parent is killed before this line runs would record the
     reaper's pid and never notice the orphaning.
     """
-    tracer = None
-    sink = None
-    if ship:
-        from repro.obs.ship import ShippingSink
-        from repro.telemetry import Tracer, use_tracer
+    from repro.obs.ship import ShippingSink
+    from repro.telemetry import Tracer, use_tracer
 
-        sink = ShippingSink(wid=wid)
-        tracer = Tracer(sink)
+    #: built on the first shipped chunk; unshipped chunks run untraced
+    shipping: tuple[Tracer, ShippingSink] | None = None
     while True:
         try:
             if not conn_in.poll(0.5):
@@ -232,17 +231,21 @@ def _worker_main(
             return
         if msg is None:
             return
-        _chunk_id, items = msg
+        _chunk_id, items, ship = msg
+        if ship and shipping is None:
+            sink = ShippingSink(wid=wid)
+            shipping = (Tracer(sink), sink)
+        active = shipping if ship else None
         for task_id, spec in items:
             t0 = time.perf_counter()
             try:
-                if tracer is not None:
-                    with use_tracer(tracer):
+                if active is not None:
+                    with use_tracer(active[0]):
                         result = run_fn(spec)
                 else:
                     result = run_fn(spec)
             except BaseException as exc:  # noqa: BLE001 - forwarded to parent
-                batch = sink.drain() if sink is not None else None
+                batch = active[1].drain() if active is not None else None
                 payload = (
                     "error",
                     wid,
@@ -252,7 +255,7 @@ def _worker_main(
                     batch,
                 )
             else:
-                batch = sink.drain() if sink is not None else None
+                batch = active[1].drain() if active is not None else None
                 payload = (
                     "ok",
                     wid,
@@ -321,20 +324,11 @@ class WorkerPool:
         self,
         n_workers: int,
         run_fn: Callable,
-        ship: bool | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
         self.run_fn = run_fn
-        if ship is None:
-            # resolved in the parent at pool construction so one
-            # campaign's workers are uniformly on or off regardless of
-            # later environment edits
-            from repro.obs.ship import shipping_enabled
-
-            ship = shipping_enabled()
-        self.ship = ship
         self._workers: list[_Worker] = []
         self._mp: Any = None  # multiprocessing context, set on first start
         self._started = False
@@ -382,7 +376,6 @@ class WorkerPool:
                 inbox_recv,
                 outbox_send,
                 os.getpid(),
-                self.ship,
             ),
             daemon=True,
             name=f"campaign-worker-{worker.wid}",
@@ -408,10 +401,13 @@ class WorkerPool:
         self._spawn(worker)
         worker.stats.respawns += 1
 
-    def dispatch(self, worker: _Worker, tasks: Sequence[Task]) -> None:
+    def dispatch(
+        self, worker: _Worker, tasks: Sequence[Task], ship: bool = False
+    ) -> None:
+        """Send one chunk; ``ship`` asks the worker for its telemetry."""
         chunk_id = next(self._chunk_ids)
         worker.conn_send.send(
-            (chunk_id, [(t.task_id, t.spec) for t in tasks])
+            (chunk_id, [(t.task_id, t.spec) for t in tasks], ship)
         )
         now = time.perf_counter()
         worker.last_activity = now
@@ -480,9 +476,11 @@ class WorkStealingScheduler:
         self,
         specs: Sequence[CellSpec],
         timeout_s: float | None = None,
+        ship: bool = False,
     ) -> Iterator[TaskOutcome]:
         """Schedule ``specs``; yield one :class:`TaskOutcome` per spec
         as cells complete (completion order, not submission order).
+        With ``ship`` set, workers return each cell's telemetry batch.
 
         Raises :class:`SchedulerUnavailable` before yielding anything
         when no pool can be started — callers fall back to serial.
@@ -492,7 +490,7 @@ class WorkStealingScheduler:
             Task(i, spec, self.cost_model.estimate(spec))
             for i, spec in enumerate(specs)
         ]
-        yield from self._run(tasks, timeout_s)
+        yield from self._run(tasks, timeout_s, ship)
 
     def eta_s(self) -> float | None:
         """Predicted wall seconds to drain the remaining queue."""
@@ -566,7 +564,7 @@ class WorkStealingScheduler:
         return sum(len(q) for q in self._queues)
 
     def _run(
-        self, tasks: Sequence[Task], timeout_s: float | None
+        self, tasks: Sequence[Task], timeout_s: float | None, ship: bool
     ) -> Iterator[TaskOutcome]:
         metrics = get_metrics()
         pool = self.pool
@@ -590,7 +588,7 @@ class WorkStealingScheduler:
                 chunk = self._take_chunk(worker.wid)
                 if not chunk:
                     continue
-                pool.dispatch(worker, chunk)
+                pool.dispatch(worker, chunk, ship)
                 self.stats.dispatches += 1
                 metrics.counter("campaign.sched.dispatches").inc()
                 metrics.histogram("campaign.sched.chunk_cells").observe(
@@ -647,8 +645,7 @@ class WorkStealingScheduler:
                     worker = conns[conn]
                     try:
                         msg = conn.recv()
-                        kind, wid, task_id, payload, wall_s = msg[:5]
-                        telemetry = msg[5] if len(msg) > 5 else None
+                        kind, wid, task_id, payload, wall_s, telemetry = msg
                     except Exception:
                         continue  # death handled by liveness sweep below
                     task = worker.outstanding.pop(task_id, None)

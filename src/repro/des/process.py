@@ -79,13 +79,13 @@ class SimEvent:
     def _succeed_inline(self, value: Any = None) -> None:
         """Succeed and resume waiters synchronously, in join order.
 
-        Used by the coalesced collective release
+        Used by the collective release
         (:meth:`repro.mpi.comm._CollectiveRound.release`): one heap
         event wakes every member instead of scheduling one zero-delay
-        event per waiter. Join order is exactly the order the per-event
-        scheme resumed waiters in, so trajectories are unchanged; only
-        the event count drops. Waiters run on the caller's stack — only
-        use this from an engine callback.
+        event per waiter. Join order is exactly the order
+        :meth:`succeed` would resume waiters in, so trajectories match;
+        only the event count drops. Waiters run on the caller's stack —
+        only use this from an engine callback.
         """
         if self._done:
             raise SimulationError(f"event {self.name!r} succeeded twice")

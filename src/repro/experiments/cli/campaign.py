@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -95,14 +94,9 @@ def _cmd_campaign(args) -> int:
         progress=sys.stderr.isatty(),
     )
     engine.obs.campaign_id = cid
-    scopes = contextlib.ExitStack()
-    if meta.get("no_shared_replica"):
-        from repro.insitu import use_shared_replica
-
-        scopes.enter_context(use_shared_replica(False))
     output = Path(meta["output"]) if meta.get("output") else None
     try:
-        with scopes, use_engine(engine):
+        with use_engine(engine):
             for name in names:
                 print(_run_one(name, overrides, output))
                 print()
@@ -126,9 +120,9 @@ def _cmd_campaign_report(args) -> int:
     report = build_report(telemetry, campaign=campaign)
     if not telemetry:
         print(
-            "journal has no telemetry rows (campaign ran with "
-            f"SEESAW_OBS_SHIP=0, --jobs 1 without --trace, or predates "
-            f"shipping); report will be empty",
+            "journal has no telemetry rows (campaign ran with --jobs 1 "
+            "without --trace, or predates shipping); report will be "
+            "empty",
             file=sys.stderr,
         )
     if args.format == "json":

@@ -151,13 +151,6 @@ def _add_run(sub) -> None:
         "data to PATH (top hotspots go to stderr; pool workers under "
         "--jobs N are not captured)",
     )
-    run_p.add_argument(
-        "--no-shared-replica",
-        action="store_true",
-        help="disable the shared-replica fast path: every in-situ rank "
-        "computes its own MD/analysis replica (bit-identical results, "
-        "slower; exported to pool workers via SEESAW_SHARED_REPLICA)",
-    )
 
 
 def _add_trace(sub) -> None:

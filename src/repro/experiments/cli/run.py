@@ -170,26 +170,12 @@ def _cmd_run(parser, args) -> int:
     if args.runs is not None:
         overrides["n_runs"] = args.runs
 
-    if args.jobs > 1 and (
-        args.trace is not None
-        or args.metrics is not None
-        or args.audit is not None
-    ):
-        from repro.obs import shipping_enabled
-
-        if not shipping_enabled():
-            print(
-                "warning: SEESAW_OBS_SHIP=0 disables worker telemetry "
-                "shipping; --trace/--metrics will record in-process "
-                "work only (--audit always does)",
-                file=sys.stderr,
-            )
-        elif args.audit is not None:
-            print(
-                "warning: --audit records in-process decisions only; "
-                "pool workers ship trace/metrics but not audit rows",
-                file=sys.stderr,
-            )
+    if args.jobs > 1 and args.audit is not None:
+        print(
+            "warning: --audit records in-process decisions only; "
+            "pool workers ship trace/metrics but not audit rows",
+            file=sys.stderr,
+        )
 
     # One tracer can feed both the metrics registry and the Chrome
     # trace: the MetricsSink folds records and forwards to the file
@@ -198,10 +184,6 @@ def _cmd_run(parser, args) -> int:
     registry = None
     audit_journal = None
     scopes = contextlib.ExitStack()
-    if args.no_shared_replica:
-        from repro.insitu import use_shared_replica
-
-        scopes.enter_context(use_shared_replica(False))
     if args.trace is not None:
         trace_sink = ChromeTraceSink()
     if args.metrics is not None:
@@ -251,7 +233,6 @@ def _cmd_run(parser, args) -> int:
             jobs=args.jobs,
             cache=str(engine.store.root) if engine.store is not None else None,
             output=str(args.output) if args.output is not None else None,
-            no_shared_replica=args.no_shared_replica,
             faulted=args.faults is not None or args.chaos_seed is not None,
         )
         cid = campaign_id(meta)

@@ -14,8 +14,6 @@ from repro.insitu.replica import (
     ReplicaPool,
     SharedReplica,
     merge_slices,
-    shared_replica_default,
-    use_shared_replica,
 )
 
 __all__ = [
@@ -28,6 +26,4 @@ __all__ = [
     "SharedReplica",
     "merge_slices",
     "run_insitu",
-    "shared_replica_default",
-    "use_shared_replica",
 ]

@@ -72,7 +72,6 @@ from repro.insitu.replica import (
     ReplicaKey,
     ReplicaPool,
     merge_slices,
-    shared_replica_default,
 )
 from repro.metrics.registry import get_metrics
 from repro.metrics.timeseries import PeriodicSampler
@@ -110,10 +109,9 @@ class InsituConfig:
     #: rank 0
     dump_path: str | None = None
     #: compute rank-invariant MD/analysis work once and share it across
-    #: ranks (:mod:`repro.insitu.replica`). ``None`` defers to the
-    #: ambient default (on, unless ``SEESAW_SHARED_REPLICA=0`` or the
-    #: CLI's ``--no-shared-replica`` scope is active).
-    shared_replica: bool | None = None
+    #: ranks (:mod:`repro.insitu.replica`); ``False`` runs every rank's
+    #: own replica, the reference the fast path is pinned against
+    shared_replica: bool = True
 
     def __post_init__(self) -> None:
         if self.n_sim_ranks != self.n_ana_ranks:
@@ -133,12 +131,6 @@ class InsituConfig:
     def n_syncs(self) -> int:
         return self.n_verlet_steps // self.j
 
-    def resolve_shared_replica(self) -> bool:
-        """The effective fast-path switch for this job."""
-        if self.shared_replica is not None:
-            return self.shared_replica
-        return shared_replica_default()
-
 
 @dataclass
 class InsituResult:
@@ -155,8 +147,6 @@ class InsituResult:
     #: count-verification failures (step 4); always 0 in a correct run
     verification_failures: int = 0
     #: DES callbacks fired — deterministic for a given engine version
-    #: (coalesced collectives fire fewer events than the per-rank
-    #: scheme for the same virtual trajectory)
     events_executed: int = 0
     #: whether the shared-replica fast path was active
     shared_replica: bool = False
@@ -190,7 +180,7 @@ def run_insitu(
     managers: dict[int, object] = {}
     verification_failures = [0]
 
-    shared = cfg.resolve_shared_replica()
+    shared = cfg.shared_replica
     pool = ReplicaPool() if shared else None
     replica = (
         pool.acquire(

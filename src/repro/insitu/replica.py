@@ -43,17 +43,14 @@ and the per-step thermo allreduce mean no rank can request step ``t+1``
 still assert monotone requests and raise :class:`ReplicaOrderError` on
 any out-of-order access rather than silently serving stale state.
 
-The fast path defaults **on**. Escape hatches, in resolution order:
-``InsituConfig(shared_replica=False)`` explicitly per job, the
-:func:`use_shared_replica` context manager (the CLI's
-``run --no-shared-replica``), and the ``SEESAW_SHARED_REPLICA=0``
-environment variable (inherited by campaign pool workers).
+The fast path is on by default; ``InsituConfig(shared_replica=False)``
+selects the fully replicated per-rank execution for one job, which is
+the reference the equivalence tests and the ``insitu.fig2`` bench
+compare against.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,40 +68,7 @@ __all__ = [
     "ReplicaOrderError",
     "ReplicaPool",
     "SharedReplica",
-    "shared_replica_default",
-    "use_shared_replica",
 ]
-
-#: module-level override installed by :func:`use_shared_replica`;
-#: ``None`` defers to the environment variable
-_OVERRIDE: bool | None = None
-
-
-def shared_replica_default() -> bool:
-    """Effective default for jobs that don't set the switch explicitly."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return os.environ.get("SEESAW_SHARED_REPLICA", "1") != "0"
-
-
-@contextmanager
-def use_shared_replica(enabled: bool):
-    """Scope the shared-replica default (and export it to subprocesses
-    via ``SEESAW_SHARED_REPLICA`` so campaign pool workers inherit it)."""
-    global _OVERRIDE
-    prev_override = _OVERRIDE
-    prev_env = os.environ.get("SEESAW_SHARED_REPLICA")
-    _OVERRIDE = bool(enabled)
-    os.environ["SEESAW_SHARED_REPLICA"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        _OVERRIDE = prev_override
-        if prev_env is None:
-            os.environ.pop("SEESAW_SHARED_REPLICA", None)
-        else:
-            os.environ["SEESAW_SHARED_REPLICA"] = prev_env
-
 
 class ReplicaOrderError(RuntimeError):
     """A rank requested replica state out of protocol order."""

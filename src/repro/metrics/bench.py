@@ -230,7 +230,7 @@ def _collect_substrate(metrics: dict) -> None:
         engine.run()
         return engine.events_executed, time.perf_counter() - t0
 
-    one()  # warm the specialized run loop off the clock
+    one()  # warm the run loop off the clock
     runs = [one() for _ in range(3)]
     events = runs[0][0]
     wall = min(w for _, w in runs)

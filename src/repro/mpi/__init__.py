@@ -9,8 +9,6 @@ from repro.mpi.comm import (
     ANY_TAG,
     Communicator,
     MpiWorld,
-    RankView,
-    Request,
     payload_nbytes,
 )
 from repro.mpi.costs import CommCostModel, LogPCost, ZeroCost
@@ -22,8 +20,6 @@ __all__ = [
     "Communicator",
     "LogPCost",
     "MpiWorld",
-    "RankView",
-    "Request",
     "ZeroCost",
     "payload_nbytes",
 ]

@@ -9,8 +9,8 @@ PoLiMER need, with mpi4py-flavoured semantics:
   exactly this mechanism (§IV-B);
 * blocking ``send``/``recv`` with tag/source matching (wildcards
   supported);
-* ``barrier``, ``bcast``, ``gather``, ``allgather``, ``allreduce``,
-  ``reduce`` and ``alltoall``.
+* ``barrier``, ``bcast``, ``gather``, ``scatter``, ``allgather``,
+  ``allreduce``, ``reduce``, ``alltoall`` and ``dup``.
 
 All operations are *awaitables*: a simulated process obtains one from
 the communicator and ``yield``s it. Completion timing comes from the
@@ -23,7 +23,6 @@ containers; logical tests with ``ZeroCost`` never look at it.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -38,8 +37,6 @@ __all__ = [
     "ANY_TAG",
     "Communicator",
     "MpiWorld",
-    "RankView",
-    "Request",
     "payload_nbytes",
 ]
 
@@ -67,35 +64,6 @@ def payload_nbytes(obj: Any) -> int:
     return 64  # opaque object: charge a small fixed envelope
 
 
-class Request:
-    """Handle to a non-blocking operation (mpi4py Request flavour).
-
-    Yield :meth:`wait` (or the request itself) inside a simulated
-    process to block until completion; poll :attr:`complete` to test.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: SimEvent) -> None:
-        self._event = event
-
-    @property
-    def complete(self) -> bool:
-        return self._event.triggered
-
-    def wait(self) -> SimEvent:
-        """The awaitable completing this request (yields its value)."""
-        return self._event
-
-    def __sim_await__(self, process) -> None:
-        # allow `yield request` directly
-        self._event._add_waiter(process._advance)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "complete" if self.complete else "pending"
-        return f"<Request {state}>"
-
-
 class _Message:
     __slots__ = ("source", "tag", "payload", "arrival")
 
@@ -120,15 +88,6 @@ class _PendingRecv:
         )
 
 
-def _coalesce_default() -> bool:
-    """Coalesced collective release is on unless SEESAW_MPI_COALESCE=0.
-
-    The opt-out keeps the historical one-wakeup-event-per-rank scheme
-    available as the reference the equivalence tests compare against.
-    """
-    return os.environ.get("SEESAW_MPI_COALESCE", "1") != "0"
-
-
 class _CollectiveRound:
     """State for one in-flight collective on a communicator.
 
@@ -136,7 +95,7 @@ class _CollectiveRound:
     is NaN until that rank joins), so the round never grows per-rank
     Python containers beyond the contribution dict it already needs.
     ``members`` records ``(rank, per_rank_event, deliver)`` in join
-    order for the coalesced release.
+    order for the release.
     """
 
     __slots__ = (
@@ -172,13 +131,11 @@ class _CollectiveRound:
     def release(self, result: Any) -> None:
         """Wake every member from one engine event, in join order.
 
-        This replaces the O(N) per-rank wakeup storm: the shared event
-        succeeds inline, then each per-rank wrapper (ops with a
-        ``deliver``) succeeds inline with its delivered slice. Join
-        order equals the order the per-rank zero-delay events fired in
-        the old scheme, so the trajectory is bit-identical while the
-        heap sees exactly one release event (ordering proof in
-        DESIGN.md §15).
+        The shared event succeeds inline, then each per-rank wrapper
+        (ops with a ``deliver``) succeeds inline with its delivered
+        slice, so the heap sees exactly one release event per
+        collective rather than one wakeup per rank (ordering argument
+        in DESIGN.md §15).
         """
         self.event._succeed_inline(result)
         for rank, per_rank_event, deliver in self.members:
@@ -200,15 +157,11 @@ class Communicator:
         world_ranks: Sequence[int],
         cost: CommCostModel,
         name: str = "comm",
-        coalesce: bool | None = None,
     ) -> None:
         self.engine = engine
         self.world_ranks = tuple(world_ranks)
         self.cost = cost
         self.name = name
-        #: one coalesced release event per collective vs the legacy
-        #: per-rank wakeup storm; sub-communicators inherit the choice
-        self._coalesce = _coalesce_default() if coalesce is None else coalesce
         self.id = Communicator._next_id
         Communicator._next_id += 1
         self._mailboxes: dict[int, list[_Message]] = {
@@ -287,53 +240,6 @@ class Communicator:
                 return event
         self._pending_recvs[rank].append(_PendingRecv(source, tag, event))
         return event
-
-    # -- non-blocking point-to-point --------------------------------------
-    def isend(
-        self, source: int, dest: int, payload: Any, tag: int = 0
-    ) -> "Request":
-        """Non-blocking send: returns a :class:`Request` immediately.
-
-        The message is injected right away (eager), so an un-waited
-        isend still gets delivered; waiting on the request models the
-        sender-side completion semantics.
-        """
-        return Request(self.send(source, dest, payload, tag))
-
-    def irecv(
-        self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> "Request":
-        """Non-blocking receive: returns a :class:`Request` whose wait
-        resolves with the matched payload."""
-        return Request(self.recv(rank, source, tag))
-
-    def sendrecv(
-        self,
-        rank: int,
-        dest: int,
-        payload: Any,
-        source: int,
-        send_tag: int = 0,
-        recv_tag: int = ANY_TAG,
-    ) -> SimEvent:
-        """Combined send+receive (MPI_Sendrecv) — the deadlock-free
-        exchange primitive. Resolves with the received payload once
-        both halves complete."""
-        send_done = self.send(rank, dest, payload, send_tag)
-        recv_done = self.recv(rank, source, recv_tag)
-        out = SimEvent(self.engine, name=f"{self.name}.sendrecv({rank})")
-        state = {"pending": 2, "payload": None}
-
-        def part_done(value, is_recv):
-            if is_recv:
-                state["payload"] = value
-            state["pending"] -= 1
-            if state["pending"] == 0:
-                out.succeed(state["payload"])
-
-        send_done._add_waiter(lambda v: part_done(v, False))
-        recv_done._add_waiter(lambda v: part_done(v, True))
-        return out
 
     # -- collectives -----------------------------------------------------
     def barrier(self, rank: int) -> SimEvent:
@@ -471,7 +377,6 @@ class Communicator:
                     ranks,
                     self.cost,
                     name=f"{self.name}.split({c})",
-                    coalesce=self._coalesce,
                 )
             return comms
 
@@ -516,12 +421,7 @@ class Communicator:
         if deliver is not None:
             # Wrap the shared event in a per-rank event applying deliver.
             per_rank = SimEvent(self.engine, name=f"{self.name}.{op}.r{rank}")
-            if self._coalesce:
-                round_.members.append((rank, per_rank, deliver))
-            else:
-                round_.event._add_waiter(
-                    lambda result, r=rank: per_rank.succeed(deliver(r, result))
-                )
+            round_.members.append((rank, per_rank, deliver))
             out_event = per_rank
         else:
             out_event = round_.event
@@ -537,12 +437,8 @@ class Communicator:
                 cost += self._faults.comm_delay(self.engine.now)
             del self._rounds[op]
             result = round_.finalize(round_.contributions)
-            if self._coalesce:
-                # One release event wakes every member in join order —
-                # same (time, seq) member order as the per-rank scheme.
-                self.engine.schedule(cost, lambda: round_.release(result))
-            else:
-                self.engine.schedule(cost, lambda: round_.event.succeed(result))
+            # One release event wakes every member in join order.
+            self.engine.schedule(cost, lambda: round_.release(result))
         return out_event
 
     def _check_rank(self, rank: int) -> None:
@@ -555,93 +451,8 @@ class Communicator:
     def stats(self) -> dict[str, int]:
         return dict(self._stats)
 
-    def bind(self, rank: int) -> "RankView":
-        """A view of this communicator bound to ``rank`` (mpi4py
-        style: the rank argument disappears from every call)."""
-        self._check_rank(rank)
-        return RankView(self, rank)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Communicator {self.name!r} size={self.size}>"
-
-
-class RankView:
-    """A communicator as seen from one rank.
-
-    Wraps every operation of :class:`Communicator` with the bound rank
-    pre-applied, so process bodies read like mpi4py code::
-
-        me = comm.bind(rank)
-        yield me.barrier()
-        total = yield me.allreduce(x)
-    """
-
-    __slots__ = ("comm", "rank")
-
-    def __init__(self, comm: Communicator, rank: int) -> None:
-        self.comm = comm
-        self.rank = rank
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-    def send(self, dest: int, payload: Any, tag: int = 0) -> SimEvent:
-        return self.comm.send(self.rank, dest, payload, tag)
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> SimEvent:
-        return self.comm.recv(self.rank, source, tag)
-
-    def isend(self, dest: int, payload: Any, tag: int = 0) -> "Request":
-        return self.comm.isend(self.rank, dest, payload, tag)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        return self.comm.irecv(self.rank, source, tag)
-
-    def sendrecv(
-        self,
-        dest: int,
-        payload: Any,
-        source: int,
-        send_tag: int = 0,
-        recv_tag: int = ANY_TAG,
-    ) -> SimEvent:
-        return self.comm.sendrecv(
-            self.rank, dest, payload, source, send_tag, recv_tag
-        )
-
-    def barrier(self) -> SimEvent:
-        return self.comm.barrier(self.rank)
-
-    def bcast(self, value: Any = None, root: int = 0) -> SimEvent:
-        return self.comm.bcast(self.rank, value, root)
-
-    def gather(self, value: Any, root: int = 0) -> SimEvent:
-        return self.comm.gather(self.rank, value, root)
-
-    def allgather(self, value: Any) -> SimEvent:
-        return self.comm.allgather(self.rank, value)
-
-    def allreduce(self, value: Any, op=None) -> SimEvent:
-        return self.comm.allreduce(self.rank, value, op)
-
-    def reduce(self, value: Any, root: int = 0, op=None) -> SimEvent:
-        return self.comm.reduce(self.rank, value, root, op)
-
-    def scatter(self, values: Any = None, root: int = 0) -> SimEvent:
-        return self.comm.scatter(self.rank, values, root)
-
-    def alltoall(self, values: Sequence[Any]) -> SimEvent:
-        return self.comm.alltoall(self.rank, values)
-
-    def split(self, color: int, key: int = 0) -> SimEvent:
-        return self.comm.split(self.rank, color, key)
-
-    def dup(self) -> SimEvent:
-        return self.comm.dup(self.rank)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RankView rank={self.rank} of {self.comm.name!r}>"
 
 
 class MpiWorld:

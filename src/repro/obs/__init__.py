@@ -26,24 +26,22 @@ boundary and puts them in front of a human mid-run (DESIGN.md §14):
   analysis vs sync-wait vs cap actuation) rendered as text, JSON, or
   a self-contained static HTML report with inline SVG timelines.
 
-Shipping is on by default and controlled by ``SEESAW_OBS_SHIP``
-(``0`` disables it, leaving campaign artifacts bit-identical to an
-unshipped run).
+Shipping is consumer-driven: workers ship a batch's records only when
+the parent has an enabled tracer or a file-backed journal to merge them
+into, and campaign artifacts are bit-identical either way.
 """
 
 from repro.obs.merge import TelemetryMux
 from repro.obs.report import AttributionReport, build_report, load_report_records
-from repro.obs.ship import SHIP_ENV, ShippingSink, shipping_enabled
+from repro.obs.ship import ShippingSink
 from repro.obs.watch import WatchModel, watch_journal
 
 __all__ = [
     "AttributionReport",
-    "SHIP_ENV",
     "ShippingSink",
     "TelemetryMux",
     "WatchModel",
     "build_report",
     "load_report_records",
-    "shipping_enabled",
     "watch_journal",
 ]

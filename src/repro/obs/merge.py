@@ -68,6 +68,16 @@ class TelemetryMux:
         # next worker's block
         return (wid + 1) * PID_STRIDE + (local_pid % PID_STRIDE)
 
+    def wanted(self) -> bool:
+        """Whether merged records would reach anyone: an enabled
+        ambient tracer or a file-backed journal. The engine asks once
+        per pooled batch; when nobody listens, workers run unshipped
+        with the null tracer."""
+        journal = self.journal
+        return get_tracer().enabled or (
+            journal is not None and journal.path is not None
+        )
+
     def _emit(self, record: dict) -> None:
         tracer = get_tracer()
         if tracer.enabled:

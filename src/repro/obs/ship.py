@@ -16,29 +16,20 @@ trace's :func:`~repro.telemetry.summary.validate_spans` pass, whereas
 an empty batch with a drop counter keeps the merged stream structurally
 valid and makes the loss visible (``obs.ship.dropped``).
 
-``SEESAW_OBS_SHIP=0`` disables shipping entirely; the worker then runs
-with the null tracer exactly as before this layer existed, and the
-campaign's artifacts are bit-identical to an unshipped run.
+Shipping is consumer-driven: the parent flags each dispatched chunk
+with whether anyone will read worker records (an enabled ambient
+tracer or a file-backed journal). Unflagged chunks run with the null
+tracer and ship nothing; results are bit-identical either way.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.telemetry.sinks import Sink
 
-__all__ = ["SHIP_ENV", "ShippingSink", "shipping_enabled"]
-
-#: environment switch: anything but "0" (default unset = on) ships
-SHIP_ENV = "SEESAW_OBS_SHIP"
+__all__ = ["ShippingSink"]
 
 #: default per-cell record budget (~10 MB of small dicts at the limit)
 DEFAULT_CAPACITY = 50_000
-
-
-def shipping_enabled() -> bool:
-    """True unless ``SEESAW_OBS_SHIP=0`` turns shipping off."""
-    return os.environ.get(SHIP_ENV, "1") != "0"
 
 
 class ShippingSink(Sink):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments import cli
+from repro.obs.merge import PID_STRIDE
 from repro.workloads import JobConfig
 
 
@@ -243,33 +244,17 @@ def test_run_trace_flag_writes_trace(monkeypatch, tmp_path, capsys):
 def test_run_trace_with_jobs_ships_worker_telemetry(
     monkeypatch, tmp_path, capsys
 ):
-    # with shipping on (the default) worker telemetry merges into the
-    # parent trace, so no "not instrumented" warning fires
+    # --trace is a consumer, so pool workers ship their telemetry and
+    # it merges into the parent trace on per-worker lanes
     monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
-    monkeypatch.delenv("SEESAW_OBS_SHIP", raising=False)
     out = tmp_path / "run-trace.json"
     args = [
         "run", "tiny", "--quick", "--no-cache",
         "--trace", str(out), "--jobs", "2",
     ]
     assert cli.main(args) == 0
-    assert "record in-process work only" not in capsys.readouterr().err
-    assert out.exists()
-
-
-def test_run_trace_with_jobs_warns_when_shipping_off(
-    monkeypatch, tmp_path, capsys
-):
-    monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
-    monkeypatch.setenv("SEESAW_OBS_SHIP", "0")
-    out = tmp_path / "run-trace.json"
-    args = [
-        "run", "tiny", "--quick", "--no-cache",
-        "--trace", str(out), "--jobs", "2",
-    ]
-    assert cli.main(args) == 0
-    assert "record in-process work only" in capsys.readouterr().err
-    assert out.exists()
+    events = json.loads(out.read_text())["traceEvents"]
+    assert any(e["pid"] >= PID_STRIDE for e in events)  # worker lanes
 
 
 # ----------------------------------------------------- metrics & audit

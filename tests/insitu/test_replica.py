@@ -1,13 +1,11 @@
-"""Shared-replica fast path: bit-identity, memoization, merge, escape
-hatches.
+"""Shared-replica fast path: bit-identity, memoization, merge and the
+per-job switch.
 
 The headline property test pins the contract the fast path must keep:
 a run with ``shared_replica=True`` is **bit-identical** to the fully
 replicated run in virtual time, DES event count, thermo log, analysis
 results and allocation log — for multiple controllers and rank counts.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -23,8 +21,6 @@ from repro.insitu import (
     ReplicaPool,
     merge_slices,
     run_insitu,
-    shared_replica_default,
-    use_shared_replica,
 )
 from repro.md import VelocityVerlet, water_ion_box
 from repro.md.domain import Snapshot
@@ -307,26 +303,8 @@ def test_ensemble_update_runs_once_per_sync():
 # ------------------------------------------------------------ switches
 
 
-def test_config_switch_beats_ambient_default():
-    cfg = InsituConfig(shared_replica=False)
-    with use_shared_replica(True):
-        assert cfg.resolve_shared_replica() is False
-
-
-def test_use_shared_replica_scopes_default_and_env():
-    baseline = shared_replica_default()
-    with use_shared_replica(False):
-        assert shared_replica_default() is False
-        assert os.environ["SEESAW_SHARED_REPLICA"] == "0"
-        assert InsituConfig().resolve_shared_replica() is False
-    assert shared_replica_default() is baseline
-
-
-def test_env_var_disables_default(monkeypatch):
-    monkeypatch.setenv("SEESAW_SHARED_REPLICA", "0")
-    assert shared_replica_default() is False
-    monkeypatch.setenv("SEESAW_SHARED_REPLICA", "1")
-    assert shared_replica_default() is True
+def test_shared_replica_is_the_default():
+    assert InsituConfig().shared_replica is True
 
 
 def test_metrics_counters_record_dedup():

@@ -1,11 +1,14 @@
-"""Coalesced collective release: ordering and trajectory equivalence.
+"""Coalesced collective release: ordering and the pinned trajectory.
 
-The coalesced path (default) wakes every member of a finished
-collective from ONE heap event, resuming waiters inline in join order.
-The legacy path (``SEESAW_MPI_COALESCE=0`` or ``coalesce=False``)
-schedules one zero-delay wakeup event per rank. Both must produce
-identical virtual trajectories — only the executed-event count drops.
+A finished collective wakes every member from ONE heap event, resuming
+waiters inline in join order. That is the order the historical scheme
+(one zero-delay wakeup event per rank) resumed them in, so the virtual
+trajectory is the per-rank scheme's; only the executed-event count is
+lower. The per-rank scheme is gone: the digests below were captured
+while both schemes still ran and agreed, and now pin the trajectory.
 """
+
+import hashlib
 
 import pytest
 
@@ -13,58 +16,59 @@ from repro.des import Delay, Engine, SimulationError
 from repro.mpi import LogPCost, MpiWorld
 
 
-def _run(size, main, cost=None, coalesce=None):
+def _run(size, main, cost=None):
     eng = Engine()
     world = MpiWorld(eng, size, cost=cost)
-    if coalesce is not None:
-        world.comm._coalesce = coalesce
     results = world.run(main)
     return eng, results
 
 
+def _comm_for(split, rank, comm):
+    """Generator yielding the communicator to test on and this rank's id
+    in it: the world itself, or a same-membership split of it (so the
+    release path of a derived communicator is covered too)."""
+    if not split:
+        return comm, rank
+    sub = yield comm.split(rank, color=0, key=rank)
+    return sub, sub.world_ranks.index(rank)
+
+
 # ------------------------------------------------------------- wake order
-@pytest.mark.parametrize("coalesce", [True, False])
-def test_release_order_is_join_order(coalesce):
+@pytest.mark.parametrize("split", [False, True])
+def test_release_order_is_join_order(split):
     """Members wake in the order they joined the round, regardless of
     rank id — exactly the order the per-rank zero-delay events fired."""
     woken = []
 
     def main(rank, comm):
+        c, r = yield from _comm_for(split, rank, comm)
         # Reverse-staggered arrivals: rank 3 joins first, rank 0 last.
-        yield Delay(float(comm.size - 1 - rank))
-        yield comm.barrier(rank)
+        yield Delay(float(c.size - 1 - r))
+        yield c.barrier(r)
         woken.append(rank)
 
-    _run(4, main, coalesce=coalesce)
+    _run(4, main)
     assert woken == [3, 2, 1, 0]
 
 
-@pytest.mark.parametrize("coalesce", [True, False])
-def test_deliver_op_release_order_is_join_order(coalesce):
+@pytest.mark.parametrize("split", [False, True])
+def test_deliver_op_release_order_is_join_order(split):
     """Scatter wraps the shared event per rank (deliver op); the
     per-rank values and wake order must survive coalescing."""
     woken = []
 
     def main(rank, comm):
-        yield Delay(float(rank % 2))  # ranks 0,2 join first, then 1,3
-        values = [10, 11, 12, 13] if rank == 0 else None
-        got = yield comm.scatter(rank, values, root=0)
+        c, r = yield from _comm_for(split, rank, comm)
+        yield Delay(float(r % 2))  # ranks 0,2 join first, then 1,3
+        values = [10, 11, 12, 13] if r == 0 else None
+        got = yield c.scatter(r, values, root=0)
         woken.append((rank, got))
 
-    _run(4, main, coalesce=coalesce)
+    _run(4, main)
     assert woken == [(0, 10), (2, 12), (1, 11), (3, 13)]
 
 
-def test_env_var_disables_coalescing(monkeypatch):
-    monkeypatch.setenv("SEESAW_MPI_COALESCE", "0")
-    eng = Engine()
-    world = MpiWorld(eng, 2)
-    assert world.comm._coalesce is False
-    monkeypatch.setenv("SEESAW_MPI_COALESCE", "1")
-    assert MpiWorld(Engine(), 2).comm._coalesce is True
-
-
-# ------------------------------------------------- trajectory equivalence
+# ------------------------------------------------------ pinned trajectory
 class _LinearCost:
     """Deterministic nonzero cost model local to this test: collective
     and point-to-point times scale with size and payload so release
@@ -96,37 +100,31 @@ def _mixed_workload(trace):
     return main
 
 
-@pytest.mark.parametrize("cost", [None, LogPCost(), _LinearCost()])
-def test_legacy_and_coalesced_trajectories_match(cost):
-    t_coal, t_legacy = [], []
-    eng1, r1 = _run(4, _mixed_workload(t_coal), cost=cost, coalesce=True)
-    eng2, r2 = _run(4, _mixed_workload(t_legacy), cost=cost, coalesce=False)
-    assert t_coal == t_legacy
-    assert r1 == r2
-    assert eng1.now == eng2.now
+#: sha256 of ``repr((trace, results, engine.now))`` for
+#: ``_mixed_workload`` on 4 ranks, captured when the coalesced and the
+#: per-rank wakeup schemes both ran and produced identical trajectories
+#: (the per-rank scheme fired 32 events where the coalesced one fires 12)
+@pytest.mark.parametrize(
+    "cost, digest",
+    [
+        (None, "c2f9da37ed1043c7854b24aef71e1f4df46a2ebbac3a11bf2d3eb7a9e4f97ad7"),
+        (LogPCost(), "b0cab0e65ffdb707cf7a02cf6723e94780424f26cc1e5aec60ddb37cb088b562"),
+        (_LinearCost(), "53f8219ae90bf4d80cdf60080280713a10ee55e3a70064d90da3977eca46093f"),
+    ],
+    ids=["None", "cost1", "cost2"],
+)
+def test_legacy_and_coalesced_trajectories_match(cost, digest):
+    trace = []
+    eng, results = _run(4, _mixed_workload(trace), cost=cost)
+    got = hashlib.sha256(repr((trace, results, eng.now)).encode()).hexdigest()
+    assert got == digest
     # The whole point: fewer heap events for the same trajectory.
-    assert eng1.events_executed < eng2.events_executed
-
-
-def test_coalesced_split_inherits_flag():
-    seen = []
-
-    def main(rank, comm):
-        sub = yield comm.split(rank, color=rank % 2, key=rank)
-        seen.append(sub._coalesce)
-        yield sub.barrier(sub.world_ranks.index(rank))
-        return rank
-
-    eng = Engine()
-    world = MpiWorld(eng, 4)
-    world.comm._coalesce = False
-    world.run(main)
-    assert seen == [False] * 4
+    assert eng.events_executed == 12
 
 
 def test_late_join_after_release_still_errors():
-    """Joining a collective round twice is a structural error in both
-    paths (guard unchanged by the coalesced release)."""
+    """Joining a collective round twice is a structural error (guard
+    unchanged by the coalesced release)."""
 
     def main(rank, comm):
         yield comm.barrier(rank)

@@ -1,105 +1,16 @@
-"""Tests for the extended MPI surface: nonblocking ops, scatter,
-sendrecv, dup."""
+"""Tests for the collectives beyond the in-situ path's own: scatter,
+dup."""
 
 import pytest
 
-from repro.des import Delay, Engine, SimulationError
-from repro.mpi import MpiWorld, ZeroCost
+from repro.des import Engine, SimulationError
+from repro.mpi import MpiWorld
 
 
-def run_world(size, main, cost=None):
+def run_world(size, main):
     eng = Engine()
-    world = MpiWorld(eng, size, cost=cost)
+    world = MpiWorld(eng, size)
     return eng, world.run(main)
-
-
-# ------------------------------------------------------------- isend/irecv
-def test_isend_irecv_roundtrip():
-    def main(rank, comm):
-        if rank == 0:
-            req = comm.isend(0, dest=1, payload="hello", tag=3)
-            yield req.wait()
-            return None
-        req = comm.irecv(1, source=0, tag=3)
-        got = yield req.wait()
-        return got
-
-    _, results = run_world(2, main)
-    assert results[1] == "hello"
-
-
-def test_yield_request_directly():
-    def main(rank, comm):
-        if rank == 0:
-            yield comm.isend(0, dest=1, payload=42)
-            return None
-        got = yield comm.irecv(1)
-        return got
-
-    _, results = run_world(2, main)
-    assert results[1] == 42
-
-
-def test_unwaited_isend_still_delivers():
-    """Eager semantics: the message lands even if the sender never
-    waits on its request."""
-
-    def main(rank, comm):
-        if rank == 0:
-            comm.isend(0, dest=1, payload="fire-and-forget")
-            yield Delay(0.0)
-            return None
-        got = yield comm.recv(1)
-        return got
-
-    _, results = run_world(2, main)
-    assert results[1] == "fire-and-forget"
-
-
-def test_request_complete_flag():
-    class SlowWire(ZeroCost):
-        def p2p_time(self, nbytes):
-            return 1.0
-
-    def main(rank, comm):
-        if rank == 0:
-            req = comm.isend(0, dest=1, payload="x")
-            before = req.complete
-            yield req.wait()
-            return (before, req.complete)
-        got = yield comm.recv(1)
-        return got
-
-    _, results = run_world(2, main, cost=SlowWire())
-    assert results[0] == (False, True)
-
-
-# ------------------------------------------------------------- sendrecv
-def test_sendrecv_ring_exchange():
-    """A classic ring shift that would deadlock with blocking sends."""
-
-    def main(rank, comm):
-        right = (rank + 1) % 3
-        left = (rank - 1) % 3
-        got = yield comm.sendrecv(
-            rank, dest=right, payload=rank, source=left
-        )
-        return got
-
-    _, results = run_world(3, main)
-    assert results == [2, 0, 1]
-
-
-def test_sendrecv_pairwise_swap():
-    def main(rank, comm):
-        other = 1 - rank
-        got = yield comm.sendrecv(
-            rank, dest=other, payload=f"from{rank}", source=other
-        )
-        return got
-
-    _, results = run_world(2, main)
-    assert results == ["from1", "from0"]
 
 
 # ------------------------------------------------------------- scatter

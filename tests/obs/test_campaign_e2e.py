@@ -8,8 +8,9 @@ ISSUE acceptance, pinned here:
   ``validate_spans``;
 * per-phase joule totals in the attribution report reconcile with the
   metrics registry's ``span.<phase>.energy_j`` sums exactly;
-* ``SEESAW_OBS_SHIP=0`` disables shipping: results stay bit-identical
-  and the journal carries no telemetry rows.
+* shipping follows its consumers: a pooled batch ships worker records
+  only under an enabled tracer or a file-backed journal, and results
+  are bit-identical whether or not it ships.
 """
 
 import json
@@ -107,32 +108,39 @@ def test_sched_rows_journal_worker_stats(shipped):
     assert last["ship_records"] > 0
 
 
-def test_ship_disabled_is_bit_identical_and_journal_silent(
-    tmp_path, monkeypatch
-):
+def test_unconsumed_batch_ships_nothing_and_results_match(shipped):
+    """No tracer, no file journal: nobody reads worker records, so the
+    workers run unshipped — and the cells' results cannot tell. The
+    decision is made per batch: the same warm pool ships once a tracer
+    is installed."""
+    shipped_results = shipped[0]
     serial = CampaignEngine(jobs=1).run_cells(_specs())
 
-    monkeypatch.setenv("SEESAW_OBS_SHIP", "0")
-    journal = RunJournal(tmp_path / "off.jsonl")
-    engine = CampaignEngine(jobs=2, journal=journal)
+    engine = CampaignEngine(jobs=2)
+    unshipped = engine.run_cells(_specs())
+    assert engine.obs.absorbed == 0 and engine.obs.dropped == 0
     mem = MemorySink()
     with use_tracer(Tracer(mem)):
-        off = engine.run_cells(_specs())
+        engine.run_cells(_specs())  # no store: every cell runs again
+    engine.close()
+    assert engine.obs.absorbed > 0
+    assert {r["worker"] for r in mem.records if "worker" in r} == {0, 1}
+
+    # shipping must never perturb results: serial == unshipped == shipped
+    assert serial == unshipped == shipped_results
+    assert json.dumps(
+        [r.total_time_s for r in unshipped]
+    ) == json.dumps([r.total_time_s for r in shipped_results])
+
+
+def test_file_journal_alone_is_a_consumer(tmp_path):
+    journal = RunJournal(tmp_path / "run.jsonl")
+    engine = CampaignEngine(jobs=2, journal=journal)
+    engine.run_cells(_specs())
     engine.close()
     journal.close()
-    assert engine.obs.absorbed == 0 and engine.obs.dropped == 0
-    assert not any(
-        r["event"] == "telemetry" for r in read_records(journal.path)
-    )
-    assert not any("worker" in r for r in mem.records)
-
-    monkeypatch.delenv("SEESAW_OBS_SHIP")
-    engine_on = CampaignEngine(jobs=2)
-    on = engine_on.run_cells(_specs())
-    engine_on.close()
-
-    # shipping must never perturb results: serial == off == on
-    assert serial == off == on
-    assert json.dumps(
-        [r.total_time_s for r in off]
-    ) == json.dumps([r.total_time_s for r in on])
+    shipped = [
+        r for r in read_records(journal.path)
+        if r["event"] == "telemetry" and "worker" in r
+    ]
+    assert len(shipped) == engine.obs.absorbed > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.ship import SHIP_ENV, ShippingSink, shipping_enabled
+from repro.obs.ship import ShippingSink
 
 
 def _rec(i):
@@ -45,12 +45,3 @@ def test_overflow_ships_no_records_only_the_drop_count():
 def test_capacity_validated():
     with pytest.raises(ValueError):
         ShippingSink(capacity=0)
-
-
-def test_shipping_enabled_env_switch(monkeypatch):
-    monkeypatch.delenv(SHIP_ENV, raising=False)
-    assert shipping_enabled()
-    monkeypatch.setenv(SHIP_ENV, "0")
-    assert not shipping_enabled()
-    monkeypatch.setenv(SHIP_ENV, "1")
-    assert shipping_enabled()
