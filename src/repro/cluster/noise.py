@@ -138,6 +138,9 @@ class NoiseModel:
             self._phase_rng.lognormal(0.0, self.config.run_sigma[mode])
         )
         self.n_nodes = n_nodes
+        # the fixed part of every phase's factor, in the order the
+        # product was always evaluated (left to right)
+        self._base = self.job_factor * self.run_factor * self.node_factors
 
     @classmethod
     def draw_job_factor(
@@ -172,7 +175,7 @@ class NoiseModel:
         phase = self._phase_rng.lognormal(
             0.0, self.config.phase_sigma[self.mode], size=self.n_nodes
         )
-        clean = self.job_factor * self.run_factor * self.node_factors * phase
+        clean = self._base * phase
         spiked = clean
         if (
             self.config.spike_prob > 0

@@ -1,11 +1,6 @@
 """Power substrate: phase power model, RAPL emulation, traces, sysfs façade."""
 
-from repro.power.execution import (
-    DrawSegment,
-    PhaseOutcome,
-    execute_phase,
-    wait_energy,
-)
+from repro.power.execution import PhaseOutcome, execute_phase, execute_program
 from repro.power.model import OperatingPoint, PhaseKind, operating_point
 from repro.power.msr import MsrSafeFs
 from repro.power.rapl import CapMode, RaplDomainArray
@@ -13,7 +8,6 @@ from repro.power.trace import PowerTrace, sample_trace
 
 __all__ = [
     "CapMode",
-    "DrawSegment",
     "MsrSafeFs",
     "OperatingPoint",
     "PhaseKind",
@@ -21,7 +15,7 @@ __all__ = [
     "PowerTrace",
     "RaplDomainArray",
     "execute_phase",
+    "execute_program",
     "operating_point",
     "sample_trace",
-    "wait_energy",
 ]

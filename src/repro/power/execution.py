@@ -1,5 +1,5 @@
 """Phase executor: turn (work, phase kind, caps over time) into
-(durations, energies, draw segments).
+(durations, energies).
 
 This is the numerical core shared by the vectorized 1024-node proxy and
 the per-rank DES jobs. Given
@@ -9,7 +9,9 @@ the per-rank DES jobs. Given
 * and the RAPL domain's piecewise-constant cap schedule,
 
 it integrates per-node progress through cap segments and returns exact
-per-node completion times plus the energy drawn. Nodes that finish
+per-node completion times plus the energy drawn
+(:func:`execute_phase`); :func:`execute_program` runs a partition's
+whole per-synchronization phase program. Nodes that finish
 early are *not* idled here — synchronization waiting is owned by the
 caller (the partition), which knows who it is waiting for and charges
 the spin-wait power (:attr:`NodeSpec.p_wait_watts`).
@@ -17,15 +19,17 @@ the spin-wait power (:attr:`NodeSpec.p_wait_watts`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.node import NodeSpec
 from repro.power.model import OperatingPoint, PhaseKind, operating_point
 from repro.power.rapl import RaplDomainArray
+from repro.power.trace import PowerTrace
 
-__all__ = ["DrawSegment", "PhaseOutcome", "execute_phase", "wait_energy"]
+__all__ = ["PhaseOutcome", "execute_phase", "execute_program"]
 
 
 def _operating_point_cached(
@@ -59,25 +63,6 @@ def _operating_point_cached(
     return op
 
 
-@dataclass(frozen=True)
-class DrawSegment:
-    """Piecewise-constant per-node power draw over [t0, t1).
-
-    ``draw_watts`` has one entry per node; nodes that already finished
-    the phase within this segment contribute their *active* draw only up
-    to their completion time — the executor splits segments so that
-    within one :class:`DrawSegment` every node is in a single state.
-    """
-
-    t0: float
-    t1: float
-    draw_watts: np.ndarray
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
-
 @dataclass
 class PhaseOutcome:
     """Result of executing one phase across a partition's nodes."""
@@ -86,8 +71,6 @@ class PhaseOutcome:
     durations: np.ndarray
     #: per-node energy in joules consumed while *active* in the phase
     energy_joules: np.ndarray
-    #: trace segments while at least one node was active
-    segments: list[DrawSegment] = field(default_factory=list)
 
     @property
     def slowest(self) -> float:
@@ -105,7 +88,6 @@ def execute_phase(
     domain: RaplDomainArray,
     t_start: float,
     noise_factors: np.ndarray | float = 1.0,
-    collect_segments: bool = False,
 ) -> PhaseOutcome:
     """Execute ``work_seconds`` of ``kind`` on every node of ``domain``.
 
@@ -119,7 +101,6 @@ def execute_phase(
     remaining = work_seconds * noise  # per-node work still to do (owned)
     durations = np.zeros(n)
     energy = np.zeros(n)
-    segments: list[DrawSegment] = []
 
     t = t_start
     active = remaining > 0.0
@@ -128,7 +109,7 @@ def execute_phase(
     # so the whole phase resolves in one closed-form pass. The float
     # expressions mirror the general loop's first iteration exactly
     # (same np.where forms, same operand order) to stay bit-identical.
-    if not collect_segments and active.any():
+    if active.any():
         caps, t_change = domain.segment_at(t)
         op = _operating_point_cached(domain, kind, node, caps)
         speed = np.maximum(op.speed, 1e-12)
@@ -139,9 +120,7 @@ def execute_phase(
             active_time = np.where(active, finish_at - t, 0.0)
             durations = np.where(active, finish_at - t_start, durations)
             energy += active_time * op.draw_watts
-            return PhaseOutcome(
-                durations=durations, energy_joules=energy, segments=segments
-            )
+            return PhaseOutcome(durations=durations, energy_joules=energy)
 
     guard = 0
     while active.any():
@@ -178,35 +157,119 @@ def execute_phase(
             done_in_seg, finish_at - t_start, durations
         )
         energy += active_time * op.draw_watts
-        if collect_segments:
-            segments.append(
-                DrawSegment(
-                    t0=t,
-                    t1=seg_end,
-                    draw_watts=np.where(active, op.draw_watts, 0.0).copy(),
-                )
-            )
         active = still_going
         t = seg_end
 
     # Zero-work phase: all durations stay 0.
-    return PhaseOutcome(durations=durations, energy_joules=energy, segments=segments)
+    return PhaseOutcome(durations=durations, energy_joules=energy)
 
 
-def wait_energy(
+def _trace_phase(
+    trace: PowerTrace, t: float, durations: np.ndarray, energy: np.ndarray
+) -> None:
+    """Record one phase as a mean-node segment starting at ``t``."""
+    mean_dur = float(durations.mean())
+    if mean_dur > 0:
+        trace.add(t, t + mean_dur, float(energy.mean()) / mean_dur)
+
+
+def _fold(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``acc + rows[0] + rows[1] + ...``, added strictly in that order.
+
+    ``np.add.accumulate`` is sequential by definition; an axis-0
+    ``np.add.reduce`` is not guaranteed to be (on one-column stacks it
+    sums pairwise), and the result must match per-phase ``+=``.
+    """
+    return np.add.accumulate(np.concatenate((acc[None], rows)), axis=0)[-1]
+
+
+def execute_program(
+    phases: Sequence,
     node: NodeSpec,
     domain: RaplDomainArray,
-    wait_seconds: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """Energy of spin-waiting for ``wait_seconds`` per node at time ``t``.
+    t_start: float,
+    factor_pair: Callable[[], tuple[np.ndarray, np.ndarray]],
+    trace: PowerTrace | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Execute ``phases`` back to back on every node of ``domain``.
 
-    The wait draw is the MPI busy-wait power clipped by the node's
-    enforced cap (a node capped at 98 W cannot burn 105 W waiting).
-    Cap changes during waits are ignored — waits follow a controller
-    decision by less than the actuation delay only in degenerate
-    configurations, and the energy difference is sub-watt-second.
+    Each phase (anything with ``kind`` and ``work_s``) draws its noise
+    from ``factor_pair() -> (spiked, clean)`` and starts at the *mean*
+    frontier ``t_start + mean(times so far)``. Returns per-node
+    ``(times, clean_times, energy)``: ``clean_times`` rescales each
+    phase's durations by ``clean / spiked`` (durations are linear in the
+    noise factor). With ``trace``, each phase adds one mean-node segment.
+
+    Phases that start while a cap request is still pending run one at a
+    time through :func:`execute_phase`, which splits them at the
+    actuation. Once the caps are settled (no pending request, so no cap
+    change can land before the program ends) the remaining phases are
+    resolved in one stacked pass over ``(phases, nodes)`` matrices. It
+    is bit-identical to the per-phase loop: the same float expressions
+    element by element, one operating-point lookup per phase, and sums
+    folded in the per-phase order. Only the frontier stays a scalar
+    loop, because each phase's start depends on the previous durations.
     """
-    caps, _ = domain.segment_at(t)
-    draw = np.minimum(node.p_wait_watts, caps)
-    return np.asarray(wait_seconds, dtype=float) * draw
+    n = domain.n_nodes
+    times = np.zeros(n)
+    clean_times = np.zeros(n)
+    energy = np.zeros(n)
+    t = t_start
+    for i, phase in enumerate(phases):
+        if phase.work_s > 0 and domain.segment_at(t)[1] == np.inf:
+            break
+        spiked, clean = factor_pair()
+        outcome = execute_phase(
+            phase.kind, node, phase.work_s, domain, t_start=t, noise_factors=spiked
+        )
+        if trace is not None:
+            _trace_phase(trace, t, outcome.durations, outcome.energy_joules)
+        times += outcome.durations
+        clean_times += outcome.durations * (clean / spiked)
+        energy += outcome.energy_joules
+        t = t_start + float(times.mean())
+    else:
+        return times, clean_times, energy
+
+    # Settled: every remaining phase runs under the current caps.
+    rest = phases[i:]
+    work = [phase.work_s for phase in rest]
+    if min(work) < 0:
+        raise ValueError("negative work")
+    caps = domain.segment_at(t)[0]
+    n_phases = len(rest)
+    spiked = np.empty((n_phases, n))
+    clean = np.empty((n_phases, n))
+    speed = np.ones((n_phases, n))
+    draw = np.zeros((n_phases, n))
+    for p, phase in enumerate(rest):
+        spiked[p], clean[p] = factor_pair()
+        if phase.work_s > 0:
+            op = _operating_point_cached(domain, phase.kind, node, caps)
+            speed[p] = op.speed
+            draw[p] = op.draw_watts
+    remaining = np.array(work, dtype=float)[:, None] * spiked
+    # nodes with no work finish at the phase start, as in execute_phase
+    run_s = np.where(
+        remaining > 0.0, remaining / np.maximum(speed, 1e-12), 0.0
+    )
+
+    durations = np.empty((n_phases, n))
+    starts = []
+    for p in range(n_phases):
+        starts.append(t)
+        row = (t + run_s[p]) - t
+        durations[p] = row
+        times += row
+        # np.add.reduce(x) / n is exactly x.mean(), without its overhead
+        t = t_start + float(np.add.reduce(times) / n)
+
+    phase_energy = durations * draw
+    if trace is not None:
+        for p in range(n_phases):
+            _trace_phase(trace, starts[p], durations[p], phase_energy[p])
+    return (
+        times,
+        _fold(clean_times, durations * (clean / spiked)),
+        _fold(energy, phase_energy),
+    )

@@ -12,7 +12,7 @@ Timeline of one synchronization interval (paper §V, §VI-B):
 1. both partitions run their independent work programs (simulation:
    ``j`` Verlet steps; analysis: the analyses due at this step);
    per-node durations come from :func:`repro.power.execution
-   .execute_phase` under the current caps and noise draws;
+   .execute_program` under the current caps and noise draws;
 2. each rank calls ``poli_power_alloc`` on *arrival* — the allgather
    inside synchronizes everyone, so the partition work time is the
    slowest node's arrival (the paper's measurement);
@@ -45,13 +45,14 @@ from repro.cluster.machine import MachineSpec, theta
 from repro.cluster.noise import NoiseConfig, NoiseModel
 from repro.core.controller import PowerController
 from repro.core.types import Observation, PartitionMeasurement
-from repro.power.execution import execute_phase
+from repro.power.execution import execute_program
 from repro.power.rapl import CapMode, RaplDomainArray
 from repro.power.trace import PowerTrace
 from repro.scenario.registry import register_workload
 from repro.telemetry import get_tracer
 from repro.util.rng import RngStream
 from repro.workloads.profiles import (
+    SETUP_OVERHEAD_STEPS,
     WorkPhase,
     analysis_work_phases,
     sim_step_phases,
@@ -89,8 +90,6 @@ def attribution_leak(n_total_nodes: int) -> tuple[float, float]:
       into shifting power away from the analysis "too quickly"
       (§VII-B1).
     """
-    import math
-
     sim_leak = 0.85
     if n_total_nodes > 128:
         sim_leak = min(1.0, sim_leak + 0.05 * math.log2(n_total_nodes / 128))
@@ -231,7 +230,7 @@ class _Partition:
     def run_program(
         self, phases: list[WorkPhase], t_start: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Execute phases sequentially.
+        """Execute phases sequentially (:func:`execute_program`).
 
         Returns per-node ``(times, clean_times, energy)`` — ``times``
         carries the slowest-rank view (interference spikes included;
@@ -245,32 +244,14 @@ class _Partition:
         vectorized (the 10 ms actuation offset is tiny against multi-
         second phases).
         """
-        times = np.zeros(self.n)
-        clean_times = np.zeros(self.n)
-        energy = np.zeros(self.n)
-        t = t_start
-        for phase in phases:
-            spiked, clean = self.noise.phase_factor_pair()
-            outcome = execute_phase(
-                phase.kind,
-                self.node,
-                phase.work_s,
-                self.domain,
-                t_start=t,
-                noise_factors=spiked,
-            )
-            if self.trace is not None and outcome.slowest > 0:
-                mean_dur = float(outcome.durations.mean())
-                if mean_dur > 0:
-                    draw = float(outcome.energy_joules.mean()) / mean_dur
-                    self.trace.add(t, t + mean_dur, draw)
-            times += outcome.durations
-            # duration scales linearly with the noise factor, so the
-            # clean view is an exact rescale per node
-            clean_times += outcome.durations * (clean / spiked)
-            energy += outcome.energy_joules
-            t = t_start + float(times.mean())
-        return times, clean_times, energy
+        return execute_program(
+            phases,
+            self.node,
+            self.domain,
+            t_start,
+            self.noise.phase_factor_pair,
+            self.trace,
+        )
 
     def wait_draw(self, t: float) -> np.ndarray:
         caps, _ = self.domain.segment_at(t)
@@ -380,6 +361,10 @@ class ProxyJobSession:
         self.t = 0.0
         self.step_index = 0
         self.records: list[SyncRecord] = []
+        # Phase programs repeat: the simulation's differs only during
+        # setup, the analysis's only by the set of due analyses.
+        self._sim_programs: dict[bool, list[WorkPhase]] = {}
+        self._ana_programs: dict[tuple[str, ...], list[WorkPhase]] = {}
 
         # Phase telemetry rides the ambient tracer when one is enabled
         # (campaign workers install a shipping tracer, `run --trace` an
@@ -443,23 +428,10 @@ class ProxyJobSession:
         overhead, sync_s = self._overhead, self._sync_s
 
         # --- independent work -----------------------------------------
-        sim_phases: list[WorkPhase] = []
-        for _ in range(cfg.j):
-            sim_phases.extend(
-                sim_step_phases(cfg.dim, cfg.n_sim, cfg.n_nodes, step)
-            )
         due = _analyses_due(cfg, step)
-        ana_phases = (
-            analysis_work_phases(due, cfg.dim, cfg.n_ana, cfg.n_nodes)
-            if due
-            else []
-        )
+        sim_phases, ana_phases = self._programs(step, due)
         sim_times, sim_clean, sim_energy = sim.run_program(sim_phases, t0)
         ana_times, ana_clean, ana_energy = ana.run_program(ana_phases, t0)
-        if not len(ana_phases):
-            ana_times = np.zeros(cfg.n_ana)
-            ana_clean = np.zeros(cfg.n_ana)
-            ana_energy = np.zeros(cfg.n_ana)
 
         sim_work = float(sim_times.max())
         ana_work = float(ana_times.max()) if due else 0.0
@@ -562,6 +534,28 @@ class ProxyJobSession:
         self.t = t0 + interval
         self.step_index = step
         return record
+
+    def _programs(
+        self, step: int, due: list[str]
+    ) -> tuple[list[WorkPhase], list[WorkPhase]]:
+        """The simulation's and the analysis's phase programs at
+        synchronization ``step``, built once per distinct program."""
+        cfg = self.cfg
+        setup = step <= SETUP_OVERHEAD_STEPS
+        sim_phases = self._sim_programs.get(setup)
+        if sim_phases is None:
+            sim_phases = self._sim_programs[setup] = cfg.j * sim_step_phases(
+                cfg.dim, cfg.n_sim, cfg.n_nodes, step
+            )
+        key = tuple(due)
+        ana_phases = self._ana_programs.get(key)
+        if ana_phases is None:
+            ana_phases = self._ana_programs[key] = (
+                analysis_work_phases(due, cfg.dim, cfg.n_ana, cfg.n_nodes)
+                if due
+                else []
+            )
+        return sim_phases, ana_phases
 
     def _emit_phases(
         self,

@@ -11,6 +11,7 @@ the physics moved, not just the speed: refresh only with a deliberate,
 documented behavior change.
 """
 
+import dataclasses
 import hashlib
 
 from repro.cluster.node import THETA_NODE
@@ -46,6 +47,15 @@ def job_fingerprint(result) -> str:
     return _digest(values)
 
 
+def trace_fingerprint(result) -> str:
+    values = []
+    for trace in (result.sim_trace, result.ana_trace):
+        values.append(len(trace))
+        for segment in trace.segments():
+            values += list(segment)
+    return _digest(values)
+
+
 def insitu_fingerprint(result) -> str:
     values = [result.virtual_time_s, result.verification_failures]
     for step, alloc in result.allocation_log:
@@ -62,6 +72,15 @@ EXPECTED_JOB16 = {
     "time-aware": "0a49d8975b77e6e4",
 }
 EXPECTED_JOB256_SEESAW = "65a6f9498574dcff"
+# The job16 runs' sim/ana PowerTrace segments with collect_traces on,
+# captured from the per-phase executor loop before phase programs were
+# resolved in one stacked pass.
+EXPECTED_JOB16_TRACES = {
+    "static": "5ba59b4397555116",
+    "seesaw": "672a68832b8ff77f",
+    "power-aware": "ecc18f8be6fca821",
+    "time-aware": "d86fd366f1e7d12d",
+}
 EXPECTED_INSITU = {
     "seesaw": "8222761c1569878c",
     "static": "8cfe6d3433c4a19e",
@@ -83,6 +102,15 @@ def test_proxy_job_trajectories_pinned():
         cfg = _job16_cfg()
         result = run_job(cfg, build_controller(name, cfg))
         assert job_fingerprint(result) == expected, name
+
+
+def test_proxy_job_power_traces_pinned():
+    for name, expected in EXPECTED_JOB16_TRACES.items():
+        cfg = dataclasses.replace(_job16_cfg(), collect_traces=True)
+        result = run_job(cfg, build_controller(name, cfg))
+        assert trace_fingerprint(result) == expected, name
+        # tracing observes the run without changing it
+        assert job_fingerprint(result) == EXPECTED_JOB16[name], name
 
 
 def test_proxy_job_256_node_trajectory_pinned():

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cluster.noise import NoiseModel
 from repro.cluster.node import THETA_NODE
-from repro.power.execution import execute_phase, wait_energy
+from repro.power.execution import execute_phase
 from repro.power.model import PhaseKind, operating_point
 from repro.power.rapl import RaplDomainArray
+from repro.util.rng import RngStream
+from repro.workloads.lammps_proxy import JobConfig, _Partition
 
 COMPUTE = PhaseKind("force", k_watts=85.0, gamma=2.0, beta=1.0)
 COMM = PhaseKind("comm", k_watts=38.0, gamma=0.1, beta=0.05)
@@ -83,14 +86,20 @@ def test_negative_work_rejected():
 
 
 def test_segments_collected_when_requested():
+    # The phase straddles the actuation at t=1: one second throttled at
+    # the 98 W cap, then the rest of the work under the raised cap.
     dom = make_domain(n=1, cap=98.0, delay=1.0)
     dom.request_caps(215.0, now=0.0)
-    out = execute_phase(
-        COMPUTE, THETA_NODE, 4.0, dom, t_start=0.0, collect_segments=True
+    out = execute_phase(COMPUTE, THETA_NODE, 4.0, dom, t_start=0.0)
+    low = operating_point(COMPUTE, THETA_NODE, 98.0)
+    high = operating_point(COMPUTE, THETA_NODE, 215.0)
+    assert low.draw_watts[0] == pytest.approx(98.0)
+    tail = out.durations[0] - 1.0
+    assert tail > 0.0
+    assert tail * high.speed[0] == pytest.approx(4.0 - low.speed[0])
+    assert out.energy_joules[0] == pytest.approx(
+        98.0 + tail * high.draw_watts[0]
     )
-    assert len(out.segments) == 2
-    assert out.segments[0].t1 == pytest.approx(1.0)
-    assert out.segments[0].draw_watts[0] == pytest.approx(98.0)
 
 
 def test_comm_phase_duration_cap_invariant():
@@ -100,11 +109,17 @@ def test_comm_phase_duration_cap_invariant():
 
 
 def test_wait_energy_clipped_by_cap():
-    dom = make_domain(n=2, cap=98.0)
-    e = wait_energy(THETA_NODE, dom, np.array([1.0, 2.0]), t=0.0)
+    # A partition's spin-wait draw is the busy-wait power clipped by
+    # the enforced cap: a node capped at 98 W cannot burn 105 W waiting.
+    def partition(cap):
+        cfg = JobConfig(n_nodes=4)
+        noise = NoiseModel(RngStream(0), 2, cfg.cap_mode)
+        return _Partition("sim", 2, cfg, noise, np.full(2, cap), None)
+
+    waits = np.array([1.0, 2.0])
+    e = waits * partition(98.0).wait_draw(0.0)
     assert np.allclose(e, [98.0, 196.0])
-    dom_open = make_domain(n=2, cap=215.0)
-    e2 = wait_energy(THETA_NODE, dom_open, np.array([1.0, 1.0]), t=0.0)
+    e2 = np.ones(2) * partition(215.0).wait_draw(0.0)
     assert np.allclose(e2, THETA_NODE.p_wait_watts)
 
 
