@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.cluster.interconnect import Interconnect, InterconnectSpec
 from repro.cluster.node import THETA_NODE, NodeSpec
-from repro.scenario.registry import register_machine
 from repro.util.units import MS
 
 __all__ = ["MachineSpec", "theta", "xeon_cluster"]
@@ -52,7 +51,6 @@ class MachineSpec:
             )
 
 
-@register_machine("theta")
 def theta() -> MachineSpec:
     """The Theta supercomputer as described in paper §VI-A."""
     return MachineSpec(
@@ -63,7 +61,6 @@ def theta() -> MachineSpec:
     )
 
 
-@register_machine("xeon-cluster")
 def xeon_cluster() -> MachineSpec:
     """A generic dual-purpose Xeon cluster (generalization target).
 

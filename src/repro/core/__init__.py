@@ -33,14 +33,3 @@ __all__ = [
     "clamp_partition_totals",
     "optimal_split",
 ]
-
-#: Back-compat view over :mod:`repro.scenario.registry` (the classes
-#: above self-register via ``@register_controller`` at definition
-#: site). The non-paper entries are this reproduction's
-#: implementations of the paper's §VIII future work (hierarchical
-#: per-node allocation; local-optima probing).
-from repro.scenario.registry import list_controllers as _list_controllers
-
-CONTROLLERS = {
-    name: info.cls for name, info in _list_controllers().items()
-}

@@ -32,12 +32,10 @@ from repro.cluster.node import NodeSpec
 from repro.core.controller import clamp_partition_totals
 from repro.core.seesaw import SeeSAwController
 from repro.core.types import Allocation, Observation
-from repro.scenario.registry import register_controller
 
 __all__ = ["ExploringSeeSAwController"]
 
 
-@register_controller("seesaw-exploring")
 class ExploringSeeSAwController(SeeSAwController):
     """SeeSAw + periodic hill-climbing probes on max(T_S, T_A)."""
 

@@ -31,7 +31,6 @@ import numpy as np
 from repro.cluster.node import NodeSpec
 from repro.core.seesaw import SeeSAwController
 from repro.core.types import Allocation, Observation
-from repro.scenario.registry import register_controller
 
 __all__ = ["HierarchicalSeeSAwController", "waterfill"]
 
@@ -69,7 +68,6 @@ def waterfill(
     return np.clip(out, lo, hi)
 
 
-@register_controller("seesaw-hierarchical")
 class HierarchicalSeeSAwController(SeeSAwController):
     """Two-level SeeSAw (partition split, then per-node split)."""
 

@@ -32,7 +32,6 @@ from repro.core.controller import PowerController
 from repro.core.types import Allocation, Observation
 from repro.metrics.audit import get_audit
 from repro.telemetry import get_tracer
-from repro.scenario.registry import register_controller
 
 __all__ = ["PowerAwareController", "redistribute_caps"]
 
@@ -79,7 +78,6 @@ def redistribute_caps(
     return caps, pool, int(len(receivers))
 
 
-@register_controller("power-aware", paper=2)
 class PowerAwareController(PowerController):
     """SLURM-like: move unused headroom to capped nodes."""
 

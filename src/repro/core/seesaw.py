@@ -53,7 +53,6 @@ from repro.core.types import Allocation, Observation
 from repro.metrics.audit import get_audit
 from repro.telemetry import get_tracer
 from repro.util.stats import RunningMean
-from repro.scenario.registry import register_controller
 
 __all__ = ["SeeSAwController", "decide_totals", "optimal_split"]
 
@@ -125,7 +124,6 @@ def decide_totals(
     return p_opt_s, total_s, total_a
 
 
-@register_controller("seesaw", paper=4)
 class SeeSAwController(PowerController):
     """The paper's contribution: time+power (energy) feedback."""
 

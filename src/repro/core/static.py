@@ -13,12 +13,10 @@ from __future__ import annotations
 from repro.cluster.node import NodeSpec
 from repro.core.controller import PowerController
 from repro.core.types import Allocation, Observation
-from repro.scenario.registry import register_controller
 
 __all__ = ["StaticController"]
 
 
-@register_controller("static", paper=1)
 class StaticController(PowerController):
     """Fixed allocation for the lifetime of the job."""
 

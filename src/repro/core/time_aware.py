@@ -39,7 +39,6 @@ from repro.core.controller import PowerController
 from repro.core.types import Allocation, Observation
 from repro.metrics.audit import get_audit
 from repro.telemetry import get_tracer
-from repro.scenario.registry import register_controller
 
 __all__ = ["TimeAwareController", "balance_caps"]
 
@@ -82,7 +81,6 @@ def balance_caps(
     return caps, slack
 
 
-@register_controller("time-aware", paper=3)
 class TimeAwareController(PowerController):
     """GEOPM-power-balancer-like: equalize per-node iteration times."""
 

@@ -16,7 +16,6 @@ from repro.experiments.fig7 import Fig7Result, run_fig7
 from repro.experiments.fig8 import Fig8Result, run_fig8
 from repro.experiments.fig9 import Fig9Result, run_fig9
 from repro.experiments.runner import (
-    APPROACHES,
     build_controller,
     median_improvement,
     paired_improvement,
@@ -27,7 +26,6 @@ from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.table2 import Table2Result, run_table2
 
 __all__ = [
-    "APPROACHES",
     "Fig1Result",
     "Fig2Result",
     "Fig3Result",

@@ -21,7 +21,7 @@ Usage::
     seesaw-experiments bench capture --out benchmarks/baselines
     seesaw-experiments bench check --baselines benchmarks/baselines
     seesaw-experiments run fig2 --chaos-seed 7
-    seesaw-experiments run fig2 --faults "slowdown@1.0+2.5x1.8:rank3"
+    seesaw-experiments run fig8 --faults "cap_skew@2.0+200.0x-12.0"
     seesaw-experiments chaos --seed 7 --events chaos-events.jsonl
     seesaw-experiments campaign status run.jsonl
     seesaw-experiments campaign resume run.jsonl
@@ -78,8 +78,11 @@ recorded inputs and verifies the cap schedule (exit 1 on mismatch);
 
 Fault injection (see :mod:`repro.faults`): ``run ... --faults SPEC``
 installs a declarative fault plan (JSON path or the compact
-``kind@START+DUR[xMAG][:rankN]`` DSL) over the in-process runs;
+``kind@START+DUR[xMAG]`` DSL) over the in-process runs;
 ``run ... --chaos-seed N`` samples a seed-replayable plan instead.
+``run`` takes only the domain-wide RAPL actuation kinds (``cap_drop``,
+``cap_lag``, ``cap_skew``), the ones that reach the analytic proxy;
+any other kind or a ``:rankN`` target is a usage error.
 Faulted runs bypass the cell cache so poisoned results never persist.
 ``trace`` accepts the same two flags plus ``--audit PATH``, giving a
 DES-backed faulted job whose holds show up in ``audit replay``.

@@ -120,19 +120,21 @@ def _add_run(sub) -> None:
         "--faults",
         default=None,
         metavar="SPEC",
-        help="inject faults into the DES-backed in-process runs "
-        "(analytic experiments are unaffected): a fault-plan JSON "
-        "path or the DSL 'kind@START+DUR[xMAG][:rankN];...' "
-        "(kinds: slowdown crash cap_drop cap_lag cap_skew meas_drop "
-        "meas_stale meas_garble mpi_delay)",
+        help="inject RAPL actuation faults into the in-process runs, "
+        "which reach the analytic experiments through the shared RAPL "
+        "layer: a fault-plan JSON path or the DSL "
+        "'kind@START+DUR[xMAG];...' (kinds: cap_drop cap_lag cap_skew, "
+        "domain-wide; the other kinds act only on DES-backed jobs, see "
+        "'trace' and 'chaos')",
     )
     run_p.add_argument(
         "--chaos-seed",
         type=int,
         default=None,
         metavar="N",
-        help="sample a seed-replayable fault plan instead of --faults "
-        "(same seed => byte-identical fault schedule)",
+        help="sample a seed-replayable plan of the --faults kinds "
+        "instead of --faults (same seed => byte-identical fault "
+        "schedule)",
     )
     run_p.add_argument(
         "--chaos-horizon",

@@ -31,6 +31,13 @@ from repro.telemetry import ChromeTraceSink, Tracer, use_tracer
 
 __all__ = ["_cmd_list", "_cmd_run"]
 
+#: the fault kinds ``run`` applies. Its experiments run on the analytic
+#: proxy, which faults reach only through the shared RAPL layer, and
+#: the proxy requests caps for a whole partition, so only domain-wide
+#: actuation events fire there. The other kinds act on DES-backed jobs
+#: (``trace``, ``chaos``).
+RUN_FAULT_KINDS = ("cap_drop", "cap_lag", "cap_skew")
+
 
 def _cmd_list() -> int:
     """``list``: every experiment, its one-line doc, and its spec file."""
@@ -130,6 +137,44 @@ def _run_spec_suite(suite, overrides: dict, output: Path | None) -> str:
     return f"{rendered}\n\n[{suite.name} ran in {elapsed:.1f} s]"
 
 
+def _run_fault_plan(parser, args):
+    """The plan ``--faults``/``--chaos-seed`` ask for, or ``None``.
+
+    A parser error names any event ``run`` would silently never apply.
+    """
+    if args.faults is None and args.chaos_seed is None:
+        return None
+    from repro.faults import FaultPlan
+
+    if args.chaos_seed is not None:
+        # each kind draws from its own child stream, so restricting the
+        # kinds leaves these kinds' events as the full sample has them
+        # (the cap kinds discard their rank draw: they hit every node)
+        return FaultPlan.sample(
+            args.chaos_seed,
+            n_ranks=16,
+            horizon_s=args.chaos_horizon,
+            kinds=RUN_FAULT_KINDS,
+        )
+    try:
+        plan = FaultPlan.from_spec(args.faults)
+    except ValueError as exc:
+        parser.error(str(exc))
+    ignored = sorted(set(plan.kinds) - set(RUN_FAULT_KINDS))
+    if ignored:
+        parser.error(
+            f"--faults: run never applies {', '.join(ignored)} "
+            f"(it takes {', '.join(RUN_FAULT_KINDS)}); inject the other "
+            "kinds into a DES-backed job with 'trace' or 'chaos'"
+        )
+    if any(e.rank is not None for e in plan.events):
+        parser.error(
+            "--faults: run applies cap faults to whole partitions; "
+            "drop the ':rankN' target"
+        )
+    return plan
+
+
 def _cmd_run(parser, args) -> int:
     if args.runs is not None and args.runs < 1:
         parser.error("--runs must be >= 1")
@@ -141,6 +186,7 @@ def _cmd_run(parser, args) -> int:
         parser.error("give an experiment id or --spec FILE, not both")
     if args.spec is None and args.experiment is None:
         parser.error("an experiment id (or --spec FILE) is required")
+    plan = _run_fault_plan(parser, args)
 
     suite = None
     if args.spec is not None:
@@ -201,22 +247,11 @@ def _cmd_run(parser, args) -> int:
 
         audit_journal = AuditJournal(args.audit)
         scopes.enter_context(use_audit(audit_journal))
-    if args.faults is not None or args.chaos_seed is not None:
+    if plan is not None:
         # constructed after the tracer/metrics/audit scopes: the
         # injector caches those ambients at build time
-        from repro.faults import FaultInjector, FaultPlan, use_faults
+        from repro.faults import FaultInjector, use_faults
 
-        if args.faults is not None:
-            try:
-                plan = FaultPlan.from_spec(args.faults)
-            except ValueError as exc:
-                parser.error(str(exc))
-        else:
-            # 16 ranks covers the paper jobs' world sizes; per-rank
-            # faults drawn beyond a smaller world simply never match
-            plan = FaultPlan.sample(
-                args.chaos_seed, n_ranks=16, horizon_s=args.chaos_horizon
-            )
         scopes.enter_context(use_faults(FaultInjector(plan)))
         print(
             f"[faults: {len(plan)} event(s), kinds "
@@ -233,7 +268,7 @@ def _cmd_run(parser, args) -> int:
             jobs=args.jobs,
             cache=str(engine.store.root) if engine.store is not None else None,
             output=str(args.output) if args.output is not None else None,
-            faulted=args.faults is not None or args.chaos_seed is not None,
+            faulted=plan is not None,
         )
         cid = campaign_id(meta)
         journal.campaign(cid, **meta)

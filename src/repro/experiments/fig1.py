@@ -70,7 +70,7 @@ def run_fig1(
     )
     cfg = spec.job.to_job_config()
     controller = build_controller(spec.approach, cfg)
-    res = get_workload(spec.workload).fn(cfg, controller)
+    res = get_workload(spec.workload)(cfg, controller)
     period = cfg.machine.sensor_period_s
     from repro.power.trace import sample_trace
 

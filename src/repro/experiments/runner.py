@@ -20,12 +20,11 @@ from __future__ import annotations
 from repro.campaign import CellSpec, get_engine
 from repro.cluster.node import THETA_NODE, NodeSpec
 from repro.core import PowerController
-from repro.scenario.registry import get_controller, paper_approaches
+from repro.scenario.registry import get_controller
 from repro.util.stats import median, percent_improvement
 from repro.workloads import JobConfig, JobResult
 
 __all__ = [
-    "APPROACHES",
     "build_controller",
     "median_improvement",
     "paired_improvement",
@@ -33,13 +32,6 @@ __all__ = [
     "run_scenario",
     "scenario_improvement",
 ]
-
-#: the paper's three managed approaches plus the baseline — a view
-#: over :func:`repro.scenario.registry.paper_approaches`; extensions
-#: (``seesaw-exploring``, ``seesaw-hierarchical``) are registered but
-#: deliberately not part of the paper's four-way comparison
-APPROACHES = paper_approaches()
-
 
 def build_controller(
     name: str,

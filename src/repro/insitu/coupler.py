@@ -76,7 +76,6 @@ from repro.insitu.replica import (
 from repro.metrics.registry import get_metrics
 from repro.metrics.timeseries import PeriodicSampler
 from repro.polimer import poli_init_power_manager, poli_power_alloc
-from repro.scenario.registry import register_workload
 from repro.telemetry import get_tracer
 from repro.workloads.profiles import PHASES
 
@@ -162,7 +161,6 @@ class InsituResult:
             self.fault_events = []
 
 
-@register_workload("insitu")
 def run_insitu(
     cfg: InsituConfig,
     controller: PowerController,

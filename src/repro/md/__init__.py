@@ -5,8 +5,8 @@ finding, LJ + screened-Coulomb + bonded forces, thermo output, spatial
 domain decomposition — sized so the paper's 1568-atom base cell
 (replicated ``dim**3`` times) runs on a laptop. The in-situ coupler
 (:mod:`repro.insitu`) drives it through the Verlet-Splitanalysis
-workflow; the workload calibration (:mod:`repro.workloads`) reads its
-operation counts.
+workflow; the calibration tests (``tests/workloads/test_calibration.py``)
+check the proxy profiles against its operation counts.
 """
 
 from repro.md.box import Box

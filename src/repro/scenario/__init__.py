@@ -4,95 +4,59 @@ A scenario — workload + controller + machine + faults + seeds +
 repeats — has one first-class representation, :class:`ScenarioSpec`:
 JSON round-trippable, schema-validated with actionable errors, and
 hash-stable. Sweeps are :class:`ScenarioMatrix` expansions; named
-implementations (controllers, workloads, analyses, machines) live in
-decorator-populated registries (:mod:`repro.scenario.registry`);
-shipped suites under ``specs/`` drive every figure/table module and
-the CLI's ``run --spec`` / ``scenario`` subcommands. See DESIGN §16.
+implementations (controllers, workloads, analyses, machines) resolve
+through one static name table (:mod:`repro.scenario.registry`) that
+imports a module only when one of its names is looked up; shipped
+suites under ``specs/`` drive every figure/table module and the CLI's
+``run --spec`` / ``scenario`` subcommands. See DESIGN §16.
+
+Every submodule imports only the stdlib at module level, so importing
+this package loads no simulation code.
 """
 
-# Only the registry is imported eagerly: it is stdlib-only, so
-# low-level modules (repro.core.*, repro.cluster.machine, the
-# workloads) can pull the decorators in without cycles. The spec /
-# matrix / loader layers sit *above* those modules and are resolved
-# lazily via module __getattr__ (PEP 562).
+from repro.scenario.loader import (
+    SpecSuite,
+    load_spec_file,
+    load_suite,
+    spec_path,
+    specs_dir,
+    suite_hash,
+)
+from repro.scenario.matrix import ScenarioMatrix, set_field
 from repro.scenario.registry import (
     ControllerInfo,
-    MachineInfo,
     RegistryError,
-    WorkloadInfo,
     controller_names,
     get_controller,
     get_machine,
     get_workload,
     list_analyses,
-    list_controllers,
-    list_machines,
-    list_workloads,
     paper_approaches,
-    register_analysis,
-    register_controller,
-    register_machine,
-    register_workload,
 )
-
-#: lazily-resolved name → defining submodule
-_LAZY = {
-    "JobParams": "spec",
-    "ScenarioSpec": "spec",
-    "SpecError": "spec",
-    "spec_hash": "spec",
-    "validate_spec": "spec",
-    "ScenarioMatrix": "matrix",
-    "set_field": "matrix",
-    "SpecSuite": "loader",
-    "load_spec_file": "loader",
-    "load_suite": "loader",
-    "spec_path": "loader",
-    "specs_dir": "loader",
-    "suite_hash": "loader",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module 'repro.scenario' has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(f"repro.scenario.{module}"), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
+from repro.scenario.spec import (
+    JobParams,
+    ScenarioSpec,
+    SpecError,
+    spec_hash,
+    validate_spec,
+)
 
 __all__ = [
     "ControllerInfo",
     "JobParams",
-    "MachineInfo",
     "RegistryError",
     "ScenarioMatrix",
     "ScenarioSpec",
     "SpecError",
     "SpecSuite",
-    "WorkloadInfo",
     "controller_names",
     "get_controller",
     "get_machine",
     "get_workload",
     "list_analyses",
-    "list_controllers",
-    "list_machines",
-    "list_workloads",
     "load_spec_file",
     "load_suite",
     "paper_approaches",
-    "register_analysis",
-    "register_controller",
-    "register_machine",
-    "register_workload",
     "set_field",
     "spec_hash",
     "spec_path",

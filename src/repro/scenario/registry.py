@@ -1,52 +1,65 @@
 """Registries: named controllers, workloads, analyses and machines.
 
-The string→implementation maps that used to live as ``if``-chains in
-``runner.build_controller`` and as ad-hoc dicts (``core.CONTROLLERS``,
-the CLI's approach checks) become declarative registries populated by
-decorators at class/function definition site::
-
-    @register_controller("seesaw", paper=True)
-    class SeeSAwController(PowerController): ...
-
-    @register_workload("proxy")
-    def run_job(cfg, controller, ...): ...
+One static table maps every name a spec or CLI flag can carry to the
+code behind it, as ``"module:attr"`` strings. A lookup imports only
+the module its entry names, so asking for ``"proxy"`` never loads the
+DES in-situ stack, and a process that only validates specs never
+loads MD or scipy. The analysis names are read from
+:mod:`repro.workloads.profiles`, whose dispatch tables define them.
 
 Each :class:`ControllerInfo` carries introspected metadata — the
 keyword options the constructor actually accepts, with defaults — so
 callers can validate a kwargs dict *before* construction and report
 exactly which keys a controller rejects (``scenario validate`` and
 :func:`repro.experiments.runner.build_controller` both use this).
-
-This module imports nothing from the rest of the package (only the
-stdlib), so any layer — core, workloads, experiments — can import the
-decorators without cycles.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 __all__ = [
     "ControllerInfo",
-    "MachineInfo",
     "RegistryError",
-    "WorkloadInfo",
     "controller_names",
     "get_controller",
     "get_machine",
     "get_workload",
     "list_analyses",
-    "list_controllers",
-    "list_machines",
-    "list_workloads",
     "paper_approaches",
-    "register_analysis",
-    "register_controller",
-    "register_machine",
-    "register_workload",
 ]
+
+#: approach name → (implementing class, 1-based position in the
+#: paper's evaluated ordering; 0 = an extension outside the paper's
+#: four approaches: the §VIII future-work controllers)
+_CONTROLLERS = {
+    "static": ("repro.core.static:StaticController", 1),
+    "power-aware": ("repro.core.power_aware:PowerAwareController", 2),
+    "time-aware": ("repro.core.time_aware:TimeAwareController", 3),
+    "seesaw": ("repro.core.seesaw:SeeSAwController", 4),
+    "seesaw-exploring": ("repro.core.exploring:ExploringSeeSAwController", 0),
+    "seesaw-hierarchical": (
+        "repro.core.hierarchical:HierarchicalSeeSAwController",
+        0,
+    ),
+}
+
+#: workload name → entry point
+_WORKLOADS = {
+    "proxy": "repro.workloads.lammps_proxy:run_job",
+    "time-shared": "repro.workloads.time_shared:run_time_shared_job",
+    "insitu": "repro.insitu.coupler:run_insitu",
+}
+
+#: machine name → factory returning a fresh ``MachineSpec``
+_MACHINES = {
+    "theta": "repro.cluster.machine:theta",
+    "xeon-cluster": "repro.cluster.machine:xeon_cluster",
+}
 
 
 class RegistryError(KeyError, ValueError):
@@ -68,12 +81,10 @@ _CORE_PARAMS = ("self", "budget_w", "n_sim", "n_ana", "node")
 
 @dataclass(frozen=True)
 class ControllerInfo:
-    """One registered power-allocation strategy."""
+    """One power-allocation strategy."""
 
     name: str
     cls: type
-    #: one-line description (first docstring line)
-    description: str
     #: keyword options the constructor accepts, with their defaults
     options: dict[str, Any] = field(default_factory=dict)
     #: 1-based position in the paper's evaluated approach ordering
@@ -87,11 +98,10 @@ class ControllerInfo:
     def check_kwargs(self, kwargs: dict) -> None:
         """Raise ``TypeError`` naming every rejected kwarg.
 
-        This is the first line of defense the ISSUE's satellite asks
-        for: instead of a bare ``TypeError: __init__() got an
-        unexpected keyword argument`` from deep inside the
-        constructor, the caller learns *which* keys were rejected and
-        what the controller does accept.
+        Instead of a bare ``TypeError: __init__() got an unexpected
+        keyword argument`` from deep inside the constructor, the
+        caller learns *which* keys were rejected and what the
+        controller does accept.
         """
         bad = self.rejected_kwargs(kwargs)
         if bad:
@@ -100,38 +110,6 @@ class ControllerInfo:
                 f"controller {self.name!r} rejected option(s) "
                 f"{', '.join(repr(k) for k in bad)}; it accepts: {accepted}"
             )
-
-
-@dataclass(frozen=True)
-class WorkloadInfo:
-    """One registered workload entry point."""
-
-    name: str
-    fn: Callable
-    description: str
-
-
-@dataclass(frozen=True)
-class MachineInfo:
-    """One registered machine factory (fresh spec per call)."""
-
-    name: str
-    factory: Callable
-    description: str
-
-
-_CONTROLLERS: dict[str, ControllerInfo] = {}
-_WORKLOADS: dict[str, WorkloadInfo] = {}
-_ANALYSES: dict[str, str] = {}
-_MACHINES: dict[str, MachineInfo] = {}
-
-
-def _first_doc_line(obj) -> str:
-    doc = inspect.getdoc(obj) or ""
-    for line in doc.splitlines():
-        if line.strip():
-            return line.strip()
-    return ""
 
 
 def _introspect_options(cls: type) -> dict[str, Any]:
@@ -148,129 +126,53 @@ def _introspect_options(cls: type) -> dict[str, Any]:
     return options
 
 
-# ------------------------------------------------------------- decorators
-def register_controller(name: str, *, paper: int = 0):
-    """Class decorator: register a :class:`PowerController` subclass."""
-
-    def deco(cls: type) -> type:
-        _CONTROLLERS[name] = ControllerInfo(
-            name=name,
-            cls=cls,
-            description=_first_doc_line(cls),
-            options=_introspect_options(cls),
-            paper=paper,
-        )
-        return cls
-
-    return deco
+def _resolve(target: str):
+    module, attr = target.split(":")
+    return getattr(importlib.import_module(module), attr)
 
 
-def register_workload(name: str):
-    """Function decorator: register a workload entry point."""
-
-    def deco(fn: Callable) -> Callable:
-        _WORKLOADS[name] = WorkloadInfo(
-            name=name, fn=fn, description=_first_doc_line(fn)
-        )
-        return fn
-
-    return deco
-
-
-def register_analysis(name: str, description: str = "") -> None:
-    """Register an analysis workload name (base kernel or composite)."""
-    _ANALYSES[name] = description
-
-
-def register_machine(name: str):
-    """Function decorator: register a machine-spec factory."""
-
-    def deco(factory: Callable) -> Callable:
-        _MACHINES[name] = MachineInfo(
-            name=name, factory=factory, description=_first_doc_line(factory)
-        )
-        return factory
-
-    return deco
-
-
-# ---------------------------------------------------------------- lookups
-def _ensure_populated() -> None:
-    """Import the modules whose definitions self-register.
-
-    Registration happens at class/function definition site; a caller
-    that only imported :mod:`repro.scenario` must still see the
-    built-ins, so look-ups lazily import the defining modules (cheap
-    after the first time — they sit in ``sys.modules``).
-    """
-    import repro.core  # noqa: F401  (controllers register on import)
-    import repro.insitu.coupler  # noqa: F401  (the DES-backed workload)
-    import repro.workloads  # noqa: F401  (workloads + analyses + machines)
-
-
-def get_controller(name: str) -> ControllerInfo:
-    _ensure_populated()
+def _lookup(table: dict, kind: str, name: str):
     try:
-        return _CONTROLLERS[name]
+        return table[name]
     except KeyError:
         raise RegistryError(
-            f"unknown approach {name!r}; choose from "
-            f"{', '.join(sorted(_CONTROLLERS))}"
+            f"unknown {kind} {name!r}; choose from {', '.join(sorted(table))}"
         ) from None
 
 
-def list_controllers() -> dict[str, ControllerInfo]:
-    _ensure_populated()
-    return dict(_CONTROLLERS)
+@functools.cache
+def get_controller(name: str) -> ControllerInfo:
+    target, paper = _lookup(_CONTROLLERS, "approach", name)
+    cls = _resolve(target)
+    return ControllerInfo(
+        name=name, cls=cls, options=_introspect_options(cls), paper=paper
+    )
 
 
 def controller_names() -> tuple[str, ...]:
-    """Every registered approach name (registration order)."""
-    _ensure_populated()
+    """Every approach name, the paper's four first."""
     return tuple(_CONTROLLERS)
 
 
 def paper_approaches() -> tuple[str, ...]:
     """The paper's evaluated approaches, in the paper's ordering."""
-    _ensure_populated()
-    ranked = sorted(
-        (i.paper, n) for n, i in _CONTROLLERS.items() if i.paper
-    )
+    ranked = sorted((p, n) for n, (_, p) in _CONTROLLERS.items() if p)
     return tuple(n for _, n in ranked)
 
 
-def get_workload(name: str) -> WorkloadInfo:
-    _ensure_populated()
-    try:
-        return _WORKLOADS[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown workload {name!r}; choose from "
-            f"{', '.join(sorted(_WORKLOADS))}"
-        ) from None
+def get_workload(name: str) -> Callable:
+    """The workload's entry point (``run_job``, ``run_insitu``, ...)."""
+    return _resolve(_lookup(_WORKLOADS, "workload", name))
 
 
-def list_workloads() -> dict[str, WorkloadInfo]:
-    _ensure_populated()
-    return dict(_WORKLOADS)
+def get_machine(name: str) -> Callable:
+    """The machine's factory; each call returns a fresh spec."""
+    return _resolve(_lookup(_MACHINES, "machine", name))
 
 
-def list_analyses() -> dict[str, str]:
-    _ensure_populated()
-    return dict(_ANALYSES)
+def list_analyses() -> tuple[str, ...]:
+    """Every runnable analysis-workload name: the base kernels, then
+    the paper's composites."""
+    from repro.workloads.profiles import ANALYSIS_PHASES, COMPOSITES
 
-
-def get_machine(name: str) -> MachineInfo:
-    _ensure_populated()
-    try:
-        return _MACHINES[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown machine {name!r}; choose from "
-            f"{', '.join(sorted(_MACHINES))}"
-        ) from None
-
-
-def list_machines() -> dict[str, MachineInfo]:
-    _ensure_populated()
-    return dict(_MACHINES)
+    return (*ANALYSIS_PHASES, *COMPOSITES)

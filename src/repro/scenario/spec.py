@@ -74,7 +74,7 @@ class JobParams:
         from repro.power.rapl import CapMode
         from repro.workloads import JobConfig
 
-        machine = registry.get_machine(self.machine).factory()
+        machine = registry.get_machine(self.machine)()
         return JobConfig(
             analyses=tuple(self.analyses),
             dim=self.dim,
@@ -116,6 +116,7 @@ class ScenarioSpec:
     #: run index of a single plain run (pairing always uses 0..N-1)
     run_index: int = 0
     #: fault plan reference: a plan JSON path or the compact DSL
+    #: (workload insitu only; validate_spec rejects it elsewhere)
     faults: str | None = None
     #: seed for a sampled fault plan (mutually exclusive with faults)
     chaos_seed: int | None = None
@@ -301,7 +302,8 @@ def validate_spec(spec: ScenarioSpec, where: str | None = None) -> list[str]:
 
     Checks registry membership (approach, workload, machine, analysis
     names), controller options against the approach's accepted-option
-    metadata, measurement-protocol fields, and finally attempts the
+    metadata, measurement-protocol fields, fault options (which only
+    the ``insitu`` workload runs), and finally attempts the
     concrete ``JobConfig`` construction so infeasible parameter
     combinations (budget below the RAPL floor, odd node counts, bad
     ``j``) surface here rather than mid-campaign.
@@ -363,6 +365,14 @@ def validate_spec(spec: ScenarioSpec, where: str | None = None) -> list[str]:
             f"{where}.baseline_sim_share: must lie in (0, 1), "
             f"got {spec.baseline_sim_share}"
         )
+    if spec.workload != "insitu":
+        # only the DES-backed workload runs under a fault plan
+        for name in ("faults", "chaos_seed"):
+            if getattr(spec, name) is not None:
+                problems.append(
+                    f"{where}.{name}: the {spec.workload!r} workload "
+                    "ignores fault plans; only 'insitu' runs them"
+                )
     if spec.faults is not None and spec.chaos_seed is not None:
         problems.append(
             f"{where}: faults and chaos_seed are mutually exclusive"

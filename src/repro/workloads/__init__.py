@@ -3,9 +3,11 @@
 :mod:`repro.workloads.profiles` carries the paper-anchored constants
 (phase power characters, per-analysis work, scale effects);
 :mod:`repro.workloads.lammps_proxy` runs full 128–1024-node jobs in
-milliseconds; :mod:`repro.workloads.calibration` cross-checks the
-constants against the *real* engines in :mod:`repro.md` /
-:mod:`repro.analysis`.
+milliseconds; :mod:`repro.workloads.time_shared` runs the same job with
+simulation and analysis on one node set. ``tests/workloads/
+test_calibration.py`` cross-checks the constants against the *real*
+engines in :mod:`repro.md` / :mod:`repro.analysis`; this package
+imports neither.
 """
 
 from repro.workloads.lammps_proxy import (

@@ -48,7 +48,6 @@ from repro.core.types import Observation, PartitionMeasurement
 from repro.power.execution import execute_program
 from repro.power.rapl import CapMode, RaplDomainArray
 from repro.power.trace import PowerTrace
-from repro.scenario.registry import register_workload
 from repro.telemetry import get_tracer
 from repro.util.rng import RngStream
 from repro.workloads.profiles import (
@@ -639,7 +638,6 @@ class ProxyJobSession:
         )
 
 
-@register_workload("proxy")
 def run_job(
     cfg: JobConfig,
     controller: PowerController,

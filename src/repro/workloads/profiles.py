@@ -230,19 +230,6 @@ ANALYSIS_COMM_FRACTION = 0.22
 ANALYSIS_FIXED_FRACTION = 0.25
 
 
-
-# Register every runnable analysis-workload name (base kernels and the
-# paper's composites) so scenario specs can validate their ``analyses``
-# tuples against the actual dispatch table above.
-from repro.scenario.registry import register_analysis  # noqa: E402
-
-for _name in ANALYSIS_PHASES:
-    register_analysis(_name, "base kernel")
-for _name, _members in COMPOSITES.items():
-    register_analysis(_name, "composite: " + "+".join(_members))
-del _name, _members
-
-
 def expand_analyses(names: list[str] | tuple[str, ...]) -> list[str]:
     """Expand composite workload names into base analyses."""
     out: list[str] = []

@@ -32,7 +32,6 @@ import numpy as np
 from repro.cluster.noise import NoiseModel
 from repro.core.controller import PowerController  # noqa: F401 (docs)
 from repro.power.execution import execute_phase
-from repro.scenario.registry import register_workload
 from repro.power.rapl import RaplDomainArray
 from repro.util.rng import RngStream
 from repro.workloads.lammps_proxy import JobConfig, _analyses_due
@@ -85,7 +84,6 @@ def segment_saturation_w(phases: list[WorkPhase], node) -> float:
     return max(peak + 1.0, node.rapl_min_watts)
 
 
-@register_workload("time-shared")
 def run_time_shared_job(
     cfg: JobConfig,
     policy: str = "budget",

@@ -10,29 +10,14 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import THETA_NODE
-from repro.core import (
-    ExploringSeeSAwController,
-    HierarchicalSeeSAwController,
-    Observation,
-    PartitionMeasurement,
-    PowerAwareController,
-    SeeSAwController,
-    StaticController,
-    TimeAwareController,
-)
+from repro.core import Observation, PartitionMeasurement, SeeSAwController
 from repro.metrics.audit import AuditJournal, use_audit
+from repro.scenario import controller_names, get_controller
 
 N = 2
 BUDGET_W = 4 * 110.0
 
-CONTROLLERS = {
-    "static": StaticController,
-    "seesaw": SeeSAwController,
-    "power-aware": PowerAwareController,
-    "time-aware": TimeAwareController,
-    "seesaw-hierarchical": HierarchicalSeeSAwController,
-    "seesaw-exploring": ExploringSeeSAwController,
-}
+CONTROLLERS = {n: get_controller(n).cls for n in controller_names()}
 
 
 def empty_measurement() -> PartitionMeasurement:

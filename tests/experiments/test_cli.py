@@ -94,6 +94,72 @@ def test_invalid_counts_exit_2(stub, capsys, flag, value):
     assert exc.value.code == 2
 
 
+# ------------------------------------------------------------------ faults
+def _fault_probe(n_runs: int = 3, n_verlet_steps: int = 400):
+    """Stub harness: records the fault plan the CLI installed."""
+    from repro.faults import get_faults
+
+    CAPTURED["plan"] = get_faults().plan
+    return StubResult(kwargs={})
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    monkeypatch.setitem(EXPERIMENTS, "probe", _fault_probe)
+    CAPTURED.clear()
+    return "probe"
+
+
+@pytest.mark.parametrize(
+    "spec, needle",
+    [
+        ("slowdown@1.0+2.5x1.8", "slowdown"),
+        ("meas_drop@0.5+3.0;cap_drop@0.5+4.0", "meas_drop"),
+        ("mpi_delay@0+1x0.01", "mpi_delay"),
+        ("cap_skew@0+200x-12:rank1", ":rankN"),
+    ],
+)
+def test_run_faults_rejects_what_run_never_applies(probe, capsys, spec, needle):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", probe, "--faults", spec])
+    assert exc.value.code == 2
+    assert needle in capsys.readouterr().err
+    assert "plan" not in CAPTURED
+
+
+def test_run_faults_installs_actuation_plan(probe, capsys):
+    assert cli.main(["run", probe, "--faults", "cap_skew@0+200x-12"]) == 0
+    assert CAPTURED["plan"].kinds == ("cap_skew",)
+    assert "kinds cap_skew;" in capsys.readouterr().err
+
+
+def test_run_chaos_seed_samples_only_actuation_kinds(probe, capsys):
+    from repro.faults import FaultPlan
+
+    assert cli.main(["run", probe, "--chaos-seed", "7"]) == 0
+    plan = CAPTURED["plan"]
+    assert plan.kinds == ("cap_drop", "cap_lag", "cap_skew")
+    # per-kind child streams: the same events the full sample draws
+    full = FaultPlan.sample(7, n_ranks=16, horizon_s=20.0)
+    assert plan.events == tuple(
+        e for e in full.events if e.kind.value in plan.kinds
+    )
+    assert "kinds cap_drop, cap_lag, cap_skew;" in capsys.readouterr().err
+
+
+def test_run_cap_skew_reaches_the_proxy(monkeypatch, tmp_path, capsys):
+    """The help text's claim: actuation faults move proxy results."""
+    monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
+    improvement = {}
+    for label, extra in (("clean", []), ("skew", ["--faults", "cap_skew@0+1e6x-12"])):
+        out = tmp_path / label
+        args = ["run", "tiny", "--quick", "--no-cache", "--output", str(out)]
+        assert cli.main(args + extra) == 0
+        improvement[label] = json.loads((out / "tiny.json").read_text())
+    assert improvement["skew"] != improvement["clean"]
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------------ output
 def test_output_writes_txt_and_json(stub, tmp_path, capsys):
     out_dir = tmp_path / "artifacts"

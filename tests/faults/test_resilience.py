@@ -11,30 +11,16 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import THETA_NODE
-from repro.core import (
-    ExploringSeeSAwController,
-    HierarchicalSeeSAwController,
-    PowerAwareController,
-    SeeSAwController,
-    StaticController,
-    TimeAwareController,
-)
 from repro.faults import FaultInjector, FaultKind, FaultPlan, use_faults
 from repro.insitu import InsituConfig, run_insitu
 from repro.metrics.audit import AuditJournal, replay, use_audit
+from repro.scenario import controller_names, get_controller
 
 RANKS = 2
 CAP_W = 110.0
 BUDGET_W = 2 * RANKS * CAP_W
 
-CONTROLLERS = {
-    "static": StaticController,
-    "seesaw": SeeSAwController,
-    "power-aware": PowerAwareController,
-    "time-aware": TimeAwareController,
-    "seesaw-hierarchical": HierarchicalSeeSAwController,
-    "seesaw-exploring": ExploringSeeSAwController,
-}
+CONTROLLERS = {n: get_controller(n).cls for n in controller_names()}
 
 #: one deliberately nasty window per kind, sized for the ~2.7 s job
 FAULT_SPECS = {

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import APPROACHES, build_controller
+from repro.experiments.runner import build_controller
 from repro.scenario import (
     RegistryError,
     controller_names,
@@ -10,7 +10,6 @@ from repro.scenario import (
     get_machine,
     get_workload,
     list_analyses,
-    list_controllers,
     paper_approaches,
 )
 from repro.workloads import JobConfig
@@ -20,7 +19,7 @@ def test_paper_approaches_order():
     assert paper_approaches() == (
         "static", "power-aware", "time-aware", "seesaw",
     )
-    assert APPROACHES == paper_approaches()
+    assert [get_controller(n).paper for n in paper_approaches()] == [1, 2, 3, 4]
 
 
 def test_all_controllers_registered():
@@ -66,9 +65,9 @@ def test_check_kwargs_reports_rejected_names():
 
 
 def test_workload_and_machine_lookup():
-    assert callable(get_workload("proxy").fn)
-    assert callable(get_workload("insitu").fn)
-    assert get_machine("theta").factory().name == "theta"
+    assert get_workload("proxy").__name__ == "run_job"
+    assert get_workload("insitu").__name__ == "run_insitu"
+    assert get_machine("theta")().name == "theta"
     with pytest.raises(RegistryError):
         get_workload("zzz")
     with pytest.raises(RegistryError):
@@ -115,3 +114,51 @@ def test_experimental_controllers_run_a_small_job():
             ),
         )
         assert res.total_time_s > 0
+
+
+IMPORT_BUDGET_PROBE = """
+import json, sys
+import repro.campaign, repro.core, repro.experiments.cli, repro.workloads
+from repro.scenario import load_suite, validate_spec
+
+problems = [p for spec in load_suite("fig3a") for p in validate_spec(spec)]
+heavy = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "scipy"
+    or m == "repro.md" or m.startswith(("repro.md.", "repro.insitu"))
+)
+from repro.scenario import get_workload
+
+print(json.dumps({
+    "problems": problems,
+    "heavy": heavy,
+    "insitu": get_workload("insitu").__module__ + ":" + get_workload("insitu").__name__,
+}))
+"""
+
+
+def test_import_budget_proxy_paths_load_no_md_or_scipy():
+    """The CLI, campaign, controllers and workloads, plus validating a
+    proxy suite, stay clear of the MD stack; a lookup of the in-situ
+    workload still resolves it."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert report["problems"] == []
+    assert report["heavy"] == []
+    assert report["insitu"] == "repro.insitu.coupler:run_insitu"

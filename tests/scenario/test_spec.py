@@ -146,10 +146,23 @@ def test_validate_infeasible_budget():
 
 def test_validate_faults_chaos_exclusive():
     spec = ScenarioSpec(
-        name="t", faults="slowdown@1.0+2.5", chaos_seed=3
+        name="t", workload="insitu", faults="slowdown@1.0+2.5", chaos_seed=3
     )
     problems = validate_spec(spec)
-    assert any("exclusive" in p or "chaos_seed" in p for p in problems)
+    assert any("exclusive" in p for p in problems)
+
+
+@pytest.mark.parametrize("workload", ["proxy", "time-shared", "insitu"])
+@pytest.mark.parametrize(
+    "field, value", [("faults", "cap_drop@0.5+4.0"), ("chaos_seed", 3)]
+)
+def test_validate_fault_options_only_on_insitu(workload, field, value):
+    spec = ScenarioSpec(name="t", workload=workload, **{field: value})
+    expected = [] if workload == "insitu" else [
+        f"t.{field}: the {workload!r} workload ignores fault plans; "
+        "only 'insitu' runs them"
+    ]
+    assert validate_spec(spec) == expected
 
 
 def test_validate_bad_insitu_key():
