@@ -141,6 +141,15 @@ class NoiseModel:
         # the fixed part of every phase's factor, in the order the
         # product was always evaluated (left to right)
         self._base = self.job_factor * self.run_factor * self.node_factors
+        # phase_factor_pair runs once per phase per partition: bind its
+        # constants and the phase generator's draws once
+        self._phase_sigma = self.config.phase_sigma[mode]
+        self._spike_prob = self.config.spike_prob
+        self._spike_scale = self.config.spike_scale
+        phase_gen = self._phase_rng.generator
+        self._lognormal = phase_gen.lognormal
+        self._uniform = phase_gen.uniform
+        self._integers = phase_gen.integers
 
     @classmethod
     def draw_job_factor(
@@ -172,22 +181,17 @@ class NoiseModel:
         with w=1 can over-react to anomalies (§VII-C1) while the
         time-aware scheme is blind to them.
         """
-        phase = self._phase_rng.lognormal(
-            0.0, self.config.phase_sigma[self.mode], size=self.n_nodes
-        )
+        phase = self._lognormal(0.0, self._phase_sigma, size=self.n_nodes)
         clean = self._base * phase
         spiked = clean
-        if (
-            self.config.spike_prob > 0
-            and self._phase_rng.uniform() < self.config.spike_prob
-        ):
+        if self._spike_prob > 0 and self._uniform() < self._spike_prob:
             # One interference burst hits one node of the partition —
             # rare at the *partition* level so it reads as an anomaly,
             # not a bias (a per-node-independent draw would fire nearly
             # every phase at 512 nodes).
-            victim = int(self._phase_rng.integers(0, self.n_nodes))
+            victim = int(self._integers(0, self.n_nodes))
             spiked = clean.copy()
-            spiked[victim] *= self.config.spike_scale
+            spiked[victim] *= self._spike_scale
         return spiked, clean
 
     def sensor_noise(self, size=None) -> np.ndarray | float:

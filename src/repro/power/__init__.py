@@ -1,6 +1,11 @@
 """Power substrate: phase power model, RAPL emulation, traces, sysfs façade."""
 
-from repro.power.execution import PhaseOutcome, execute_phase, execute_program
+from repro.power.execution import (
+    PhaseOutcome,
+    PhaseProgram,
+    execute_phase,
+    execute_program,
+)
 from repro.power.model import OperatingPoint, PhaseKind, operating_point
 from repro.power.msr import MsrSafeFs
 from repro.power.rapl import CapMode, RaplDomainArray
@@ -12,6 +17,7 @@ __all__ = [
     "OperatingPoint",
     "PhaseKind",
     "PhaseOutcome",
+    "PhaseProgram",
     "PowerTrace",
     "RaplDomainArray",
     "execute_phase",

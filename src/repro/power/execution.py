@@ -11,7 +11,7 @@ the per-rank DES jobs. Given
 it integrates per-node progress through cap segments and returns exact
 per-node completion times plus the energy drawn
 (:func:`execute_phase`); :func:`execute_program` runs a partition's
-whole per-synchronization phase program. Nodes that finish
+whole per-synchronization :class:`PhaseProgram`. Nodes that finish
 early are *not* idled here — synchronization waiting is owned by the
 caller (the partition), which knows who it is waiting for and charges
 the spin-wait power (:attr:`NodeSpec.p_wait_watts`).
@@ -29,37 +29,79 @@ from repro.power.model import OperatingPoint, PhaseKind, operating_point
 from repro.power.rapl import RaplDomainArray
 from repro.power.trace import PowerTrace
 
-__all__ = ["PhaseOutcome", "execute_phase", "execute_program"]
+__all__ = ["PhaseOutcome", "PhaseProgram", "execute_phase", "execute_program"]
+
+
+class PhaseProgram:
+    """A partition's per-synchronization phase program, prepared once.
+
+    Holds the phases (anything with ``kind`` and ``work_s``), their
+    distinct kinds in first-appearance order, each phase's row in that
+    kind list and the work as a ``(phases, 1)`` column. The program
+    object is also the operating-point cache key: build one per distinct
+    program and reuse it, so a cap segment costs one stacked model
+    inversion per program.
+    """
+
+    __slots__ = ("phases", "kinds", "rows", "work")
+
+    def __init__(self, phases: Sequence) -> None:
+        self.phases = tuple(phases)
+        if any(phase.work_s < 0 for phase in self.phases):
+            raise ValueError("negative work")
+        row_of: dict = {}
+        for phase in self.phases:
+            row_of.setdefault(phase.kind, len(row_of))
+        self.kinds = tuple(row_of)
+        self.rows = np.array(
+            [row_of[phase.kind] for phase in self.phases], dtype=np.intp
+        )
+        self.work = np.array(
+            [phase.work_s for phase in self.phases], dtype=float
+        )[:, None]
 
 
 def _operating_point_cached(
-    domain: RaplDomainArray, kind: PhaseKind, node: NodeSpec, caps: np.ndarray
-):
-    """Operating point for ``kind`` under the domain's *current* caps.
+    domain: RaplDomainArray,
+    source: PhaseKind | PhaseProgram,
+    node: NodeSpec,
+    caps: np.ndarray,
+) -> OperatingPoint:
+    """Speed (floored at 1e-12) and draw of ``source`` under the
+    domain's *current* caps: ``(nodes,)`` arrays for one phase kind,
+    ``(phases, nodes)`` for every phase of a :class:`PhaseProgram`.
 
-    Caps are piecewise-constant, so the resolved point is valid for the
+    Caps are piecewise-constant, so the resolved table is valid for the
     whole cap segment: it is parked in :attr:`RaplDomainArray.op_cache`,
-    which the domain clears whenever the installed caps change. The
-    cached arrays are shared — callers must treat them as read-only.
+    which the domain clears whenever the installed caps change. A miss
+    resolves all of a program's kinds in one stacked
+    :func:`operating_point`. The cached arrays are shared — callers
+    must treat them as read-only.
     """
     cache = domain.op_cache
-    key = (kind, id(node))
+    key = (source, id(node))
     op = cache.get(key)
     if op is None:
-        if caps.size > 1 and (caps == caps[0]).all():
-            # Uniform caps (the common controller output): resolve the
-            # model on one element and broadcast. Ufuncs are elementwise,
-            # so the broadcast view is bit-identical to the full-width
-            # computation at 1/n the cost.
-            one = operating_point(kind, node, caps[:1])
-            shape = caps.shape
-            op = OperatingPoint(
-                speed=np.broadcast_to(one.speed, shape),
-                draw_watts=np.broadcast_to(one.draw_watts, shape),
-            )
-        else:
-            op = operating_point(kind, node, caps)
-        cache[key] = op
+        program = isinstance(source, PhaseProgram)
+        # Uniform caps (the common controller output): resolve the model
+        # on one element and broadcast. Ufuncs are elementwise, so the
+        # broadcast view is bit-identical to the full-width computation
+        # at 1/n the cost.
+        uniform = caps.size > 1 and (caps == caps[0]).all()
+        one = operating_point(
+            source.kinds if program else source,
+            node,
+            caps[:1] if uniform else caps,
+        )
+        speed = np.maximum(one.speed, 1e-12)
+        draw = one.draw_watts
+        if program:
+            speed, draw = speed[source.rows], draw[source.rows]
+        if uniform:
+            shape = speed.shape[:-1] + caps.shape
+            speed = np.broadcast_to(speed, shape)
+            draw = np.broadcast_to(draw, shape)
+        op = cache[key] = OperatingPoint(speed=speed, draw_watts=draw)
     return op
 
 
@@ -88,11 +130,15 @@ def execute_phase(
     domain: RaplDomainArray,
     t_start: float,
     noise_factors: np.ndarray | float = 1.0,
+    program: tuple[PhaseProgram, int] | None = None,
 ) -> PhaseOutcome:
     """Execute ``work_seconds`` of ``kind`` on every node of ``domain``.
 
     ``noise_factors`` multiplies each node's effective work (OS noise,
-    allocation effects — see :mod:`repro.cluster.noise`).
+    allocation effects — see :mod:`repro.cluster.noise`). ``program``
+    names the phase as ``(program, index)`` when it is one of a
+    :class:`PhaseProgram`'s: each cap segment then reads the program's
+    operating-point table instead of resolving ``kind`` alone.
     """
     if work_seconds < 0:
         raise ValueError("negative work")
@@ -104,6 +150,8 @@ def execute_phase(
 
     t = t_start
     active = remaining > 0.0
+    # a kind's table is one node row; a program's has one row per phase
+    source, row = (kind, ...) if program is None else program
 
     # Fast path: no cap change lands before the slowest node finishes,
     # so the whole phase resolves in one closed-form pass. The float
@@ -111,15 +159,15 @@ def execute_phase(
     # (same np.where forms, same operand order) to stay bit-identical.
     if active.any():
         caps, t_change = domain.segment_at(t)
-        op = _operating_point_cached(domain, kind, node, caps)
-        speed = np.maximum(op.speed, 1e-12)
+        op = _operating_point_cached(domain, source, node, caps)
+        speed, draw = op.speed[row], op.draw_watts[row]
         finish_at = np.where(active, t + remaining / speed, t)
         # max over all == max over active: inactive entries hold t and
         # every active completion is >= t
         if float(finish_at.max()) <= t_change:
             active_time = np.where(active, finish_at - t, 0.0)
             durations = np.where(active, finish_at - t_start, durations)
-            energy += active_time * op.draw_watts
+            energy += active_time * draw
             return PhaseOutcome(durations=durations, energy_joules=energy)
 
     guard = 0
@@ -128,8 +176,8 @@ def execute_phase(
         if guard > 10_000:
             raise RuntimeError("phase executor failed to converge")
         caps, t_change = domain.segment_at(t)
-        op = _operating_point_cached(domain, kind, node, caps)
-        speed = np.maximum(op.speed, 1e-12)
+        op = _operating_point_cached(domain, source, node, caps)
+        speed, draw = op.speed[row], op.draw_watts[row]
         finish_at = np.where(active, t + remaining / speed, t)
         # The segment ends at the earliest of: next cap change, or the
         # last active node's completion within this cap regime (max over
@@ -156,7 +204,7 @@ def execute_phase(
         durations = np.where(
             done_in_seg, finish_at - t_start, durations
         )
-        energy += active_time * op.draw_watts
+        energy += active_time * draw
         active = still_going
         t = seg_end
 
@@ -184,43 +232,45 @@ def _fold(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def execute_program(
-    phases: Sequence,
+    program: PhaseProgram,
     node: NodeSpec,
     domain: RaplDomainArray,
     t_start: float,
     factor_pair: Callable[[], tuple[np.ndarray, np.ndarray]],
     trace: PowerTrace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Execute ``phases`` back to back on every node of ``domain``.
+    """Execute ``program``'s phases back to back on every node of ``domain``.
 
-    Each phase (anything with ``kind`` and ``work_s``) draws its noise
-    from ``factor_pair() -> (spiked, clean)`` and starts at the *mean*
-    frontier ``t_start + mean(times so far)``. Returns per-node
-    ``(times, clean_times, energy)``: ``clean_times`` rescales each
-    phase's durations by ``clean / spiked`` (durations are linear in the
-    noise factor). With ``trace``, each phase adds one mean-node segment.
+    Each phase draws its noise from ``factor_pair() -> (spiked, clean)``
+    and starts at the *mean* frontier ``t_start + mean(times so far)``.
+    Returns per-node ``(times, clean_times, energy)``: ``clean_times``
+    rescales each phase's durations by ``clean / spiked`` (durations are
+    linear in the noise factor). With ``trace``, each phase adds one
+    mean-node segment.
 
     Phases that start while a cap request is still pending run one at a
     time through :func:`execute_phase`, which splits them at the
     actuation. Once the caps are settled (no pending request, so no cap
     change can land before the program ends) the remaining phases are
-    resolved in one stacked pass over ``(phases, nodes)`` matrices. It
-    is bit-identical to the per-phase loop: the same float expressions
-    element by element, one operating-point lookup per phase, and sums
-    folded in the per-phase order. Only the frontier stays a scalar
-    loop, because each phase's start depends on the previous durations.
+    resolved in one stacked pass over ``(phases, nodes)`` matrices
+    sliced from the program's operating-point table. It is bit-identical
+    to the per-phase loop: the same float expressions element by
+    element, and sums folded in the per-phase order. Only the frontier
+    stays a scalar loop, because each phase's start depends on the
+    previous durations.
     """
     n = domain.n_nodes
     times = np.zeros(n)
     clean_times = np.zeros(n)
     energy = np.zeros(n)
     t = t_start
-    for i, phase in enumerate(phases):
+    for i, phase in enumerate(program.phases):
         if phase.work_s > 0 and domain.segment_at(t)[1] == np.inf:
             break
         spiked, clean = factor_pair()
         outcome = execute_phase(
-            phase.kind, node, phase.work_s, domain, t_start=t, noise_factors=spiked
+            phase.kind, node, phase.work_s, domain, t_start=t,
+            noise_factors=spiked, program=(program, i),
         )
         if trace is not None:
             _trace_phase(trace, t, outcome.durations, outcome.energy_joules)
@@ -232,27 +282,15 @@ def execute_program(
         return times, clean_times, energy
 
     # Settled: every remaining phase runs under the current caps.
-    rest = phases[i:]
-    work = [phase.work_s for phase in rest]
-    if min(work) < 0:
-        raise ValueError("negative work")
-    caps = domain.segment_at(t)[0]
-    n_phases = len(rest)
+    op = _operating_point_cached(domain, program, node, domain.segment_at(t)[0])
+    n_phases = len(program.phases) - i
     spiked = np.empty((n_phases, n))
     clean = np.empty((n_phases, n))
-    speed = np.ones((n_phases, n))
-    draw = np.zeros((n_phases, n))
-    for p, phase in enumerate(rest):
+    for p in range(n_phases):
         spiked[p], clean[p] = factor_pair()
-        if phase.work_s > 0:
-            op = _operating_point_cached(domain, phase.kind, node, caps)
-            speed[p] = op.speed
-            draw[p] = op.draw_watts
-    remaining = np.array(work, dtype=float)[:, None] * spiked
+    remaining = program.work[i:] * spiked
     # nodes with no work finish at the phase start, as in execute_phase
-    run_s = np.where(
-        remaining > 0.0, remaining / np.maximum(speed, 1e-12), 0.0
-    )
+    run_s = np.where(remaining > 0.0, remaining / op.speed[i:], 0.0)
 
     durations = np.empty((n_phases, n))
     starts = []
@@ -264,7 +302,7 @@ def execute_program(
         # np.add.reduce(x) / n is exactly x.mean(), without its overhead
         t = t_start + float(np.add.reduce(times) / n)
 
-    phase_energy = durations * draw
+    phase_energy = durations * op.draw_watts[i:]
     if trace is not None:
         for p in range(n_phases):
             _trace_phase(trace, starts[p], durations[p], phase_energy[p])

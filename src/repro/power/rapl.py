@@ -103,7 +103,7 @@ class RaplDomainArray:
         #: memo for cap-derived values, cleared on every caps change —
         #: the phase executor parks resolved operating points here so a
         #: piecewise-constant cap schedule costs one model inversion per
-        #: (phase kind, cap segment) instead of one per query
+        #: (phase program or kind, cap segment) instead of one per query
         self.op_cache: dict = {}
         #: cached effective caps (undershoot applied), read-only so the
         #: shared array cannot be corrupted by callers

@@ -45,14 +45,13 @@ from repro.cluster.machine import MachineSpec, theta
 from repro.cluster.noise import NoiseConfig, NoiseModel
 from repro.core.controller import PowerController
 from repro.core.types import Observation, PartitionMeasurement
-from repro.power.execution import execute_program
+from repro.power.execution import PhaseProgram, execute_program
 from repro.power.rapl import CapMode, RaplDomainArray
 from repro.power.trace import PowerTrace
 from repro.telemetry import get_tracer
 from repro.util.rng import RngStream
 from repro.workloads.profiles import (
     SETUP_OVERHEAD_STEPS,
-    WorkPhase,
     analysis_work_phases,
     sim_step_phases,
     snapshot_bytes_per_node,
@@ -227,7 +226,7 @@ class _Partition:
         self.trace = trace
 
     def run_program(
-        self, phases: list[WorkPhase], t_start: float
+        self, program: PhaseProgram, t_start: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Execute phases sequentially (:func:`execute_program`).
 
@@ -244,7 +243,7 @@ class _Partition:
         second phases).
         """
         return execute_program(
-            phases,
+            program,
             self.node,
             self.domain,
             t_start,
@@ -361,9 +360,10 @@ class ProxyJobSession:
         self.step_index = 0
         self.records: list[SyncRecord] = []
         # Phase programs repeat: the simulation's differs only during
-        # setup, the analysis's only by the set of due analyses.
-        self._sim_programs: dict[bool, list[WorkPhase]] = {}
-        self._ana_programs: dict[tuple[str, ...], list[WorkPhase]] = {}
+        # setup, the analysis's only by the set of due analyses. Each is
+        # one PhaseProgram, which keys its partition's operating points.
+        self._sim_programs: dict[bool, PhaseProgram] = {}
+        self._ana_programs: dict[tuple[str, ...], PhaseProgram] = {}
 
         # Phase telemetry rides the ambient tracer when one is enabled
         # (campaign workers install a shipping tracer, `run --trace` an
@@ -536,20 +536,20 @@ class ProxyJobSession:
 
     def _programs(
         self, step: int, due: list[str]
-    ) -> tuple[list[WorkPhase], list[WorkPhase]]:
+    ) -> tuple[PhaseProgram, PhaseProgram]:
         """The simulation's and the analysis's phase programs at
         synchronization ``step``, built once per distinct program."""
         cfg = self.cfg
         setup = step <= SETUP_OVERHEAD_STEPS
         sim_phases = self._sim_programs.get(setup)
         if sim_phases is None:
-            sim_phases = self._sim_programs[setup] = cfg.j * sim_step_phases(
-                cfg.dim, cfg.n_sim, cfg.n_nodes, step
+            sim_phases = self._sim_programs[setup] = PhaseProgram(
+                cfg.j * sim_step_phases(cfg.dim, cfg.n_sim, cfg.n_nodes, step)
             )
         key = tuple(due)
         ana_phases = self._ana_programs.get(key)
         if ana_phases is None:
-            ana_phases = self._ana_programs[key] = (
+            ana_phases = self._ana_programs[key] = PhaseProgram(
                 analysis_work_phases(due, cfg.dim, cfg.n_ana, cfg.n_nodes)
                 if due
                 else []

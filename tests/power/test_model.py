@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.node import THETA_NODE, NodeSpec
-from repro.power.model import PhaseKind, operating_point
+from repro.power.model import OperatingPoint, PhaseKind, operating_point
+from repro.workloads.profiles import PHASES
 
 COMPUTE = PhaseKind("force", k_watts=85.0, gamma=2.0, beta=1.0)
 COMM = PhaseKind("comm", k_watts=38.0, gamma=0.1, beta=0.05)
@@ -122,3 +125,90 @@ def test_vectorized_caps():
 def test_nonpositive_cap_rejected():
     with pytest.raises(ValueError):
         operating_point(COMPUTE, THETA_NODE, 0.0)
+
+
+# ------------------------------------------------------- stacked kinds
+def one_kind(kind, node, cap_watts):
+    """The one-kind model as it was before kinds were stacked: the
+    reference every row of a stacked evaluation must reproduce."""
+    cap = np.atleast_1d(np.asarray(cap_watts, dtype=float))
+    demand_turbo = float(kind.demand(node, node.f_turbo))
+    demand_min = float(kind.demand(node, node.f_min))
+    freq = kind.freq_for_cap(node, cap)
+    speed = np.asarray(kind.speed(node, freq), dtype=float)
+    draw = np.asarray(kind.demand(node, freq), dtype=float)
+    unconstrained = cap >= demand_turbo
+    speed = np.where(unconstrained, kind.speed(node, node.f_turbo), speed)
+    draw = np.where(unconstrained, demand_turbo, draw)
+    throttled = (~unconstrained) & (cap >= demand_min)
+    draw = np.where(throttled, cap, draw)
+    starved = cap < demand_min
+    if np.any(starved):
+        duty = cap / demand_min
+        speed = np.where(starved, kind.speed(node, node.f_min) * duty, speed)
+        draw = np.where(starved, cap, draw)
+    return OperatingPoint(speed=speed, draw_watts=draw)
+
+
+def assert_rows_match(kinds, node, caps):
+    stacked = operating_point(kinds, node, caps)
+    assert stacked.speed.shape == stacked.draw_watts.shape == (len(kinds), caps.size)
+    for row, kind in enumerate(kinds):
+        for one in (operating_point(kind, node, caps), one_kind(kind, node, caps)):
+            assert np.array_equal(stacked.speed[row], one.speed), kind
+            assert np.array_equal(stacked.draw_watts[row], one.draw_watts), kind
+
+
+# exponents ndarray.__pow__ may route to sqrt/square/positive/ones_like,
+# as floats and as ints, next to arbitrary ones
+fast = st.sampled_from([0.0, 0.5, 1.0, 2.0, 0, 1, 2])
+kinds = st.one_of(
+    st.sampled_from(sorted(PHASES.values(), key=lambda k: k.name)),
+    st.builds(
+        PhaseKind,
+        name=st.just("k"),
+        # k_watts == 0 and gamma == 0 are the flat-demand kinds
+        k_watts=st.one_of(st.just(0.0), st.floats(1.0, 120.0)),
+        gamma=st.one_of(fast, st.floats(0.1, 4.0)),
+        beta=st.one_of(fast, st.floats(0.0, 1.5)),
+    ),
+)
+
+
+@given(
+    kinds=st.lists(kinds, min_size=1, max_size=8),
+    n=st.sampled_from([1, 64, 512]),
+    cap=st.floats(1.0, 300.0),
+    per_node=st.one_of(st.none(), st.integers(0, 2**16)),
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_rows_equal_one_kind_evaluations(kinds, n, cap, per_node):
+    # caps from 1 W to 300 W cover all three regimes: starved below
+    # demand(f_min), throttled, and headroom above demand(f_turbo)
+    if per_node is None:
+        caps = np.full(n, cap)
+    else:
+        caps = np.random.default_rng(per_node).uniform(1.0, 300.0, size=n)
+    assert_rows_match(kinds, THETA_NODE, caps)
+
+
+def test_every_phase_kind_stacks_in_every_regime():
+    kinds = list(PHASES.values())
+    caps = np.linspace(1.0, 300.0, 512)
+    for kind in kinds:
+        demand_min = kind.demand(THETA_NODE, THETA_NODE.f_min)
+        demand_turbo = kind.demand(THETA_NODE, THETA_NODE.f_turbo)
+        assert caps.min() < demand_min <= demand_turbo < caps.max()
+    assert_rows_match(kinds, THETA_NODE, caps)
+    assert_rows_match(kinds, THETA_NODE, caps[:1])
+
+
+def test_one_kind_gives_node_arrays():
+    caps = np.array([100.0, 150.0])
+    assert operating_point(COMPUTE, THETA_NODE, caps).speed.shape == (2,)
+    assert operating_point([COMPUTE], THETA_NODE, caps).speed.shape == (1, 2)
+
+
+def test_stacked_nonpositive_cap_rejected():
+    with pytest.raises(ValueError):
+        operating_point([COMPUTE, COMM], THETA_NODE, [100.0, 0.0])

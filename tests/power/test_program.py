@@ -15,11 +15,17 @@ from hypothesis import strategies as st
 import repro.power.execution as execution
 from repro.cluster.noise import NoiseConfig, NoiseModel
 from repro.cluster.node import THETA_NODE
-from repro.power.execution import execute_phase, execute_program
+from repro.power.execution import PhaseProgram, execute_phase, execute_program
+from repro.power.model import operating_point
 from repro.power.rapl import CapMode, RaplDomainArray
 from repro.power.trace import PowerTrace
 from repro.util.rng import RngStream
-from repro.workloads.profiles import PHASES, WorkPhase
+from repro.workloads.profiles import (
+    PHASES,
+    WorkPhase,
+    analysis_work_phases,
+    sim_step_phases,
+)
 
 
 def per_phase(phases, node, domain, t_start, factor_pair, trace=None):
@@ -47,6 +53,11 @@ def per_phase(phases, node, domain, t_start, factor_pair, trace=None):
         energy += outcome.energy_joules
         t = t_start + float(times.mean())
     return (times, clean_times, energy), starts
+
+
+def program(phases, *args):
+    """``execute_program`` on a list of phases."""
+    return execute_program(PhaseProgram(phases), *args)
 
 
 def noise_model(n, seed, spike_prob):
@@ -85,7 +96,7 @@ def run_both(phases, n, caps, new_caps, pending, seed, spike_prob, t_start):
         now, delay = 0.0, starts[pending[1] % len(starts)]
 
     out = []
-    for run in (per_phase, execute_program):
+    for run in (per_phase, program):
         dom = domain_for(n, caps, delay)
         if pending is not None:
             dom.request_caps(new_caps, now=now)
@@ -192,13 +203,112 @@ def test_negative_work_rejected_in_settled_phases():
         SimpleNamespace(kind=PHASES["comm"], work_s=-1.0),
     ]
     with pytest.raises(ValueError, match="negative work"):
-        execute_program(phases, THETA_NODE, dom, 0.0, noise.phase_factor_pair)
+        program(phases, THETA_NODE, dom, 0.0, noise.phase_factor_pair)
 
 
 def test_empty_program_is_zero():
     dom = domain_for(3, 110.0, 0.0)
-    times, clean, energy = execute_program(
+    times, clean, energy = program(
         [], THETA_NODE, dom, 0.0, noise_model(3, 0, 0.0).phase_factor_pair
     )
     for a in (times, clean, energy):
         assert np.array_equal(a, np.zeros(3))
+
+
+# ------------------------------------------------ operating-point tables
+def spy_inversions(monkeypatch):
+    """Record the kinds of every model inversion the executor makes."""
+    calls = []
+    inversion = execution.operating_point
+
+    def spy(kinds, node, caps):
+        calls.append(kinds)
+        return inversion(kinds, node, caps)
+
+    monkeypatch.setattr(execution, "operating_point", spy)
+    return calls
+
+
+def table(domain, program):
+    return domain.op_cache[(program, id(THETA_NODE))]
+
+
+def assert_table_of(domain, program, caps):
+    """The cached table is ``program``'s under ``caps``, row for row."""
+    op = operating_point(program.kinds, THETA_NODE, caps)
+    cached = table(domain, program)
+    assert np.array_equal(cached.speed, np.maximum(op.speed, 1e-12)[program.rows])
+    assert np.array_equal(cached.draw_watts, op.draw_watts[program.rows])
+
+
+def test_program_table_lives_for_one_cap_segment(monkeypatch):
+    calls = spy_inversions(monkeypatch)
+    n = 8
+    dom = domain_for(n, 110.0, 0.0)
+    noise = noise_model(n, 3, 0.5)
+    program = PhaseProgram(SIM_STEP)
+    for t in (0.0, 10.0):
+        execute_program(program, THETA_NODE, dom, t, noise.phase_factor_pair)
+    # one stacked inversion serves every phase of both runs
+    assert calls == [program.kinds]
+    first = table(dom, program)
+
+    # an installed cap change re-resolves the table
+    dom.request_caps(np.linspace(100.0, 160.0, n), now=20.0)
+    execute_program(program, THETA_NODE, dom, 20.0, noise.phase_factor_pair)
+    assert calls == [program.kinds] * 2
+    assert table(dom, program) is not first
+    assert_table_of(dom, program, dom.segment_at(20.0)[0])
+
+    # a byte-identical re-request keeps it
+    second = table(dom, program)
+    dom.request_caps(np.linspace(100.0, 160.0, n), now=30.0)
+    execute_program(program, THETA_NODE, dom, 30.0, noise.phase_factor_pair)
+    assert calls == [program.kinds] * 2
+    assert table(dom, program) is second
+
+
+def test_pending_phase_resolves_the_program_table(monkeypatch):
+    calls = spy_inversions(monkeypatch)
+    dom = domain_for(4, 110.0, 0.1)
+    program = PhaseProgram(SIM_STEP)
+    dom.request_caps(140.0, now=0.0)
+    execute_program(
+        program, THETA_NODE, dom, 0.0, noise_model(4, 0, 0.0).phase_factor_pair
+    )
+    # before and after the actuation inside phase 0: no one-kind misses
+    assert calls == [program.kinds] * 2
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # the simulation's setup and steady programs
+        (sim_step_phases(16, 64, 128, 1), sim_step_phases(16, 64, 128, 3)),
+        # analysis programs for different due sets
+        (
+            analysis_work_phases(["full_msd", "rdf"], 16, 64, 128),
+            analysis_work_phases(["vacf"], 16, 64, 128),
+        ),
+    ],
+)
+@pytest.mark.parametrize("per_node", [None, 11])
+def test_programs_on_one_domain_keep_their_own_tables(first, second, per_node):
+    n = 64
+    caps = caps_for(n, 120.0, per_node)
+    programs = [PhaseProgram(first), PhaseProgram(second)]
+    dom = domain_for(n, caps, 0.0)
+    for run, program in enumerate(programs * 2):
+        t = 5.0 * run
+        got = execute_program(
+            program, THETA_NODE, dom, t, noise_model(n, run, 0.5).phase_factor_pair
+        )
+        ref, _ = per_phase(
+            program.phases, THETA_NODE, domain_for(n, caps, 0.0), t,
+            noise_model(n, run, 0.5).phase_factor_pair,
+        )
+        for a, b in zip(ref, got):
+            assert np.array_equal(a, b)
+    effective = dom.segment_at(0.0)[0]
+    for program in programs:
+        assert_table_of(dom, program, effective)
