@@ -29,6 +29,7 @@ from repro.telemetry.sinks import (
     MemorySink,
     NullSink,
     Sink,
+    SpanBatch,
 )
 from repro.telemetry.summary import (
     TelemetrySummary,
@@ -57,6 +58,7 @@ __all__ = [
     "NullSink",
     "NullTracer",
     "Sink",
+    "SpanBatch",
     "SpanHandle",
     "TelemetrySummary",
     "Tracer",

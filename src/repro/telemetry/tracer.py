@@ -43,7 +43,7 @@ import contextlib
 import time
 from typing import Callable, Optional
 
-from repro.telemetry.sinks import MemorySink, NullSink, Sink
+from repro.telemetry.sinks import MemorySink, NullSink, Sink, SpanBatch
 
 __all__ = [
     "Counter",
@@ -169,18 +169,15 @@ class Tracer:
             }
         )
 
-    def emit_many(self, records) -> None:
-        """Emit pre-built records in one batched pass.
+    def emit_many(self, batch: SpanBatch) -> None:
+        """Emit a :class:`~repro.telemetry.sinks.SpanBatch` of complete
+        spans in one sink call.
 
         Hot emitters (the proxy session's per-rank phase spans) compute
-        their fields vectorized and hand the finished Chrome records
-        straight to the sink, skipping per-record keyword plumbing. Each
-        record must be fully formed — ``ph``/``name``/``ts``/``pid``/
-        ``tid`` — exactly as the per-record helpers would build it.
+        their fields vectorized and append rows instead of record
+        dicts; the sink encodes or folds the batch whole.
         """
-        emit = self.sink.emit
-        for record in records:
-            emit(record)
+        self.sink.emit_spans(batch)
 
     # ----------------------------------------------------------- spans
     def begin(
@@ -375,7 +372,7 @@ class NullTracer(Tracer):
     def _emit_counter(self, name, cat, value) -> None:
         pass
 
-    def emit_many(self, records) -> None:
+    def emit_many(self, batch) -> None:
         pass
 
     def begin(self, name, cat="", tid=0, ts=None, **args) -> SpanHandle:

@@ -48,7 +48,7 @@ from repro.core.types import Observation, PartitionMeasurement
 from repro.power.execution import PhaseProgram, execute_program
 from repro.power.rapl import CapMode, RaplDomainArray
 from repro.power.trace import PowerTrace
-from repro.telemetry import get_tracer
+from repro.telemetry import SpanBatch, get_tracer
 from repro.util.rng import RngStream
 from repro.workloads.profiles import (
     SETUP_OVERHEAD_STEPS,
@@ -581,10 +581,10 @@ class ProxyJobSession:
         """
         # Vectorized batch emission: the sync spans and wait energies
         # for every rank come out of four numpy expressions (matching
-        # the per-rank scalar arithmetic bit for bit), and the finished
-        # Chrome records go to the sink in one emit_many pass.
-        pid = self._tracer.pid
-        records: list[dict] = []
+        # the per-rank scalar arithmetic bit for bit), and the spans go
+        # to the sink as one columnar batch.
+        batch = SpanBatch(self._tracer.pid, "proxy", "energy_j")
+        rows = batch.rows
 
         def lane(times, work_j, total_j, tid0, phase_name, emit_phase):
             t_list = times.tolist()
@@ -594,20 +594,10 @@ class ProxyJobSession:
             for r, t_r in enumerate(t_list):
                 tid = tid0 + r
                 if emit_phase and t_r > 0.0:
-                    records.append(
-                        {
-                            "ph": "X", "name": phase_name, "cat": "proxy",
-                            "ts": t0, "dur": t_r, "pid": pid, "tid": tid,
-                            "args": {"energy_j": wj_list[r]},
-                        }
-                    )
+                    rows.append((phase_name, t0, t_r, tid, wj_list[r]))
                 if sync_list[r] > 0.0:
-                    records.append(
-                        {
-                            "ph": "X", "name": "insitu.sync", "cat": "proxy",
-                            "ts": t0 + t_r, "dur": sync_list[r], "pid": pid,
-                            "tid": tid, "args": {"energy_j": sync_j_list[r]},
-                        }
+                    rows.append(
+                        ("insitu.sync", t0 + t_r, sync_list[r], tid, sync_j_list[r])
                     )
 
         lane(sim_times, sim_work_j, sim_total_j, 1, "phase.md", True)
@@ -619,7 +609,7 @@ class ProxyJobSession:
             "phase.analysis",
             bool(due),
         )
-        self._tracer.emit_many(records)
+        self._tracer.emit_many(batch)
 
     def run(self) -> JobResult:
         """Run the remaining synchronizations to completion."""
