@@ -79,8 +79,10 @@ class ForceField:
         dr = box.minimum_image(pos[i] - pos[j])
         r2 = (dr**2).sum(axis=1)
         within = r2 <= self.cutoff**2
-        # exclude bonded pairs (intramolecular O-H handled by bonds)
-        same_mol = system.molecule_ids[i] == system.molecule_ids[j]
+        # exclude bonded pairs (intramolecular O-H handled by bonds);
+        # -1 marks a monoatomic atom, which shares a molecule with none
+        mol_i = system.molecule_ids[i]
+        same_mol = (mol_i == system.molecule_ids[j]) & (mol_i >= 0)
         keep = within & ~same_mol
         i, j, dr, r2 = i[keep], j[keep], dr[keep], r2[keep]
         if len(i) == 0:

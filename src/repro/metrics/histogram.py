@@ -23,29 +23,8 @@ joules, watts of |slack|) is non-negative by construction.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from functools import reduce
-from operator import add
 
-__all__ = ["StreamingHistogram", "observable"]
-
-#: lower edge of bucket 0 unless a histogram is built with another;
-#: :class:`~repro.metrics.registry.MetricRegistry` keeps the default
-V0 = 1e-9
-
-
-def observable(values: list, v0: float = V0) -> bool:
-    """True only if :meth:`StreamingHistogram.observe` records every
-    one of ``values`` (floats) without raising: each is finite and
-    >= 0, and none is so large that ``value / v0`` overflows its bucket
-    index. A sum that overflows also answers False (``observe`` takes
-    those values; checking the sum rather than each value keeps the
-    check to three C-level passes)."""
-    return (
-        math.isfinite(sum(values))
-        and min(values) >= 0.0
-        and math.isfinite(max(values) / v0)
-    )
+__all__ = ["StreamingHistogram"]
 
 
 class StreamingHistogram:
@@ -63,7 +42,7 @@ class StreamingHistogram:
         "_max",
     )
 
-    def __init__(self, growth: float = 1.1, v0: float = V0) -> None:
+    def __init__(self, growth: float = 1.1, v0: float = 1e-9) -> None:
         if growth <= 1.0:
             raise ValueError("growth must be > 1")
         if v0 <= 0.0:
@@ -84,48 +63,24 @@ class StreamingHistogram:
         value = float(value)
         if value < 0.0 or math.isnan(value) or math.isinf(value):
             raise ValueError(f"histogram values must be finite and >= 0, got {value}")
+        idx = None
+        if value >= self.v0:
+            ratio = value / self.v0
+            # near the float maximum value / v0 overflows; its log does not
+            log_ratio = (
+                math.log(ratio)
+                if ratio != math.inf
+                else math.log(value) - math.log(self.v0)
+            )
+            idx = math.floor(log_ratio / self._log_growth)
         self.count += 1
         self.total += value
         self._min = min(self._min, value)
         self._max = max(self._max, value)
-        if value < self.v0:
+        if idx is None:
             self._underflow += 1
-            return
-        idx = int(math.floor(math.log(value / self.v0) / self._log_growth))
-        self._buckets[idx] = self._buckets.get(idx, 0) + 1
-
-    def observe_many(self, values) -> None:
-        """Record ``values`` in order: the state an :meth:`observe`
-        loop leaves, folded with one pass per statistic.
-
-        ``total`` is the same left-to-right float sum and each bucket
-        index the same ``math.log`` expression. A batch holding a value
-        :meth:`observe` refuses (see :func:`observable`) goes through
-        the :meth:`observe` loop, so the values before the offending
-        one are recorded and the same error is raised.
-        """
-        values = list(values)
-        try:
-            vals = list(map(float, values))
-        except (TypeError, ValueError, OverflowError):
-            vals = None
-        if not vals or not observable(vals, self.v0):
-            for value in values:
-                self.observe(value)
-            return
-        v0, lg = self.v0, self._log_growth
-        self.count += len(vals)
-        self.total = reduce(add, vals, self.total)
-        lo, hi = min(vals), max(vals)
-        self._min = min(self._min, lo)
-        self._max = max(self._max, hi)
-        above = vals if lo >= v0 else [v for v in vals if not v < v0]
-        self._underflow += len(vals) - len(above)
-        buckets = self._buckets
-        for idx, n in Counter(
-            math.floor(math.log(v / v0) / lg) for v in above
-        ).items():
-            buckets[idx] = buckets.get(idx, 0) + n
+        else:
+            self._buckets[idx] = self._buckets.get(idx, 0) + 1
 
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold ``other`` (same growth/v0) into this histogram."""
@@ -160,7 +115,19 @@ class StreamingHistogram:
 
     def bucket_bounds(self, idx: int) -> tuple[float, float]:
         """The value interval ``[lo, hi)`` covered by bucket ``idx``."""
-        return self.v0 * self.growth**idx, self.v0 * self.growth ** (idx + 1)
+        return self._edge(idx), self._edge(idx + 1)
+
+    def _edge(self, idx: int) -> float:
+        """``v0 * growth**idx``; past the float range of ``growth**idx``
+        (the top buckets of values near the float maximum) the same
+        edge from logarithms, and ``inf`` beyond the largest float."""
+        try:
+            return self.v0 * self.growth**idx
+        except OverflowError:
+            try:
+                return math.exp(math.log(self.v0) + idx * self._log_growth)
+            except OverflowError:
+                return math.inf
 
     def quantile(self, q: float) -> float:
         """Estimate of the ``q``-quantile (0 <= q <= 1).

@@ -37,9 +37,9 @@ import json
 import re
 from typing import Callable, Optional
 
-from repro.metrics.histogram import StreamingHistogram, observable
+from repro.metrics.histogram import StreamingHistogram
 from repro.metrics.timeseries import RingBuffer
-from repro.telemetry.sinks import Sink, SpanBatch
+from repro.telemetry.sinks import Sink
 from repro.util.stats import quantiles as exact_quantiles
 
 __all__ = [
@@ -177,9 +177,6 @@ class NullMetricRegistry(MetricRegistry):
         def observe(self, value: float) -> None:
             pass
 
-        def observe_many(self, values) -> None:
-            pass
-
     class _NullRing(RingBuffer):
         __slots__ = ()
 
@@ -277,68 +274,9 @@ class MetricsSink(Sink):
         if self.forward is not None:
             self.forward.emit(record)
 
-    def emit_spans(self, batch: SpanBatch) -> None:
-        """Fold a span batch as :meth:`emit` folds its records, one
-        :meth:`~StreamingHistogram.observe_many` per histogram, then
-        forward it whole.
-
-        A batch holding a value ``observe`` refuses (NaN, inf, a
-        non-number) goes through :meth:`emit` record by record instead,
-        so the records before it are folded and forwarded and the same
-        error is raised.
-        """
-        folds = _span_folds(batch)
-        if folds is None:
-            super().emit_spans(batch)
-            return
-        histogram = self.registry.histogram
-        for name, values in folds.items():
-            histogram(name).observe_many(values)
-        if self.forward is not None:
-            self.forward.emit_spans(batch)
-
     def close(self) -> None:
         if self.forward is not None:
             self.forward.close()
-
-
-def _span_folds(batch: SpanBatch) -> dict[str, list] | None:
-    """The values :meth:`MetricsSink.emit` observes for ``batch``'s
-    records, by histogram name, each list in row order; None when a
-    name is not a string, a value not a float (None energies are
-    skipped, as :meth:`MetricsSink.emit` skips them), or one
-    ``observe`` refuses."""
-    durs: dict[str, list] = {}
-    values: dict[str, list] = {}
-    for name, _ts, dur, _tid, value in batch.rows:
-        group = durs.get(name)
-        if group is None:
-            group = durs[name] = []
-            values[name] = []
-        group.append(dur)
-        values[name].append(value)
-    folds = {}
-    for name, group in durs.items():
-        if type(name) is not str:
-            return None
-        folds[f"span.{name}.s"] = group
-        if batch.key == "energy_j":
-            energy = [v for v in values[name] if v is not None]
-            if energy:
-                folds[f"span.{name}.energy_j"] = energy
-    if any({*map(type, group)} != {float} for group in folds.values()):
-        return None
-    folds = {name: _clamped(group) for name, group in folds.items()}
-    return folds if all(map(observable, folds.values())) else None
-
-
-def _clamped(values: list) -> list:
-    """``max(v, 0.0)`` of each value, as :meth:`MetricsSink.emit` takes
-    it; the list itself when none is negative, which skips a ``max``
-    call per value on the proxy's span batches."""
-    if min(values) >= 0.0:
-        return values
-    return [max(v, 0.0) for v in values]
 
 
 # ---------------------------------------------------------------------------

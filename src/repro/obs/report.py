@@ -7,12 +7,19 @@ simulated ranks executed (``phase.force``, ``phase.ana_cpu``, …, each
 an ``X`` record with ``energy_j`` in args), the controller's decision
 instants (``core.<approach>.decision``), the RAPL actuations
 (``power.rapl.apply``) and the in-situ synchronization spans
-(``insitu.sync`` ``B``/``E`` pairs). :func:`build_report` folds them
-into an :class:`AttributionReport`:
+(``insitu.sync`` ``B``/``E`` pairs). A DES run traces one lane per
+rank; the analytic proxy traces one lane per partition (tid 1 the
+simulation, tid 2 the analysis), each synchronization as a
+``phase.md``/``phase.analysis`` span and an ``insitu.sync`` ``X`` span
+whose args sum the partition's ranks (``energy_j``, ``ranks``,
+``rank_s``). :func:`build_report` folds them into an
+:class:`AttributionReport`, counting a span's ``rank_s`` as its seconds
+where it has one, so the proxy's seconds stay rank-seconds:
 
 * totals by **category** — MD (force/integrate/neighbor/comm) vs
   analysis (``ana_*``/``rdf_*``) vs sync-wait vs cap-actuation;
-* totals by **phase**, by **rank** and by **worker**;
+* totals by **phase**, by **rank** (by partition for the proxy) and by
+  **worker**;
 * per-run **decision intervals**: the controller's decision instants
   slice each run's virtual timeline, and every phase record is
   attributed to the interval it started in — the per-decision-interval
@@ -33,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.campaign.journal import read_records
+from repro.telemetry.summary import span_seconds
 from repro.util.term import bar_chart
 
 __all__ = [
@@ -48,6 +56,9 @@ MD_PHASES = frozenset({"force", "integrate", "neighbor", "comm", "md"})
 
 #: span names accounted to in-situ synchronization waits
 SYNC_SPANS = frozenset({"insitu.sync", "insitu.exchange"})
+
+#: ``by_rank`` keys of the proxy's per-partition lanes (tid - 1)
+PARTITION_LANES = {0: "simulation partition", 1: "analysis partition"}
 
 
 def category_of(name: str) -> str | None:
@@ -81,8 +92,12 @@ class AttributionReport:
     by_category: dict = field(default_factory=dict)
     #: full record name (``phase.force``, ``insitu.sync``) -> bucket
     by_phase: dict = field(default_factory=dict)
-    #: simulated rank -> bucket (tid - 1; engine lane excluded)
+    #: simulated rank -> bucket (tid - 1; engine lane excluded); the
+    #: proxy's lanes are partitions, 0 the simulation, 1 the analysis
     by_rank: dict = field(default_factory=dict)
+    #: ``by_rank`` key -> partition name, for lanes fed by the proxy's
+    #: per-partition spans (those with a ``ranks`` arg)
+    lane_labels: dict = field(default_factory=dict)
     #: pool worker id (-1 = in-process/serial) -> bucket
     by_worker: dict = field(default_factory=dict)
     #: one entry per (run, decision interval): the SeeSAw ledger rows
@@ -152,7 +167,9 @@ def build_report(
     events_by_pid = report.events_by_pid
     open_spans: dict[tuple[int, int, str], dict] = {}
 
-    def account(rec: dict, name: str, energy_j: float, wall_s: float) -> None:
+    def account(
+        rec: dict, name: str, energy_j: float, wall_s: float, dur: float
+    ) -> None:
         cat = category_of(name)
         if cat is None:
             return
@@ -165,6 +182,8 @@ def build_report(
                 energy_j,
                 wall_s,
             )
+            if tid - 1 in PARTITION_LANES and "ranks" in (rec.get("args") or {}):
+                report.lane_labels[tid - 1] = PARTITION_LANES[tid - 1]
         wid = int(rec.get("worker", -1))
         _add(report.by_worker.setdefault(wid, _zero()), energy_j, wall_s)
         pid = int(rec.get("pid", 0) or 0)
@@ -180,13 +199,14 @@ def build_report(
         )
         ts = float(rec.get("ts", 0.0) or 0.0)
         run["t0"] = min(run["t0"], ts)
-        run["t1"] = max(run["t1"], ts + wall_s)
+        run["t1"] = max(run["t1"], ts + dur)
         if not run["label"] and rec.get("label"):
             run["label"] = rec["label"]
         events_by_pid.setdefault(pid, []).append(
             {
                 "ts": ts,
-                "dur": wall_s,
+                "dur": dur,
+                "wall_s": wall_s,
                 "name": name,
                 "cat": cat,
                 "energy_j": energy_j,
@@ -205,6 +225,7 @@ def build_report(
                 rec,
                 name,
                 float(args.get("energy_j", 0.0) or 0.0),
+                span_seconds(rec),
                 float(rec.get("dur", 0.0) or 0.0),
             )
         elif ph == "B" and name in SYNC_SPANS:
@@ -217,7 +238,7 @@ def build_report(
                 wall = float(rec.get("ts", 0.0) or 0.0) - float(
                     begin.get("ts", 0.0) or 0.0
                 )
-                account(begin, name, 0.0, max(wall, 0.0))
+                account(begin, name, 0.0, max(wall, 0.0), max(wall, 0.0))
         elif ph == "i":
             if name.startswith("core.") and name.endswith(".decision"):
                 report.decisions += 1
@@ -229,7 +250,7 @@ def build_report(
                 )
             elif name == "power.rapl.apply":
                 report.actuations += 1
-                account(rec, name, 0.0, 0.0)
+                account(rec, name, 0.0, 0.0, 0.0)
 
     report.cuts_by_pid = {
         pid: sorted(d["ts"] for d in ds)
@@ -283,11 +304,11 @@ def _slice_intervals(
                     idx = i
             b = buckets[idx]
             b["energy_j"] += ev["energy_j"]
-            b["wall_s"] += ev["dur"]
+            b["wall_s"] += ev["wall_s"]
             _add(
                 b["by_category"].setdefault(ev["cat"], _zero()),
                 ev["energy_j"],
-                ev["dur"],
+                ev["wall_s"],
             )
         report.intervals.extend(buckets)
 
@@ -362,7 +383,7 @@ def render_text(report: AttributionReport, width: int = 40) -> str:
         lines.append(
             bar_chart(
                 [
-                    (f"rank {rank}", bucket["energy_j"])
+                    (report.lane_labels.get(rank, f"rank {rank}"), bucket["energy_j"])
                     for rank, bucket in sorted(report.by_rank.items())
                 ],
                 width=width,

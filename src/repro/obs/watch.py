@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.campaign.journal import tail_records
+from repro.telemetry.summary import span_seconds
 from repro.util.term import sparkline
 
 __all__ = ["WatchModel", "WatchState", "render_state", "watch_journal"]
@@ -115,7 +116,7 @@ def fold(state: WatchState, record: dict) -> None:
         name = record.get("name", "")
         if ph == "X" and name.startswith("phase."):
             args = record.get("args") or {}
-            dur = float(record.get("dur", 0.0) or 0.0)
+            dur = span_seconds(record)
             energy = float(args.get("energy_j", 0.0) or 0.0)
             approach = _approach(_label_from(record))
             state.energy_j[approach] = (

@@ -29,7 +29,6 @@ from repro.telemetry.sinks import (
     MemorySink,
     NullSink,
     Sink,
-    SpanBatch,
 )
 from repro.telemetry.summary import (
     TelemetrySummary,
@@ -58,7 +57,6 @@ __all__ = [
     "NullSink",
     "NullTracer",
     "Sink",
-    "SpanBatch",
     "SpanHandle",
     "TelemetrySummary",
     "Tracer",

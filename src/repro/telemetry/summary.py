@@ -10,14 +10,30 @@ loudly rather than producing a file Perfetto rejects.
 :func:`summarize` folds a record stream into per-phase time/power
 breakdowns (from the ``"X"`` phase spans' ``energy_j`` args), per-name
 span totals, and final counter values; ``render()`` prints the tables
-the ``trace`` subcommand shows after a run.
+the ``trace`` subcommand shows after a run. A span that aggregates a
+partition's ranks (the proxy's, see :func:`span_seconds`) counts its
+rank-seconds, so times and mean powers stay per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["SpanStat", "TelemetrySummary", "summarize", "validate_spans"]
+__all__ = [
+    "SpanStat",
+    "TelemetrySummary",
+    "span_seconds",
+    "summarize",
+    "validate_spans",
+]
+
+
+def span_seconds(rec: dict) -> float:
+    """The seconds an ``"X"`` record accounts for: its ``rank_s`` arg
+    where it has one (a per-partition span carries its ranks' seconds,
+    summed), else its ``dur``."""
+    args = rec.get("args") or {}
+    return float(args.get("rank_s", rec.get("dur", 0.0)) or 0.0)
 
 
 def validate_spans(records: list[dict]) -> list[str]:
@@ -90,6 +106,7 @@ class SpanStat:
     """Aggregate over all spans sharing one (cat, name)."""
 
     count: int = 0
+    #: seconds, per node: rank-seconds for per-partition spans
     total_s: float = 0.0
     energy_j: float = 0.0
 
@@ -179,7 +196,7 @@ def summarize(records: list[dict]) -> TelemetrySummary:
                     0.0,
                 )
         elif ph == "X":
-            dur = rec.get("dur", 0.0)
+            dur = span_seconds(rec)
             energy = float(args.get("energy_j", 0.0))
             add_span(cat, name, dur, energy)
             if name.startswith("phase."):

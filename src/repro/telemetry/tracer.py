@@ -15,8 +15,10 @@ clock the tracer is bound to:
   bumped, so back-to-back runs (paired baselines, campaign sweeps) get
   separate, individually-monotone timelines instead of overlapping ts
   ranges;
-* ``tid``  — one *thread* per simulated rank (``rank + 1``), with
-  ``tid 0`` reserved for the engine / controller / campaign layer.
+* ``tid``  — one *thread* per simulated rank (``rank + 1``) in a DES
+  run, one per partition in a proxy run (1 the simulation, 2 the
+  analysis), with ``tid 0`` reserved for the engine / controller /
+  campaign layer.
 
 Clocks
 ------
@@ -43,7 +45,7 @@ import contextlib
 import time
 from typing import Callable, Optional
 
-from repro.telemetry.sinks import MemorySink, NullSink, Sink, SpanBatch
+from repro.telemetry.sinks import MemorySink, NullSink, Sink
 
 __all__ = [
     "Counter",
@@ -169,15 +171,17 @@ class Tracer:
             }
         )
 
-    def emit_many(self, batch: SpanBatch) -> None:
-        """Emit a :class:`~repro.telemetry.sinks.SpanBatch` of complete
-        spans in one sink call.
+    def emit_many(self, records) -> None:
+        """Emit a list of pre-built records in one pass.
 
-        Hot emitters (the proxy session's per-rank phase spans) compute
-        their fields vectorized and append rows instead of record
-        dicts; the sink encodes or folds the batch whole.
+        The proxy session hands each synchronization's per-partition
+        phase spans over this way, skipping per-record keyword plumbing.
+        Each record must be fully formed — ``ph``/``name``/``ts``/
+        ``pid``/``tid`` — as the per-record helpers would build it.
         """
-        self.sink.emit_spans(batch)
+        emit = self.sink.emit
+        for record in records:
+            emit(record)
 
     # ----------------------------------------------------------- spans
     def begin(
@@ -372,7 +376,7 @@ class NullTracer(Tracer):
     def _emit_counter(self, name, cat, value) -> None:
         pass
 
-    def emit_many(self, batch) -> None:
+    def emit_many(self, records) -> None:
         pass
 
     def begin(self, name, cat="", tid=0, ts=None, **args) -> SpanHandle:

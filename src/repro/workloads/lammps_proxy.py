@@ -48,7 +48,7 @@ from repro.core.types import Observation, PartitionMeasurement
 from repro.power.execution import PhaseProgram, execute_program
 from repro.power.rapl import CapMode, RaplDomainArray
 from repro.power.trace import PowerTrace
-from repro.telemetry import SpanBatch, get_tracer
+from repro.telemetry import get_tracer
 from repro.util.rng import RngStream
 from repro.workloads.profiles import (
     SETUP_OVERHEAD_STEPS,
@@ -58,6 +58,10 @@ from repro.workloads.profiles import (
 )
 
 __all__ = ["JobConfig", "JobResult", "ProxyJobSession", "SyncRecord", "run_job"]
+
+#: trace threads of the simulation and analysis partitions in a traced
+#: proxy run (tid 0 is the controller lane)
+SIM_LANE, ANA_LANE = 1, 2
 
 #: bytes of the per-rank report exchanged by the power manager
 REPORT_BYTES = 64
@@ -380,6 +384,8 @@ class ProxyJobSession:
                     f"s{cfg.seed} r{run_index}"
                 ),
             )
+            tracer.name_thread(SIM_LANE, "simulation partition")
+            tracer.name_thread(ANA_LANE, "analysis partition")
 
     # ------------------------------------------------------------------
     @property
@@ -507,6 +513,8 @@ class ProxyJobSession:
                 step_overhead + step_sync_s,
                 sim_times,
                 ana_times,
+                sim_wait,
+                ana_wait,
                 sim_work_j,
                 ana_work_j,
                 sim_energy,
@@ -564,52 +572,76 @@ class ProxyJobSession:
         tail_s: float,
         sim_times: np.ndarray,
         ana_times: np.ndarray,
+        sim_wait: np.ndarray,
+        ana_wait: np.ndarray,
         sim_work_j: np.ndarray,
         ana_work_j: np.ndarray,
         sim_total_j: np.ndarray,
         ana_total_j: np.ndarray,
     ) -> None:
-        """Per-rank phase spans for this interval (tracer enabled only).
+        """Per-partition phase spans for this interval (tracer enabled
+        only).
 
-        Simulation ranks are trace threads ``1..n_sim``, analysis ranks
-        ``n_sim+1..n_nodes`` (tid 0 stays the controller lane).
-        ``phase.md`` / ``phase.analysis`` carry each rank's work time
-        and pre-wait energy; ``insitu.sync`` carries the spin-wait plus
-        the exchange/actuation tail and the energy burned waiting — so
-        the attribution report's md / analysis / sync-wait split sums
-        exactly to the proxy's own per-interval energy accounting.
+        The simulation is trace thread ``SIM_LANE``, the analysis
+        ``ANA_LANE`` (tid 0 stays the controller lane). Each lane gets
+        at most two spans, as PoLiMER measures a partition:
+        ``phase.md`` / ``phase.analysis`` from ``t0`` for the slowest
+        rank's work time, then ``insitu.sync`` from there to the end of
+        the interval (spin-wait plus the exchange/actuation tail).
+        Their ``energy_j`` is summed over the partition's ranks, pre-wait
+        work energy vs the energy burned waiting, so the md / analysis /
+        sync-wait split sums exactly to the proxy's own per-interval
+        energy accounting; ``ranks`` and ``rank_s`` (the per-rank
+        seconds, summed) keep the rank-seconds and mean node power, and
+        the sync span's ``slack_max_s`` / ``slack_mean_s`` summarize the
+        per-rank wait. A span no rank spent time in is skipped.
         """
-        # Vectorized batch emission: the sync spans and wait energies
-        # for every rank come out of four numpy expressions (matching
-        # the per-rank scalar arithmetic bit for bit), and the spans go
-        # to the sink as one columnar batch.
-        batch = SpanBatch(self._tracer.pid, "proxy", "energy_j")
-        rows = batch.rows
+        pid = self._tracer.pid
+        records: list[dict] = []
 
-        def lane(times, work_j, total_j, tid0, phase_name, emit_phase):
-            t_list = times.tolist()
-            wj_list = work_j.tolist()
-            sync_list = (work - times + tail_s).tolist()
-            sync_j_list = (total_j - work_j).tolist()
-            for r, t_r in enumerate(t_list):
-                tid = tid0 + r
-                if emit_phase and t_r > 0.0:
-                    rows.append((phase_name, t0, t_r, tid, wj_list[r]))
-                if sync_list[r] > 0.0:
-                    rows.append(
-                        ("insitu.sync", t0 + t_r, sync_list[r], tid, sync_j_list[r])
-                    )
+        def lane(tid, phase_name, times, wait, work_j, total_j):
+            slowest = float(times.max())
+            rank_s = float(times.sum())
+            ranks = len(times)
+            if phase_name is not None and rank_s > 0.0:
+                records.append(
+                    {
+                        "ph": "X", "name": phase_name, "cat": "proxy",
+                        "ts": t0, "dur": slowest, "pid": pid, "tid": tid,
+                        "args": {
+                            "energy_j": float(work_j.sum()),
+                            "ranks": ranks,
+                            "rank_s": rank_s,
+                        },
+                    }
+                )
+            sync_rank_s = float((wait + tail_s).sum())
+            if sync_rank_s > 0.0:
+                records.append(
+                    {
+                        "ph": "X", "name": "insitu.sync", "cat": "proxy",
+                        "ts": t0 + slowest, "dur": work + tail_s - slowest,
+                        "pid": pid, "tid": tid,
+                        "args": {
+                            "energy_j": float((total_j - work_j).sum()),
+                            "ranks": ranks,
+                            "rank_s": sync_rank_s,
+                            "slack_max_s": float(wait.max()),
+                            "slack_mean_s": float(wait.mean()),
+                        },
+                    }
+                )
 
-        lane(sim_times, sim_work_j, sim_total_j, 1, "phase.md", True)
+        lane(SIM_LANE, "phase.md", sim_times, sim_wait, sim_work_j, sim_total_j)
         lane(
+            ANA_LANE,
+            "phase.analysis" if due else None,
             ana_times,
+            ana_wait,
             ana_work_j,
             ana_total_j,
-            self.cfg.n_sim + 1,
-            "phase.analysis",
-            bool(due),
         )
-        self._tracer.emit_many(batch)
+        self._tracer.emit_many(records)
 
     def run(self) -> JobResult:
         """Run the remaining synchronizations to completion."""

@@ -9,14 +9,14 @@ from repro.md.neighbor import build_neighbor_list
 from repro.md.system import ParticleSystem, Species, water_ion_box
 
 
-def two_atom_system(r, types=(Species.CAT, Species.AN), edge=20.0):
+def two_atom_system(r, types=(Species.CAT, Species.AN), edge=20.0, mol_ids=(0, 1)):
     pos = np.array([[5.0, 5.0, 5.0], [5.0 + r, 5.0, 5.0]])
     return ParticleSystem(
         box=Box.cubic(edge),
         positions=pos,
         velocities=np.zeros((2, 3)),
         types=np.array(types),
-        molecule_ids=np.array([0, 1]),
+        molecule_ids=np.array(mol_ids),
         bonds=np.zeros((0, 2), dtype=np.int64),
     )
 
@@ -37,6 +37,19 @@ def test_total_force_zero_full_system():
     sys_ = water_ion_box(dim=1)
     res, _ = compute(sys_)
     assert np.allclose(res.forces.sum(axis=0), 0.0, atol=1e-8)
+
+
+def test_monoatomic_ions_interact_with_each_other():
+    # -1 is "monoatomic", not a shared molecule: two such ions feel the
+    # same LJ + Coulomb pair force as two ions with distinct ids
+    mono, _ = compute(two_atom_system(1.1, mol_ids=(-1, -1)))
+    distinct, _ = compute(two_atom_system(1.1))
+    assert mono.pair_count == distinct.pair_count == 1
+    assert mono.potential_energy == distinct.potential_energy != 0.0
+    np.testing.assert_array_equal(mono.forces, distinct.forces)
+    # a real shared molecule id still excludes the pair
+    same, _ = compute(two_atom_system(1.1, mol_ids=(3, 3)))
+    assert same.pair_count == 0 and same.potential_energy == 0.0
 
 
 def test_lj_repulsive_at_short_range():

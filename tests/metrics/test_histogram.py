@@ -29,6 +29,33 @@ def test_rejects_invalid_values():
             h.observe(bad)
 
 
+@pytest.mark.parametrize("value", [1e300, 1.7976931348623157e308])
+def test_values_whose_ratio_to_v0_overflows_are_bucketed(value):
+    # value / v0 is inf here (v0 = 1e-9); the bucket index comes from
+    # log(value) - log(v0) instead, and no state changes before it
+    h = StreamingHistogram()
+    assert value / h.v0 == math.inf
+    h.observe(value)
+    assert (h.count, h.total, h.minimum, h.maximum) == (1, value, value, value)
+    (idx, n), = h._buckets.items()
+    assert n == 1 and h._underflow == 0
+    lo, hi = h.bucket_bounds(idx)
+    assert lo <= value < hi
+    assert h.quantile(0.5) == value
+    assert h.to_json()["count"] == 1
+    assert h.cumulative_buckets()[-1][1] == 1
+
+
+def test_bucket_index_unchanged_below_ratio_overflow():
+    # the largest values whose ratio to v0 is finite keep the
+    # log(value / v0) index; the fallback starts right after them
+    h = StreamingHistogram()
+    below = 1.7e299
+    h.observe(below)
+    want = math.floor(math.log(below / h.v0) / math.log(h.growth))
+    assert list(h._buckets) == [want]
+
+
 def test_zero_and_subthreshold_values_underflow_to_zero():
     h = StreamingHistogram(v0=1e-9)
     h.observe(0.0)

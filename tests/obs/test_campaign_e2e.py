@@ -90,8 +90,8 @@ def test_report_joules_reconcile_with_metrics_registry(shipped):
             continue
         assert bucket["energy_j"] == pytest.approx(hist.total, rel=1e-12)
         assert bucket["count"] == hist.count
-    # ranks and decision intervals came through
-    assert sorted(report.by_rank) == list(range(8))
+    # partition lanes and decision intervals came through
+    assert sorted(report.by_rank) == [0, 1]  # the proxy's two partition lanes
     assert report.decisions > 0
     assert len(report.intervals) >= len(report.runs) >= 4
 
