@@ -5,9 +5,8 @@ the shape a real parameter sweep has when the big Table 1 cells come
 after the smoke points) on 4 workers. The one-shot FIFO/static
 baseline parks every heavy cell on the same worker's contiguous block;
 the cost-model-informed work-stealing scheduler spreads them
-longest-first and steals the stragglers. The ISSUE pins the advantage
-at >= 1.3x; the same sweep is captured as an informational metric by
-``repro.metrics.bench`` so the regression tracker graphs it over time.
+longest-first and steals the stragglers. This test pins the advantage
+at >= 1.3x and is the scheduler's only speed-up gate.
 
 Cell cost is simulated with ``time.sleep`` proportional to the spec's
 Verlet steps, so the a-priori cost model ranks cells exactly as they

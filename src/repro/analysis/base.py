@@ -71,11 +71,18 @@ def molecule_centers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center-of-mass position and velocity per molecule.
 
-    Returns ``(mol_ids_unique, com_positions, com_velocities)``. The
-    paper's analyses are "averaged over all molecules", so every MSD /
-    VACF variant works on these centers.
+    Returns ``(mol_ids, com_positions, com_velocities)``, one row per
+    molecule in ascending id order. An atom with a negative id is
+    monoatomic and is its own molecule: each such atom gets its own
+    center, ahead of the molecules and keeping its id. The paper's
+    analyses are "averaged over all molecules", so every MSD / VACF
+    variant works on these centers.
     """
-    mols, inverse = np.unique(frame.molecule_ids, return_inverse=True)
+    ids = frame.molecule_ids
+    # -n .. -1 in atom order: distinct keys below every molecule id
+    keys = np.where(ids < 0, np.arange(len(ids)) - len(ids), ids)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    mols = ids[first]
     m = masses[:, None]
     total_m = scatter_add(np.zeros((len(mols), 1)), inverse, m)
     com_pos = scatter_add(

@@ -18,8 +18,6 @@ Usage::
     seesaw-experiments audit replay audit.jsonl
     seesaw-experiments audit diff a.jsonl b.jsonl
     seesaw-experiments audit timeline audit.jsonl
-    seesaw-experiments bench capture --out benchmarks/baselines
-    seesaw-experiments bench check --baselines benchmarks/baselines
     seesaw-experiments run fig2 --chaos-seed 7
     seesaw-experiments run fig8 --faults "cap_skew@2.0+200.0x-12.0"
     seesaw-experiments chaos --seed 7 --events chaos-events.jsonl
@@ -75,6 +73,9 @@ and writes a report (JSON for ``.json`` paths, Prometheus text
 otherwise); ``run ... --audit PATH`` journals every controller decision
 to JSONL. ``audit replay`` re-executes a journal's decisions from their
 recorded inputs and verifies the cap schedule (exit 1 on mismatch);
+``audit diff`` compares two journals decision-by-decision (exit 1 iff
+they diverge); ``audit timeline`` renders the Fig. 1/2-style power
+split in the terminal.
 
 Fault injection (see :mod:`repro.faults`): ``run ... --faults SPEC``
 installs a declarative fault plan (JSON path or the compact
@@ -89,11 +90,7 @@ DES-backed faulted job whose holds show up in ``audit replay``.
 The ``chaos`` subcommand sweeps a controllers × fault-kinds matrix —
 declared as a scenario matrix, dump it with ``--matrix-out`` — and
 reports completion/slowdown/allocation-stability per cell (exit 1 when
-a cell crashes, breaches the budget, or regresses past the threshold);
-``audit diff`` compares two journals decision-by-decision (exit 1 iff
-they diverge); ``audit timeline`` renders the Fig. 1/2-style power
-split in the terminal. ``bench capture``/``bench check`` maintain the
-benchmark-regression baselines (see :mod:`repro.metrics.bench`).
+a cell crashes, breaches the budget, or regresses past the threshold).
 """
 
 from __future__ import annotations

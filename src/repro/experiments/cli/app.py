@@ -51,11 +51,6 @@ def _main(argv: list[str] | None = None) -> int:
 
         return _cmd_chaos(args)
 
-    if args.command == "bench":
-        from repro.experiments.cli.bench import _cmd_bench
-
-        return _cmd_bench(args)
-
     if args.command == "scenario":
         from repro.experiments.cli.scenario import _cmd_scenario
 

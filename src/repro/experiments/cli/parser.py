@@ -25,7 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_audit(sub)
     _add_chaos(sub)
     _add_campaign(sub)
-    _add_bench(sub)
     _add_scenario(sub)
     return parser
 
@@ -400,57 +399,6 @@ def _add_campaign(sub) -> None:
         default=None,
         metavar="N",
         help="override the recorded worker count for the resumed leg",
-    )
-
-
-def _add_bench(sub) -> None:
-    bench_p = sub.add_parser(
-        "bench",
-        help="capture or check benchmark-regression baselines",
-        description="Benchmark regression tracking: 'capture' writes a "
-        "BENCH_<date>.json baseline; 'check' re-runs the collectors "
-        "and compares against the latest baseline (exit 1 on a gated "
-        "regression, 2 when no baseline exists).",
-    )
-    bench_sub = bench_p.add_subparsers(dest="bench_cmd", required=True)
-    capture_p = bench_sub.add_parser(
-        "capture", help="run the collectors and write a baseline"
-    )
-    capture_p.add_argument(
-        "--out",
-        type=Path,
-        default=Path("benchmarks/baselines"),
-        metavar="DIR",
-        help="baseline directory (default: benchmarks/baselines)",
-    )
-    capture_p.add_argument(
-        "--date",
-        default=None,
-        help="override the baseline date stamp (default: today)",
-    )
-    check_p = bench_sub.add_parser(
-        "check", help="compare a fresh capture against the latest baseline"
-    )
-    check_p.add_argument(
-        "--baselines",
-        type=Path,
-        default=Path("benchmarks/baselines"),
-        metavar="DIR",
-        help="baseline directory (default: benchmarks/baselines)",
-    )
-    check_p.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="also save the fresh capture into DIR (CI artifact)",
-    )
-    check_p.add_argument(
-        "--summary",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="append a markdown delta table (e.g. $GITHUB_STEP_SUMMARY)",
     )
 
 

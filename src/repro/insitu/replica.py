@@ -45,8 +45,7 @@ any out-of-order access rather than silently serving stale state.
 
 The fast path is on by default; ``InsituConfig(shared_replica=False)``
 selects the fully replicated per-rank execution for one job, which is
-the reference the equivalence tests and the ``insitu.fig2`` bench
-compare against.
+the reference the equivalence tests compare against.
 """
 
 from __future__ import annotations

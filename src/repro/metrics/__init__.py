@@ -1,4 +1,4 @@
-"""Streaming metrics, controller audit journal, benchmark tracking.
+"""Streaming metrics and the controller audit journal.
 
 The observability layer on top of (and independent of) the telemetry
 tracer — see DESIGN.md §10:
@@ -7,11 +7,7 @@ tracer — see DESIGN.md §10:
   histograms and virtual-clock time series behind an ambient
   ``get_metrics()`` / ``use_metrics()`` pair;
 * :mod:`repro.metrics.audit` — every controller decision recorded,
-  replayable and diffable;
-* :mod:`repro.metrics.bench` — benchmark baselines and the regression
-  gate (imported explicitly as ``repro.metrics.bench``: it depends on
-  the experiment harness, which depends on the core package, which
-  imports this one).
+  replayable and diffable.
 """
 
 from repro.metrics.audit import (

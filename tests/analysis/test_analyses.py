@@ -227,6 +227,25 @@ def test_molecule_centers_water():
     assert com_pos.shape == (len(mols), 3)
 
 
+def test_molecule_centers_keep_monoatomic_atoms_apart():
+    """Two -1 (monoatomic) ions are two molecules, not one at their
+    midpoint; a bonded pair still shares one center."""
+    pos = np.array([[1.0, 0, 0], [5.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]])
+    frame = Frame(
+        step=0,
+        time=0.0,
+        box_lengths=np.full(3, 10.0),
+        positions=pos,
+        velocities=pos * 0.5,
+        types=np.full(4, Species.O),
+        molecule_ids=np.array([-1, -1, 3, 3]),
+    )
+    mols, com_pos, com_vel = molecule_centers(frame, np.ones(4))
+    np.testing.assert_array_equal(mols, [-1, -1, 3])
+    np.testing.assert_array_equal(com_pos[:, 0], [1.0, 5.0, 3.0])
+    np.testing.assert_array_equal(com_vel[:, 0], [0.5, 2.5, 1.5])
+
+
 def test_registry_constructs_all():
     for name in ("rdf", "vacf", "msd", "msd1d", "msd2d", "full_msd"):
         a = make_analysis(name)

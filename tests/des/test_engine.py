@@ -187,6 +187,19 @@ def test_events_executed_counter():
     eng.run()
     assert eng.events_executed == 7
 
+    # a 50,000-event chain in which each callback schedules the next
+    chain = Engine()
+    fired = [0]
+
+    def tick():
+        fired[0] += 1
+        if fired[0] < 50_000:
+            chain.schedule(0.001, tick)
+
+    chain.schedule(0.0, tick)
+    chain.run()
+    assert chain.events_executed == 50_000
+
 
 def test_max_events_limits_run():
     eng = Engine()
@@ -304,6 +317,27 @@ def test_compaction_during_run_keeps_loop_alive():
     assert eng.compactions >= 1
     assert fired == ["survivor"]
     assert eng.pending == eng._pending_scan() == 0
+
+
+def test_cancellation_storm_compaction_count_pinned():
+    """Cap-change-storm shape at the default thresholds: 200 waves, each
+    scheduling 256 events and cancelling all but the last of them."""
+    eng = Engine()
+    waves = [0]
+
+    def storm():
+        waves[0] += 1
+        handles = [
+            eng.schedule(1.0 + i * 1e-6, lambda: None) for i in range(256)
+        ]
+        for h in handles[:-1]:
+            eng.cancel(h)
+        if waves[0] < 200:
+            eng.schedule(1e-3, storm)
+
+    eng.schedule(0.0, storm)
+    eng.run()
+    assert eng.compactions == 309
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import hashlib
 
 from repro.cluster.node import THETA_NODE
 from repro.core import SeeSAwController, StaticController
-from repro.experiments.runner import build_controller
+from repro.experiments.runner import build_controller, paired_improvement
 from repro.insitu.coupler import InsituConfig, run_insitu
 from repro.workloads import JobConfig, run_job
 
@@ -85,6 +85,27 @@ EXPECTED_INSITU = {
     "seesaw": "8222761c1569878c",
     "static": "8cfe6d3433c4a19e",
 }
+EXPECTED_INSITU_VIRTUAL_TIME_S = {
+    "seesaw": 3.9209505489312075,
+    "static": 4.104174966619667,
+}
+# Seeded headline values, pinned exactly: SeeSAw's paired improvement
+# over static at a high-gain and a faded cap of the Fig. 8 sweep, and
+# the virtual runtime of an 8-node and a Fig. 5-scale 1024-node SeeSAw
+# job.
+EXPECTED_FIG8_IMPROVEMENT_PCT = {
+    110.0: 6.196659056024103,
+    140.0: 2.06100791407023,
+}
+EXPECTED_SEESAW_TIME_S = [
+    (JobConfig(n_nodes=8, n_verlet_steps=40, seed=7), 2068.5250601541993),
+    (
+        JobConfig(
+            analyses=("all",), dim=36, n_nodes=1024, n_verlet_steps=60, seed=17
+        ),
+        526.1896163805794,
+    ),
+]
 
 
 def _job16_cfg() -> JobConfig:
@@ -134,3 +155,23 @@ def test_insitu_trajectories_pinned():
         )
         result = run_insitu(cfg, controller)
         assert insitu_fingerprint(result) == EXPECTED_INSITU[name], name
+        assert result.virtual_time_s == EXPECTED_INSITU_VIRTUAL_TIME_S[name], name
+
+
+def test_fig8_cap_sweep_improvements_pinned():
+    for cap, expected in EXPECTED_FIG8_IMPROVEMENT_PCT.items():
+        cfg = JobConfig(
+            analyses=("all_msd",),
+            dim=16,
+            n_nodes=128,
+            n_verlet_steps=60,
+            budget_per_node_w=cap,
+            seed=88,
+        )
+        assert paired_improvement("seesaw", cfg) == expected, cap
+
+
+def test_seesaw_job_virtual_times_pinned():
+    for cfg, expected in EXPECTED_SEESAW_TIME_S:
+        result = run_job(cfg, build_controller("seesaw", cfg))
+        assert result.total_time_s == expected, cfg.n_nodes
