@@ -1,26 +1,19 @@
-"""Benches for the paper's §VIII future-work features, as implemented
-by this reproduction:
+"""Bench for the paper's §VIII local-optimum probe, as implemented by
+this reproduction.
 
-* hierarchical per-node allocation on heterogeneous hardware;
-* cluster-level power management across concurrent jobs.
-
-(The exploration probe's local-optimum escape is covered in
-`test_ablations.py` territory: our flat SeeSAw does not exhibit the
-paper's low-demand local optimum — see EXPERIMENTS.md — so here we
-verify the probe machinery is at worst neutral on a standard workload.)
+Our flat SeeSAw does not exhibit the paper's low-demand local optimum
+(see EXPERIMENTS.md), so here we verify the probe machinery is at
+worst neutral on a standard workload.
 """
 
 
 from repro.cluster.node import THETA_NODE
-from repro.cluster.noise import NoiseConfig
 from repro.core import (
     ExploringSeeSAwController,
-    HierarchicalSeeSAwController,
     SeeSAwController,
     StaticController,
 )
-from repro.sched import ClusterPowerManager
-from repro.workloads import JobConfig, ProxyJobSession, run_job
+from repro.workloads import JobConfig, run_job
 
 
 def improvement(cfg, controller):
@@ -29,47 +22,6 @@ def improvement(cfg, controller):
     ).total_time_s
     managed = run_job(cfg, controller).total_time_s
     return 100.0 * (base - managed) / base
-
-
-def test_hierarchical_on_heterogeneous_nodes(benchmark):
-    """With strongly heterogeneous nodes inside each partition, the
-    two-level split beats the flat per-partition split; on homogeneous
-    hardware the two are equivalent."""
-
-    def run():
-        hetero = NoiseConfig(node_sigma=0.12)  # ±25-30 % node speeds
-        cfg_het = JobConfig(
-            analyses=("full_msd",),
-            dim=16,
-            n_nodes=128,
-            n_verlet_steps=300,
-            seed=13,
-            noise_config=hetero,
-        )
-        cfg_hom = JobConfig(
-            analyses=("full_msd",),
-            dim=16,
-            n_nodes=128,
-            n_verlet_steps=300,
-            seed=13,
-        )
-        out = {}
-        for label, cfg in (("hetero", cfg_het), ("homog", cfg_hom)):
-            flat = SeeSAwController(cfg.budget_w, cfg.n_sim, cfg.n_ana, THETA_NODE)
-            hier = HierarchicalSeeSAwController(
-                cfg.budget_w, cfg.n_sim, cfg.n_ana, THETA_NODE
-            )
-            out[label] = (improvement(cfg, flat), improvement(cfg, hier))
-        return out
-
-    out = benchmark.pedantic(run, iterations=1, rounds=1)
-    print()
-    for label, (flat, hier) in out.items():
-        print(f"{label:7s} flat {flat:+6.2f}%   hierarchical {hier:+6.2f}%")
-    flat_het, hier_het = out["hetero"]
-    assert hier_het > flat_het + 1.0  # slow nodes get the power they need
-    flat_hom, hier_hom = out["homog"]
-    assert abs(hier_hom - flat_hom) < 1.5  # reduces to flat when equal
 
 
 def test_exploring_probe_is_safe(benchmark):
@@ -99,49 +51,3 @@ def test_exploring_probe_is_safe(benchmark):
     flat, probing = benchmark.pedantic(run, iterations=1, rounds=1)
     print(f"\nflat {flat:+.2f}%   exploring {probing:+.2f}%")
     assert probing > flat - 1.5
-
-
-def test_cluster_manager_utilization_policy(benchmark):
-    """System-wide integration (§VIII): the utilization policy moves
-    watts from a saturated low-demand job to a power-hungry one and
-    shortens the hungry job without sinking the donor."""
-
-    def make_jobs():
-        def session(analyses, dim, seed):
-            cfg = JobConfig(
-                analyses=analyses,
-                dim=dim,
-                n_nodes=8,
-                n_verlet_steps=60,
-                seed=seed,
-            )
-            return ProxyJobSession(
-                cfg,
-                SeeSAwController(cfg.budget_w, cfg.n_sim, cfg.n_ana, THETA_NODE),
-            )
-
-        return {
-            "compute": session(("full_msd",), 16, 5),
-            "light": session(("vacf",), 8, 6),
-        }
-
-    def run():
-        static = ClusterPowerManager(
-            make_jobs(), machine_budget_w=140.0 * 16, policy="static"
-        ).run()
-        managed = ClusterPowerManager(
-            make_jobs(), machine_budget_w=140.0 * 16, policy="utilization"
-        ).run()
-        return static, managed
-
-    static, managed = benchmark.pedantic(run, iterations=1, rounds=1)
-    gain = static.finish_time("compute") - managed.finish_time("compute")
-    loss = managed.finish_time("light") - static.finish_time("light")
-    print(
-        f"\ncompute job: {static.finish_time('compute'):.0f}s -> "
-        f"{managed.finish_time('compute'):.0f}s   "
-        f"light job: {static.finish_time('light'):.0f}s -> "
-        f"{managed.finish_time('light'):.0f}s"
-    )
-    assert gain > 0
-    assert loss < gain

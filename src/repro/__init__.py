@@ -10,9 +10,8 @@ simulated MPI on a discrete-event engine (:mod:`repro.mpi`,
 analyses (:mod:`repro.md`, :mod:`repro.analysis`), the
 Verlet-Splitanalysis coupler and PoLiMER instrumentation layer
 (:mod:`repro.insitu`, :mod:`repro.polimer`), calibrated scaled
-workloads (:mod:`repro.workloads`), cluster-level scheduling
-(:mod:`repro.sched`) and one experiment harness per paper table/figure
-(:mod:`repro.experiments`).
+workloads (:mod:`repro.workloads`) and one experiment harness per
+paper table/figure (:mod:`repro.experiments`).
 
 Start with::
 

@@ -12,7 +12,6 @@ Four power-allocation strategies over a (simulation, analysis) pair:
 
 from repro.core.controller import PowerController, clamp_partition_totals
 from repro.core.exploring import ExploringSeeSAwController
-from repro.core.hierarchical import HierarchicalSeeSAwController
 from repro.core.power_aware import PowerAwareController
 from repro.core.seesaw import SeeSAwController, optimal_split
 from repro.core.static import StaticController
@@ -22,7 +21,6 @@ from repro.core.types import Allocation, Observation, PartitionMeasurement
 __all__ = [
     "Allocation",
     "ExploringSeeSAwController",
-    "HierarchicalSeeSAwController",
     "Observation",
     "PartitionMeasurement",
     "PowerAwareController",

@@ -190,7 +190,7 @@ class PowerController(abc.ABC):
         the budget and clamping invariants keep holding for free.
 
         ``require_full_nodes`` is for per-node strategies (power-aware,
-        time-aware, hierarchical) whose arithmetic needs one entry per
+        time-aware) whose arithmetic needs one entry per
         node; partition-total strategies tolerate surviving-rank
         aggregates. A hold lands in the audit journal (kind ``hold``)
         and on the ``core.degraded_holds`` counter so resilience is

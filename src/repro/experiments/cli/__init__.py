@@ -63,9 +63,8 @@ Tracing (see :mod:`repro.telemetry`): ``run ... --trace PATH`` records
 spans/counters from every layer of the in-process runs into a Chrome
 ``trace_event`` JSON that opens in ``chrome://tracing`` / Perfetto;
 ``trace`` runs a purpose-built small in-situ job under any registered
-approach — including the experimental ``seesaw-exploring`` and
-``seesaw-hierarchical`` — and writes its trace plus a per-phase
-time/power summary.
+approach — including the experimental ``seesaw-exploring`` — and
+writes its trace plus a per-phase time/power summary.
 
 Observability (see :mod:`repro.metrics`): ``run ... --metrics PATH``
 collects streaming histograms/counters/gauges over the in-process runs

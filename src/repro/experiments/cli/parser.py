@@ -112,8 +112,8 @@ def _add_run(sub) -> None:
         type=Path,
         default=None,
         metavar="PATH",
-        help="journal every controller decision to a JSONL audit file "
-        "(replay/diff/timeline via the 'audit' subcommand)",
+        help="journal every controller decision to a JSONL audit file, "
+        "overwriting it (replay/diff/timeline via the 'audit' subcommand)",
     )
     run_p.add_argument(
         "--faults",
@@ -174,8 +174,7 @@ def _add_trace(sub) -> None:
         "--approach",
         default="seesaw",
         help="controller to trace — any registered approach, including "
-        "the experimental seesaw-exploring / seesaw-hierarchical "
-        "(default: seesaw)",
+        "the experimental seesaw-exploring (default: seesaw)",
     )
     trace_p.add_argument(
         "--steps",
@@ -220,7 +219,7 @@ def _add_trace(sub) -> None:
         default=None,
         metavar="PATH",
         help="journal the traced job's decisions (and fault windows / "
-        "degraded-observation holds) to a JSONL audit file",
+        "degraded-observation holds) to a JSONL audit file, overwriting it",
     )
 
 

@@ -19,7 +19,7 @@ def _cmd_trace(args) -> int:
 
     try:
         # any registered controller traces, including the experimental
-        # seesaw-exploring / seesaw-hierarchical variants
+        # seesaw-exploring variant
         get_controller(args.approach)
     except RegistryError as exc:
         print(str(exc), file=sys.stderr)

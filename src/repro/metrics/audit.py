@@ -122,7 +122,8 @@ class AuditRecord:
 
 class AuditJournal:
     """Decision recorder; in-memory always, JSONL-streamed when given a
-    path (missing parent directories are created)."""
+    path (the file is truncated; missing parent directories are
+    created)."""
 
     enabled = True
 
@@ -133,7 +134,7 @@ class AuditJournal:
         self._clock: Optional[Callable[[], float]] = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a")
+            self._fh = self.path.open("w")
 
     # ------------------------------------------------------------ clock
     def bind_clock(self, clock: Callable[[], float]) -> None:
@@ -451,12 +452,10 @@ def _replay_time_aware(rec: AuditRecord) -> tuple[float, float] | None:
     return float(caps[:n_sim].sum()), float(caps[n_sim:].sum())
 
 
-#: controller name -> pure-function replayer. SeeSAw variants replay
-#: the level-1 split (hierarchical's waterfill and exploring's probes
-#: preserve / bypass partition totals respectively).
+#: controller name -> pure-function replayer. The exploring variant
+#: replays SeeSAw's partition split (its probes bypass it).
 _REPLAYERS = {
     "seesaw": _replay_seesaw,
-    "seesaw-hierarchical": _replay_seesaw,
     "seesaw-exploring": _replay_seesaw,
     "power-aware": _replay_power_aware,
     "time-aware": _replay_time_aware,

@@ -35,23 +35,18 @@ __all__ = [
 
 #: approach name → (implementing class, 1-based position in the
 #: paper's evaluated ordering; 0 = an extension outside the paper's
-#: four approaches: the §VIII future-work controllers)
+#: four approaches: the §VIII local-optimum probe)
 _CONTROLLERS = {
     "static": ("repro.core.static:StaticController", 1),
     "power-aware": ("repro.core.power_aware:PowerAwareController", 2),
     "time-aware": ("repro.core.time_aware:TimeAwareController", 3),
     "seesaw": ("repro.core.seesaw:SeeSAwController", 4),
     "seesaw-exploring": ("repro.core.exploring:ExploringSeeSAwController", 0),
-    "seesaw-hierarchical": (
-        "repro.core.hierarchical:HierarchicalSeeSAwController",
-        0,
-    ),
 }
 
 #: workload name → entry point
 _WORKLOADS = {
     "proxy": "repro.workloads.lammps_proxy:run_job",
-    "time-shared": "repro.workloads.time_shared:run_time_shared_job",
     "insitu": "repro.insitu.coupler:run_insitu",
 }
 

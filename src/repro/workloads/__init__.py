@@ -3,8 +3,7 @@
 :mod:`repro.workloads.profiles` carries the paper-anchored constants
 (phase power characters, per-analysis work, scale effects);
 :mod:`repro.workloads.lammps_proxy` runs full 128–1024-node jobs in
-milliseconds; :mod:`repro.workloads.time_shared` runs the same job with
-simulation and analysis on one node set. ``tests/workloads/
+milliseconds. ``tests/workloads/
 test_calibration.py`` cross-checks the constants against the *real*
 engines in :mod:`repro.md` / :mod:`repro.analysis`; this package
 imports neither.
@@ -16,10 +15,6 @@ from repro.workloads.lammps_proxy import (
     ProxyJobSession,
     SyncRecord,
     run_job,
-)
-from repro.workloads.time_shared import (
-    TimeSharedResult,
-    run_time_shared_job,
 )
 from repro.workloads.profiles import (
     ANALYSIS_PHASES,
@@ -39,13 +34,11 @@ __all__ = [
     "ProxyJobSession",
     "PHASES",
     "SyncRecord",
-    "TimeSharedResult",
     "WorkPhase",
     "analysis_work_phases",
     "atoms_total",
     "comm_scale",
     "run_job",
-    "run_time_shared_job",
     "sim_step_phases",
     "snapshot_bytes_per_node",
 ]

@@ -288,10 +288,7 @@ def _overhead_s(cfg: JobConfig) -> float:
 class ProxyJobSession:
     """A steppable power-managed job: one synchronization per ``step``.
 
-    ``run_job`` wraps this for the common run-to-completion case; the
-    cluster-level scheduler (:mod:`repro.sched`) steps multiple
-    sessions concurrently and retargets their budgets between epochs
-    via :meth:`set_budget`.
+    ``run_job`` wraps this for the run-to-completion case.
 
     ``cfg.seed`` fixes the *job* identity (node allocation, job-wide
     speed factor); ``run_index`` selects one *run* within that job
@@ -391,35 +388,6 @@ class ProxyJobSession:
     @property
     def done(self) -> bool:
         return self.step_index >= self.cfg.n_syncs
-
-    @property
-    def budget_w(self) -> float:
-        return self.controller.budget_w
-
-    def set_budget(self, budget_w: float) -> None:
-        """Retarget the job's global power budget (scheduler hook).
-
-        The controller's subsequent decisions honour the new budget;
-        to make feedback-free controllers (and the interval until the
-        next decision) honour it too, the currently requested caps are
-        rescaled proportionally and re-requested immediately.
-        """
-        lo = self.cfg.n_nodes * self.cfg.machine.node.rapl_min_watts
-        hi = self.cfg.n_nodes * self.cfg.machine.node.tdp_watts
-        budget_w = min(max(budget_w, lo), hi)
-        self.controller.budget_w = budget_w
-        current = float(
-            self.sim.domain.requested_caps.sum()
-            + self.ana.domain.requested_caps.sum()
-        )
-        if current > 0:
-            scale = budget_w / current
-            self.sim.domain.request_caps(
-                self.sim.domain.requested_caps * scale, now=self.t
-            )
-            self.ana.domain.request_caps(
-                self.ana.domain.requested_caps * scale, now=self.t
-            )
 
     # ------------------------------------------------------------------
     def step(self) -> SyncRecord:

@@ -87,9 +87,7 @@ def test_one_empty_partition_also_holds(name):
     assert controller.observe(obs) is None
 
 
-@pytest.mark.parametrize(
-    "name", ["time-aware", "power-aware", "seesaw-hierarchical"]
-)
+@pytest.mark.parametrize("name", ["time-aware", "power-aware"])
 def test_per_node_controllers_hold_on_partial_arrays(name):
     # per-node arithmetic needs one entry per node: a surviving-ranks
     # aggregate with fewer entries must hold, not mis-shape the caps

@@ -412,6 +412,10 @@ def test_audit_diff_exit_codes(tmp_path, capsys):
     c = _audited_journal(tmp_path, "c.jsonl", tamper=True)
     assert cli.main(["audit", "diff", str(a), str(c)]) == 1
     assert "divergence" in capsys.readouterr().out
+    # recording into an existing path replaces it rather than appending
+    _audited_journal(tmp_path, "twice.jsonl")
+    twice = _audited_journal(tmp_path, "twice.jsonl")
+    assert cli.main(["audit", "diff", str(a), str(twice)]) == 0
 
 
 def test_audit_timeline_renders(tmp_path, capsys):

@@ -185,9 +185,7 @@ def test_list_mentions_spec_paths(capsys):
     assert "[specs/table2.json]" in out
 
 
-@pytest.mark.parametrize(
-    "approach", ["seesaw-exploring", "seesaw-hierarchical"]
-)
+@pytest.mark.parametrize("approach", ["seesaw-exploring"])
 def test_trace_runs_experimental_approaches(approach, tmp_path, capsys):
     out = tmp_path / "trace.json"
     args = ["trace", "--approach", approach, "--steps", "4", "--out", str(out)]

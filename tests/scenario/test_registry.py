@@ -24,13 +24,12 @@ def test_paper_approaches_order():
 
 def test_all_controllers_registered():
     names = controller_names()
-    assert set(names) >= {
+    assert set(names) == {
         "static",
         "power-aware",
         "time-aware",
         "seesaw",
         "seesaw-exploring",
-        "seesaw-hierarchical",
     }
 
 
@@ -71,6 +70,8 @@ def test_workload_and_machine_lookup():
     with pytest.raises(RegistryError):
         get_workload("zzz")
     with pytest.raises(RegistryError):
+        get_workload("time-shared")
+    with pytest.raises(RegistryError):
         get_machine("zzz")
 
 
@@ -103,17 +104,14 @@ def test_build_controller_soft_defaults_dropped_silently():
 
 
 def test_experimental_controllers_run_a_small_job():
-    """seesaw-exploring / seesaw-hierarchical actually drive a job."""
+    """seesaw-exploring actually drives a job."""
     from repro.experiments.runner import run_managed
 
-    for name in ("seesaw-exploring", "seesaw-hierarchical"):
-        res = run_managed(
-            name,
-            JobConfig(
-                analyses=("vacf",), dim=16, n_nodes=4, n_verlet_steps=6
-            ),
-        )
-        assert res.total_time_s > 0
+    res = run_managed(
+        "seesaw-exploring",
+        JobConfig(analyses=("vacf",), dim=16, n_nodes=4, n_verlet_steps=6),
+    )
+    assert res.total_time_s > 0
 
 
 IMPORT_BUDGET_PROBE = """

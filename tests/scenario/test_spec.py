@@ -124,9 +124,10 @@ def test_validate_ok_for_all_shipped():
 
 
 def test_validate_unknown_approach():
-    spec = ScenarioSpec(name="t", approach="nope")
-    problems = validate_spec(spec)
-    assert any("unknown approach" in p for p in problems)
+    for approach in ("nope", "seesaw-hierarchical"):
+        spec = ScenarioSpec(name="t", approach=approach)
+        problems = validate_spec(spec)
+        assert any("unknown approach" in p for p in problems)
 
 
 def test_validate_rejected_controller_kwarg_names_alternatives():
@@ -152,7 +153,7 @@ def test_validate_faults_chaos_exclusive():
     assert any("exclusive" in p for p in problems)
 
 
-@pytest.mark.parametrize("workload", ["proxy", "time-shared", "insitu"])
+@pytest.mark.parametrize("workload", ["proxy", "insitu"])
 @pytest.mark.parametrize(
     "field, value", [("faults", "cap_drop@0.5+4.0"), ("chaos_seed", 3)]
 )

@@ -34,26 +34,6 @@ def test_step_after_done_raises():
         s.step()
 
 
-def test_set_budget_rescales_caps():
-    cfg = JobConfig(analyses=("vacf",), dim=8, n_nodes=8, n_verlet_steps=20, seed=2)
-    s = ProxyJobSession(cfg, controller(cfg))
-    s.step()
-    s.set_budget(cfg.budget_w * 1.2)
-    s.step()
-    rec = s.records[-1]
-    total = (rec.sim_cap_mean_w + rec.ana_cap_mean_w) * cfg.n_sim
-    assert total == pytest.approx(cfg.budget_w * 1.2, rel=0.02)
-
-
-def test_set_budget_clamped_to_envelope():
-    cfg = JobConfig(analyses=("vacf",), dim=8, n_nodes=8, n_verlet_steps=10, seed=2)
-    s = ProxyJobSession(cfg, controller(cfg, kind="seesaw"))
-    s.set_budget(10.0)  # absurdly low -> snapped to n * δ_min
-    assert s.controller.budget_w == pytest.approx(8 * 98.0)
-    s.set_budget(1e6)  # absurdly high -> snapped to n * TDP
-    assert s.controller.budget_w == pytest.approx(8 * 215.0)
-
-
 # ------------------------------------------------------------- empty syncs
 def test_no_analysis_due_means_no_synchronization():
     """With the only analysis at interval 5, four out of five steps
