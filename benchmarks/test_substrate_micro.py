@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from perfbench.speed import reference_s, scale
 from repro.cluster.node import THETA_NODE
 from repro.core import StaticController
 from repro.des import Delay, Engine, Process
@@ -40,16 +41,23 @@ def test_engine_event_throughput(benchmark):
 
 #: half the 3,580,829 events/s the slotted dispatch loop first measured:
 #: that loop is worth >2x over the handle-object engine, so a 50% jitter
-#: allowance still fails a return to the old design
+#: allowance still fails a return to the old design. The rate is at the
+#: nominal machine speed of ``perfbench.speed``.
 DISPATCH_FLOOR_EVENTS_PER_S = 1_790_415
 
 
 def test_engine_dispatch_throughput_floor():
     """A 50,000-event self-rescheduling tick chain; the best of 3 fresh
-    engines, after one warm-up off the clock, must clear the floor."""
+    engines, after one warm-up off the clock, must clear the floor.
+
+    A shared virtual machine runs the same code up to about twice as
+    slowly in stretches, so each run's wall time is scaled by the speed
+    probe of ``perfbench.speed``, measured just before and just after
+    it, to the nominal machine speed the floor is stated at.
+    """
     n = 50_000
 
-    def events_per_s() -> float:
+    def events_per_s() -> tuple[float, float]:
         eng = Engine()
         fired = [0]
 
@@ -59,15 +67,19 @@ def test_engine_dispatch_throughput_floor():
                 eng.schedule(0.001, tick)
 
         eng.schedule(0.0, tick)
+        before = reference_s()
         t0 = time.perf_counter()
         eng.run()
         wall = time.perf_counter() - t0
+        after = reference_s()
         assert eng.events_executed == n
-        return n / wall
+        return n / wall, n / scale(wall, 0.5 * (before + after))
 
     events_per_s()
-    best = max(events_per_s() for _ in range(3))
-    assert best >= DISPATCH_FLOOR_EVENTS_PER_S, f"{best:,.0f} events/s"
+    raw, scaled = max((events_per_s() for _ in range(3)), key=lambda r: r[1])
+    rates = f"{raw:,.0f} events/s raw, {scaled:,.0f} scaled to nominal speed"
+    print(rates)
+    assert scaled >= DISPATCH_FLOOR_EVENTS_PER_S, rates
 
 
 def test_engine_cancellation_churn(benchmark):

@@ -83,6 +83,10 @@ class NeighborList:
     _disp_sq: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
+    #: the force field's per-pair constants for these pairs, built on
+    #: the first force evaluation (:meth:`ForceField._pair_table`); a
+    #: rebuilt list starts without one
+    pair_table: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_pairs(self) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from types import EllipsisType
 
 import numpy as np
 
@@ -150,35 +151,34 @@ def execute_phase(
 
     t = t_start
     active = remaining > 0.0
+    if not active.any():
+        # Zero-work phase: all durations stay 0.
+        return PhaseOutcome(durations=durations, energy_joules=energy)
     # a kind's table is one node row; a program's has one row per phase
     source, row = (kind, ...) if program is None else program
+    t_change, speed, draw, finish_at = _segment(
+        domain, source, node, row, t, remaining, active
+    )
 
     # Fast path: no cap change lands before the slowest node finishes,
     # so the whole phase resolves in one closed-form pass. The float
     # expressions mirror the general loop's first iteration exactly
     # (same np.where forms, same operand order) to stay bit-identical.
-    if active.any():
-        caps, t_change = domain.segment_at(t)
-        op = _operating_point_cached(domain, source, node, caps)
-        speed, draw = op.speed[row], op.draw_watts[row]
-        finish_at = np.where(active, t + remaining / speed, t)
-        # max over all == max over active: inactive entries hold t and
-        # every active completion is >= t
-        if float(finish_at.max()) <= t_change:
-            active_time = np.where(active, finish_at - t, 0.0)
-            durations = np.where(active, finish_at - t_start, durations)
-            energy += active_time * draw
-            return PhaseOutcome(durations=durations, energy_joules=energy)
+    # max over all == max over active: inactive entries hold t and every
+    # active completion is >= t
+    if float(finish_at.max()) <= t_change:
+        active_time = np.where(active, finish_at - t, 0.0)
+        durations = np.where(active, finish_at - t_start, durations)
+        energy += active_time * draw
+        return PhaseOutcome(durations=durations, energy_joules=energy)
 
+    # General loop: it starts from the first segment computed above and
+    # queries the next one at the end of each iteration.
     guard = 0
-    while active.any():
+    while True:
         guard += 1
         if guard > 10_000:
             raise RuntimeError("phase executor failed to converge")
-        caps, t_change = domain.segment_at(t)
-        op = _operating_point_cached(domain, source, node, caps)
-        speed, draw = op.speed[row], op.draw_watts[row]
-        finish_at = np.where(active, t + remaining / speed, t)
         # The segment ends at the earliest of: next cap change, or the
         # last active node's completion within this cap regime (max over
         # all entries — inactive ones hold t, never above an active one).
@@ -186,8 +186,11 @@ def execute_phase(
         if seg_end <= t:
             # Cap change exactly at t (or zero work): apply and retry.
             if t_change <= t:
-                # Force pending application by advancing an epsilon-free
-                # query; segment_at applies pending when t >= t_act.
+                # Force pending application by an epsilon-free query at
+                # the same t; segment_at applies pending when t >= t_act.
+                t_change, speed, draw, finish_at = _segment(
+                    domain, source, node, row, t, remaining, active
+                )
                 continue
             seg_end = t_change
         span = seg_end - t
@@ -207,9 +210,30 @@ def execute_phase(
         energy += active_time * draw
         active = still_going
         t = seg_end
+        if not active.any():
+            return PhaseOutcome(durations=durations, energy_joules=energy)
+        t_change, speed, draw, finish_at = _segment(
+            domain, source, node, row, t, remaining, active
+        )
 
-    # Zero-work phase: all durations stay 0.
-    return PhaseOutcome(durations=durations, energy_joules=energy)
+
+def _segment(
+    domain: RaplDomainArray,
+    source: PhaseKind | PhaseProgram,
+    node: NodeSpec,
+    row: int | EllipsisType,
+    t: float,
+    remaining: np.ndarray,
+    active: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The cap segment in force at ``t``: ``(t_change, speed, draw,
+    finish_at)``, where ``finish_at`` is each active node's completion
+    were the caps never to change (``t`` for inactive nodes)."""
+    caps, t_change = domain.segment_at(t)
+    op = _operating_point_cached(domain, source, node, caps)
+    speed = op.speed[row]
+    finish_at = np.where(active, t + remaining / speed, t)
+    return t_change, speed, op.draw_watts[row], finish_at
 
 
 def _trace_phase(

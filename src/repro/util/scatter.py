@@ -61,9 +61,12 @@ def scatter_add_pairs(
     (the concatenated traversal visits every contribution in the same
     order the two ``add.at`` passes would).
     """
+    m = len(i)
     out = np.empty((n, vectors.shape[1]))
     idx = np.concatenate([i, j])
+    w = np.empty(2 * m)  # one weights buffer, refilled per component
     for k in range(vectors.shape[1]):
-        w = np.concatenate([vectors[:, k], -vectors[:, k]])
+        w[:m] = vectors[:, k]
+        np.negative(vectors[:, k], out=w[m:])
         out[:, k] = np.bincount(idx, weights=w, minlength=n)
     return out
