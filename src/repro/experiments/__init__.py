@@ -15,12 +15,7 @@ from repro.experiments.fig6 import Fig6Result, run_fig6
 from repro.experiments.fig7 import Fig7Result, run_fig7
 from repro.experiments.fig8 import Fig8Result, run_fig8
 from repro.experiments.fig9 import Fig9Result, run_fig9
-from repro.experiments.runner import (
-    build_controller,
-    median_improvement,
-    paired_improvement,
-    run_managed,
-)
+from repro.experiments.runner import build_controller
 from repro.experiments.summary import SummaryResult, run_summary
 from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.table2 import Table2Result, run_table2
@@ -39,8 +34,6 @@ __all__ = [
     "Table1Result",
     "Table2Result",
     "build_controller",
-    "median_improvement",
-    "paired_improvement",
     "run_fig1",
     "run_fig2",
     "run_fig3a",
@@ -51,7 +44,6 @@ __all__ = [
     "run_fig7",
     "run_fig8",
     "run_fig9",
-    "run_managed",
     "run_summary",
     "run_table1",
     "run_table2",

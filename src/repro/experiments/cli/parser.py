@@ -113,7 +113,8 @@ def _add_run(sub) -> None:
         default=None,
         metavar="PATH",
         help="journal every controller decision to a JSONL audit file, "
-        "overwriting it (replay/diff/timeline via the 'audit' subcommand)",
+        "overwriting it (replay/diff/timeline via the 'audit' subcommand); "
+        "needs --jobs 1",
     )
     run_p.add_argument(
         "--faults",

@@ -70,25 +70,28 @@ def _load_run_suite(path: Path):
 
 
 def _run_spec_suite(suite, overrides: dict, output: Path | None) -> str:
-    """Execute every scenario of a loaded suite through the engine.
+    """Execute every scenario of a loaded suite as one engine batch.
 
     Paired scenarios (``baseline_sim_share`` set) report the median
     improvement over their static baseline; plain scenarios report the
     median total runtime. ``--quick``/``--runs`` map onto ``repeats``
     and ``n_verlet_steps`` just as they do for the named harnesses.
     """
-    from repro.experiments.runner import run_scenario, scenario_improvement
+    from repro.experiments.runner import improvement, run_specs
 
     t0 = time.perf_counter()
-    rows: list[tuple[str, str]] = []
-    payload: list[dict] = []
+    specs = []
     for spec in suite:
         if "n_runs" in overrides:
             spec = dataclasses.replace(spec, repeats=overrides["n_runs"])
         if "n_verlet_steps" in overrides:
             spec = spec.with_job(n_verlet_steps=overrides["n_verlet_steps"])
+        specs.append(spec)
+    rows: list[tuple[str, str]] = []
+    payload: list[dict] = []
+    for spec, results in zip(specs, run_specs(specs)):
         if spec.baseline_sim_share is not None:
-            imp = scenario_improvement(spec)
+            imp = improvement(spec, results)
             rows.append(
                 (
                     spec.name,
@@ -104,7 +107,7 @@ def _run_spec_suite(suite, overrides: dict, output: Path | None) -> str:
                 }
             )
         else:
-            times = [r.total_time_s for r in run_scenario(spec)]
+            times = [r.total_time_s for r in results]
             label = f"{float(np.median(times)):.3f} s"
             if len(times) > 1:
                 label += f" (median of {len(times)})"
@@ -182,6 +185,11 @@ def _cmd_run(parser, args) -> int:
         parser.error("--jobs must be >= 1")
     if args.faults is not None and args.chaos_seed is not None:
         parser.error("--faults and --chaos-seed are mutually exclusive")
+    if args.audit is not None and args.jobs > 1:
+        parser.error(
+            "--audit needs --jobs 1: pool workers ship trace and metrics "
+            "records but no audit rows"
+        )
     if args.spec is not None and args.experiment is not None:
         parser.error("give an experiment id or --spec FILE, not both")
     if args.spec is None and args.experiment is None:
@@ -215,13 +223,6 @@ def _cmd_run(parser, args) -> int:
     overrides = dict(QUICK_OVERRIDES) if args.quick else {}
     if args.runs is not None:
         overrides["n_runs"] = args.runs
-
-    if args.jobs > 1 and args.audit is not None:
-        print(
-            "warning: --audit records in-process decisions only; "
-            "pool workers ship trace/metrics but not audit rows",
-            file=sys.stderr,
-        )
 
     # One tracer can feed both the metrics registry and the Chrome
     # trace: the MetricsSink folds records and forwards to the file

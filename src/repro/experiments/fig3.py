@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import scenario_improvement
+from repro.experiments.runner import improvement, run_specs
 from repro.scenario import JobParams, ScenarioSpec, load_suite
 
 __all__ = [
@@ -96,7 +96,7 @@ class Fig3Result:
 def case_specs(suite: str, cases) -> list[ScenarioSpec]:
     """The paired scenarios a case table expands to (one per managed
     approach, in :data:`MANAGED` order) — what ``specs/fig3*.json``
-    ships and what :func:`_run_cases` executes."""
+    ships and what :func:`_collect` executes."""
     out = []
     for case in cases:
         if len(case) == 3:
@@ -127,40 +127,24 @@ def case_specs(suite: str, cases) -> list[ScenarioSpec]:
     return out
 
 
-def _spec_improvement(
-    spec: ScenarioSpec, n_runs: int, n_verlet_steps: int, base_seed: int
-) -> float:
-    spec = replace(spec, repeats=n_runs).with_job(
-        n_verlet_steps=n_verlet_steps,
-        seed=base_seed + spec.extras["seed_offset"],
-    )
-    return scenario_improvement(spec)
-
-
 def _collect(
     specs, title: str, n_runs: int, n_verlet_steps: int, base_seed: int
 ) -> Fig3Result:
-    result = Fig3Result(title=title)
-    for i in range(0, len(specs), len(MANAGED)):
-        group = specs[i : i + len(MANAGED)]
-        imps = {
-            s.approach: _spec_improvement(
-                s, n_runs, n_verlet_steps, base_seed
-            )
-            for s in group
-        }
-        result.rows.append(
-            (group[0].extras["label"], group[0].job.n_nodes, imps)
+    specs = [
+        replace(spec, repeats=n_runs).with_job(
+            n_verlet_steps=n_verlet_steps,
+            seed=base_seed + spec.extras["seed_offset"],
         )
+        for spec in specs
+    ]
+    pairs = list(zip(specs, run_specs(specs)))
+    result = Fig3Result(title=title)
+    for i in range(0, len(pairs), len(MANAGED)):
+        group = pairs[i : i + len(MANAGED)]
+        first = group[0][0]
+        imps = {s.approach: improvement(s, r) for s, r in group}
+        result.rows.append((first.extras["label"], first.job.n_nodes, imps))
     return result
-
-
-def _run_cases(
-    cases, title: str, n_runs: int, n_verlet_steps: int, base_seed: int
-) -> Fig3Result:
-    return _collect(
-        case_specs("fig3", cases), title, n_runs, n_verlet_steps, base_seed
-    )
 
 
 def run_fig3a(

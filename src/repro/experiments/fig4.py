@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import run_specs
 from repro.scenario import load_suite
 from repro.workloads import JobResult
 
@@ -129,16 +129,16 @@ def run_fig4(
 ) -> Fig4Result:
     """Regenerate all Figure 4 panels' data (specs/fig4.json)."""
     suite = load_suite("fig4")
-
-    def series(name: str) -> StepSeries:
-        spec = suite.get(name).with_job(
-            n_verlet_steps=n_verlet_steps, seed=seed
-        )
-        return StepSeries.from_result(run_scenario(spec)[0])
-
+    specs = [
+        suite.get(name).with_job(n_verlet_steps=n_verlet_steps, seed=seed)
+        for name in ("seesaw", "time-aware", "power-aware", "static")
+    ]
+    seesaw, time_aware, power_aware, baseline = (
+        StepSeries.from_result(results[0]) for results in run_specs(specs)
+    )
     return Fig4Result(
-        seesaw=series("seesaw"),
-        time_aware=series("time-aware"),
-        power_aware=series("power-aware"),
-        baseline=series("static"),
+        seesaw=seesaw,
+        time_aware=time_aware,
+        power_aware=power_aware,
+        baseline=baseline,
     )

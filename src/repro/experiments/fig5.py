@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.experiments.fig4 import StepSeries
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import run_specs
 from repro.scenario import load_suite
 
 __all__ = ["Fig5Result", "run_fig5"]
@@ -85,17 +85,16 @@ def run_fig5(
 ) -> Fig5Result:
     """Regenerate Figure 5's comparison (specs/fig5.json)."""
     suite = load_suite("fig5")
-
-    def result(name: str):
-        spec = suite.get(name).with_job(
+    names = ("static-n1024", "seesaw-n1024", "time-aware-n1024", "seesaw-n128")
+    specs = [
+        suite.get(name).with_job(
             dim=dim, n_verlet_steps=n_verlet_steps, seed=seed
         )
-        return run_scenario(spec)[0]
-
-    baseline = result("static-n1024")
-    seesaw = result("seesaw-n1024")
-    time_aware = result("time-aware-n1024")
-    seesaw128 = result("seesaw-n128")
+        for name in names
+    ]
+    baseline, seesaw, time_aware, seesaw128 = (
+        results[0] for results in run_specs(specs)
+    )
     return Fig5Result(
         seesaw=StepSeries.from_result(seesaw),
         time_aware=StepSeries.from_result(time_aware),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import scenario_improvement
+from repro.experiments.runner import improvement, run_specs
 from repro.scenario import ScenarioMatrix, load_suite
 
 __all__ = ["Fig6Result", "run_fig6"]
@@ -73,11 +73,16 @@ def run_fig6(
             "controller.window": list(w_values),
         },
     )
+    # a window longer than half the run makes no allocations: skip it
+    specs = [
+        spec
+        for spec in matrix.expand()
+        if spec.controller["window"]
+        <= max(n_verlet_steps // spec.job.j // 2, 1)
+    ]
     result = Fig6Result(grid={}, j_values=j_values, w_values=w_values)
-    for spec in matrix.expand():
-        j, w = spec.job.j, spec.controller["window"]
-        n_syncs = n_verlet_steps // j
-        if w > max(n_syncs // 2, 1):
-            continue  # window longer than the run: no allocations
-        result.grid[(j, w)] = scenario_improvement(spec)
+    for spec, results in zip(specs, run_specs(specs)):
+        result.grid[(spec.job.j, spec.controller["window"])] = improvement(
+            spec, results
+        )
     return result

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import scenario_improvement
+from repro.experiments.runner import improvement, run_specs
 from repro.scenario import load_suite
 
 __all__ = ["Fig7Result", "run_fig7"]
@@ -60,14 +60,13 @@ def run_fig7(
     The unbalanced starting shares (and the matching static baseline
     shares) are declared in the shipped scenarios.
     """
+    specs = [
+        replace(spec, repeats=n_runs)
+        .with_job(n_verlet_steps=n_verlet_steps, seed=seed)
+        .with_controller(window=window)
+        for spec in load_suite("fig7")
+    ]
     result = Fig7Result()
-    for spec in load_suite("fig7"):
-        spec = (
-            replace(spec, repeats=n_runs)
-            .with_job(n_verlet_steps=n_verlet_steps, seed=seed)
-            .with_controller(window=window)
-        )
-        result.improvements[spec.extras["label"]] = scenario_improvement(
-            spec
-        )
+    for spec, results in zip(specs, run_specs(specs)):
+        result.improvements[spec.extras["label"]] = improvement(spec, results)
     return result

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import scenario_improvement
+from repro.experiments.runner import improvement, run_specs
 from repro.scenario import ScenarioMatrix, load_suite
 
 __all__ = ["Fig8Result", "run_fig8"]
@@ -63,9 +63,10 @@ def run_fig8(
     matrix = ScenarioMatrix(
         base=base, axes={"job.budget_per_node_w": list(caps)}
     )
+    specs = matrix.expand()
     result = Fig8Result()
-    for spec in matrix.expand():
-        result.improvements[spec.job.budget_per_node_w] = (
-            scenario_improvement(spec)
+    for spec, results in zip(specs, run_specs(specs)):
+        result.improvements[spec.job.budget_per_node_w] = improvement(
+            spec, results
         )
     return result

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import run_specs
 from repro.scenario import load_suite
 from repro.workloads.lammps_proxy import _overhead_s
 
@@ -74,12 +74,14 @@ def run_fig9(
     by_panel = {"9a": [], "9b": []}
     for spec in suite:
         by_panel[spec.extras["panel"]].append(spec)
-    result = Fig9Result()
-    for nodes in node_counts:
-        spec = by_panel["9a"][0].with_job(
+    specs = [
+        by_panel["9a"][0].with_job(
             n_nodes=nodes, n_verlet_steps=n_verlet_steps, seed=seed
         )
-        res = run_scenario(spec)[0]
+        for nodes in node_counts
+    ]
+    result = Fig9Result()
+    for nodes, (res, *_) in zip(node_counts, run_specs(specs)):
         overheads = np.array([r.overhead_s for r in res.records])
         intervals = np.array([r.interval_s for r in res.records])
         result.relative[nodes] = (

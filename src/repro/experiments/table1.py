@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import run_specs
 from repro.power.rapl import CapMode
 from repro.scenario import load_suite
 from repro.util.stats import variability_pct
@@ -69,49 +69,34 @@ def run_table1(
     the same shapes from the suite's first scenario as a template.
     """
     template = load_suite("table1").specs[0]
+
+    def spec(mode: CapMode, dim: int, seed: int, repeats: int):
+        return replace(
+            template.with_job(
+                dim=dim,
+                cap_mode=mode.value,
+                n_verlet_steps=n_verlet_steps,
+                seed=seed,
+            ),
+            repeats=repeats,
+        )
+
+    modes = (CapMode.NONE, CapMode.LONG, CapMode.LONG_SHORT)
+    cases = [(mode, dim) for mode in modes for dim in dims]
+    # per cap/dim case: the run-to-run spec, then n_runs job-to-job ones
+    specs = []
+    for mode, dim in cases:
+        specs.append(spec(mode, dim, base_seed, n_runs))
+        specs.extend(
+            spec(mode, dim, base_seed + 1 + i, 1) for i in range(n_runs)
+        )
+    results = iter(run_specs(specs))
     result = Table1Result()
-    for mode in (CapMode.NONE, CapMode.LONG, CapMode.LONG_SHORT):
-        for dim in dims:
-            run_to_run_spec = replace(
-                template.with_job(
-                    dim=dim,
-                    cap_mode=mode.value,
-                    n_verlet_steps=n_verlet_steps,
-                    seed=base_seed,
-                ),
-                repeats=n_runs,
-            )
-            run_to_run = [
-                r.total_time_s for r in run_scenario(run_to_run_spec)
-            ]
-            job_to_job = [
-                run_scenario(
-                    replace(
-                        template.with_job(
-                            dim=dim,
-                            cap_mode=mode.value,
-                            n_verlet_steps=n_verlet_steps,
-                            seed=base_seed + 1 + i,
-                        ),
-                        repeats=1,
-                    )
-                )[0].total_time_s
-                for i in range(n_runs)
-            ]
-            result.rows.append(
-                (
-                    CAP_LABEL[mode],
-                    dim,
-                    "run-to-run",
-                    variability_pct(run_to_run),
-                )
-            )
-            result.rows.append(
-                (
-                    CAP_LABEL[mode],
-                    dim,
-                    "job-to-job",
-                    variability_pct(job_to_job),
-                )
-            )
+    for mode, dim in cases:
+        run_to_run = [r.total_time_s for r in next(results)]
+        job_to_job = [next(results)[0].total_time_s for _ in range(n_runs)]
+        result.rows += [
+            (CAP_LABEL[mode], dim, "run-to-run", variability_pct(run_to_run)),
+            (CAP_LABEL[mode], dim, "job-to-job", variability_pct(job_to_job)),
+        ]
     return result

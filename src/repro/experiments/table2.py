@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.report import format_table, heading
-from repro.experiments.runner import scenario_improvement
+from repro.experiments.runner import improvement, run_specs
 from repro.scenario import load_suite
 
 __all__ = ["Table2Result", "run_table2"]
@@ -76,17 +76,22 @@ def run_table2(
         ("full_msd", 2, result.msd_rows_w2),
         ("vacf", 1, result.vacf_rows),
     )
-    for varied, window, rows in cases:
+    specs = [
+        replace(
+            template.with_job(
+                n_verlet_steps=n_verlet_steps,
+                seed=seed,
+                analysis_intervals={varied: j},
+            ),
+            repeats=n_runs,
+            controller={"window": window},
+            extras={"varied": varied},
+        )
+        for varied, window, _ in cases
+        for j in j_values
+    ]
+    results = iter(zip(specs, run_specs(specs)))
+    for _, _, rows in cases:
         for j in j_values:
-            spec = replace(
-                template.with_job(
-                    n_verlet_steps=n_verlet_steps,
-                    seed=seed,
-                    analysis_intervals={varied: j},
-                ),
-                repeats=n_runs,
-                controller={"window": window},
-                extras={"varied": varied},
-            )
-            rows[j] = scenario_improvement(spec)
+            rows[j] = improvement(*next(results))
     return result

@@ -244,8 +244,9 @@ class ScenarioSpec:
     def to_cells(self):
         """The campaign cells this scenario expands to — exactly the
         ``CellSpec`` objects the pre-scenario harnesses built, so cache
-        keys are unchanged (paired scenarios interleave managed and
-        baseline cells the way ``runner.median_improvement`` does)."""
+        keys are unchanged. A paired scenario interleaves each managed
+        run with its static baseline (``[managed 0, static 0, managed
+        1, ...]``), the layout ``runner.improvement`` folds."""
         from repro.campaign.cells import CellSpec
 
         cfg = self.job.to_job_config()

@@ -103,6 +103,19 @@ def test_invalid_counts_exit_2(stub, capsys, argv, needle):
     assert needle in capsys.readouterr().err
 
 
+def test_run_audit_rejects_a_pool(stub, capsys, tmp_path):
+    """Pool workers ship no audit rows, so an audit next to --jobs > 1
+    would miss nearly every decision: the pair is refused."""
+    audit = tmp_path / "audit.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", stub, "--audit", str(audit), "--jobs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--audit" in err and "--jobs" in err
+    assert CAPTURED == {}
+    assert not audit.exists()
+
+
 # ------------------------------------------------------------------ faults
 def _fault_probe(n_runs: int = 3, n_verlet_steps: int = 400):
     """Stub harness: records the fault plan the CLI installed."""
@@ -200,16 +213,23 @@ def test_jsonable_handles_sets_paths_enums():
 # ------------------------------------------------------------------ campaign
 def _tiny_experiment(n_runs: int = 2, n_verlet_steps: int = 10):
     """A real (but minuscule) harness that submits cells."""
-    from repro.experiments.runner import median_improvement
+    from repro.experiments.runner import improvement, run_specs
+    from repro.scenario import JobParams, ScenarioSpec
 
-    cfg = JobConfig(
-        analyses=("vacf",),
-        dim=16,
-        n_nodes=8,
-        seed=11,
-        n_verlet_steps=n_verlet_steps,
+    spec = ScenarioSpec(
+        name="tiny",
+        approach="seesaw",
+        baseline_sim_share=0.5,
+        repeats=n_runs,
+        job=JobParams(
+            analyses=("vacf",),
+            dim=16,
+            n_nodes=8,
+            seed=11,
+            n_verlet_steps=n_verlet_steps,
+        ),
     )
-    imp = median_improvement("seesaw", cfg, n_runs=n_runs)
+    imp = improvement(spec, run_specs([spec])[0])
     return StubResult(kwargs={"improvement": imp})
 
 

@@ -18,13 +18,11 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.experiments.fig3 import _run_cases
-from repro.experiments.runner import (
-    build_controller,
-    median_improvement,
-    paired_improvement,
-)
+from repro.experiments.fig3 import _collect, case_specs
+from repro.experiments.runner import build_controller, improvement, run_specs
 from repro.power.rapl import CapMode
+from repro.scenario import JobParams, ScenarioSpec
+from repro.util.stats import percent_improvement
 from repro.workloads import JobConfig
 
 
@@ -38,22 +36,57 @@ def test_build_controller_all_names():
         build_controller("bogus", cfg)
 
 
+def _paired(approach, job, repeats=1):
+    return ScenarioSpec(
+        name="t",
+        approach=approach,
+        job=job,
+        baseline_sim_share=0.5,
+        repeats=repeats,
+    )
+
+
 def test_paired_improvement_static_vs_itself_is_zero():
-    cfg = JobConfig(
+    job = JobParams(
         analyses=("vacf",), dim=16, n_nodes=8, seed=1, n_verlet_steps=20
     )
-    assert paired_improvement("static", cfg) == pytest.approx(0.0)
+    spec = _paired("static", job)
+    assert improvement(spec, run_specs([spec])[0]) == pytest.approx(0.0)
 
 
 def test_median_improvement_uses_multiple_runs():
-    cfg = JobConfig(
+    job = JobParams(
         analyses=("full_msd",), dim=16, n_nodes=8, seed=1, n_verlet_steps=30
     )
-    singles = [
-        paired_improvement("seesaw", cfg, run_index=i) for i in range(3)
-    ]
-    med = median_improvement("seesaw", cfg, n_runs=3)
+    singles = []
+    for i in range(3):
+        # one managed run and its static twin, submitted on their own
+        (managed,), (static,) = run_specs(
+            [
+                ScenarioSpec(
+                    name="m", approach="seesaw", job=job, run_index=i
+                ),
+                ScenarioSpec(
+                    name="s",
+                    approach="static",
+                    job=job,
+                    run_index=i,
+                    controller={"sim_share": 0.5},
+                ),
+            ]
+        )
+        singles.append(
+            percent_improvement(managed.total_time_s, static.total_time_s)
+        )
+    spec = _paired("seesaw", job, repeats=3)
+    med = improvement(spec, run_specs([spec])[0])
     assert med == pytest.approx(float(np.median(singles)))
+
+
+def test_improvement_rejects_an_unpaired_spec():
+    spec = ScenarioSpec(name="plain", job=JobParams(n_nodes=8))
+    with pytest.raises(ValueError, match="not paired"):
+        improvement(spec, [])
 
 
 # ------------------------------------------------------------- figures
@@ -72,7 +105,13 @@ def test_fig2_matches_paper_numbers():
 
 def test_fig3_runner_structure():
     cases = (("VACF (dim 16)", ("vacf",), 16),)
-    res = _run_cases(cases, "test", n_runs=1, n_verlet_steps=30, base_seed=1)
+    res = _collect(
+        case_specs("fig3", cases),
+        "test",
+        n_runs=1,
+        n_verlet_steps=30,
+        base_seed=1,
+    )
     assert len(res.rows) == 1
     imp = res.improvement("VACF (dim 16)", 128, "seesaw")
     assert isinstance(imp, float)

@@ -16,8 +16,9 @@ import hashlib
 
 from repro.cluster.node import THETA_NODE
 from repro.core import SeeSAwController, StaticController
-from repro.experiments.runner import build_controller, paired_improvement
+from repro.experiments.runner import build_controller, improvement, run_specs
 from repro.insitu.coupler import InsituConfig, run_insitu
+from repro.scenario import JobParams, ScenarioSpec
 from repro.workloads import JobConfig, run_job
 
 
@@ -160,15 +161,20 @@ def test_insitu_trajectories_pinned():
 
 def test_fig8_cap_sweep_improvements_pinned():
     for cap, expected in EXPECTED_FIG8_IMPROVEMENT_PCT.items():
-        cfg = JobConfig(
-            analyses=("all_msd",),
-            dim=16,
-            n_nodes=128,
-            n_verlet_steps=60,
-            budget_per_node_w=cap,
-            seed=88,
+        spec = ScenarioSpec(
+            name=f"fig8/cap{cap}",
+            approach="seesaw",
+            baseline_sim_share=0.5,
+            job=JobParams(
+                analyses=("all_msd",),
+                dim=16,
+                n_nodes=128,
+                n_verlet_steps=60,
+                budget_per_node_w=cap,
+                seed=88,
+            ),
         )
-        assert paired_improvement("seesaw", cfg) == expected, cap
+        assert improvement(spec, run_specs([spec])[0]) == expected, cap
 
 
 def test_seesaw_job_virtual_times_pinned():

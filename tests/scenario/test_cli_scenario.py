@@ -150,10 +150,10 @@ def test_run_spec_fig4_matches_in_code_harness(monkeypatch, tmp_path, capsys):
 
     # the same scenarios executed directly (the path run_fig4 takes),
     # with --quick's n_verlet_steps=100 override applied
-    from repro.experiments.runner import run_scenario
+    from repro.experiments.runner import run_specs
 
     for spec in load_suite("fig4"):
-        expected = run_scenario(spec.with_job(n_verlet_steps=100))[0]
+        (expected,) = run_specs([spec.with_job(n_verlet_steps=100)])[0]
         assert got[spec.name] == expected.total_time_s
 
 

@@ -105,12 +105,15 @@ def test_build_controller_soft_defaults_dropped_silently():
 
 def test_experimental_controllers_run_a_small_job():
     """seesaw-exploring actually drives a job."""
-    from repro.experiments.runner import run_managed
+    from repro.experiments.runner import run_specs
+    from repro.scenario import JobParams, ScenarioSpec
 
-    res = run_managed(
-        "seesaw-exploring",
-        JobConfig(analyses=("vacf",), dim=16, n_nodes=4, n_verlet_steps=6),
+    spec = ScenarioSpec(
+        name="exploring",
+        approach="seesaw-exploring",
+        job=JobParams(analyses=("vacf",), dim=16, n_nodes=4, n_verlet_steps=6),
     )
+    (res,) = run_specs([spec])[0]
     assert res.total_time_s > 0
 
 
