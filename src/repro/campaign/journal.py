@@ -16,8 +16,9 @@ per-cell rows record which fingerprints completed. ``campaign resume``
 reconstructs the set of finished/in-flight cells from those rows
 alone.
 
-Crash tolerance: every record is flushed and fsynced (falling back to
-a plain flush where fsync is unsupported), and opening an existing
+Crash tolerance: every append is flushed and fsynced (falling back to
+a plain flush where fsync is unsupported; a shipped telemetry batch is
+one append), and opening an existing
 journal for append first repairs a truncated final line — a crashed
 writer's partial record is dropped so the resumed journal stays
 line-parseable end to end.
@@ -202,14 +203,17 @@ class RunJournal:
     # ------------------------------------------------------------------
     def _write(self, record: dict) -> None:
         if self._fh is not None:
-            line = json.dumps(record, sort_keys=True) + "\n"
-            with _flocked(self._fh):
-                self._fh.write(line)
-                self._fh.flush()
-                try:
-                    os.fsync(self._fh.fileno())
-                except (OSError, ValueError):
-                    pass  # fsync-or-flush: some filesystems refuse fsync
+            self._append(json.dumps(record, sort_keys=True) + "\n")
+
+    def _append(self, text: str) -> None:
+        """Append whole lines under one lock, one flush and one fsync."""
+        with _flocked(self._fh):
+            self._fh.write(text)
+            self._fh.flush()
+            try:
+                os.fsync(self._fh.fileno())
+            except (OSError, ValueError):
+                pass  # fsync-or-flush: some filesystems refuse fsync
 
     def event(self, kind: str, **fields) -> None:
         """Engine-level event (pool fallback, batch start, ...)."""
@@ -218,6 +222,20 @@ class RunJournal:
     def telemetry(self, record: dict) -> None:
         """One tracer record (see :class:`repro.telemetry.JournalSink`)."""
         self._write({"event": "telemetry", **record})
+
+    def telemetry_many(self, records: list[dict]) -> None:
+        """Tracer records as consecutive rows, in order: the same bytes
+        as one :meth:`telemetry` call per record, written as one append
+        (a shipped batch is thousands of records; an fsync per line
+        would dominate the run)."""
+        if self._fh is not None and records:
+            self._append(
+                "".join(
+                    json.dumps({"event": "telemetry", **record}, sort_keys=True)
+                    + "\n"
+                    for record in records
+                )
+            )
 
     # ------------------------------------------------------ ledger rows
     def campaign(self, campaign_id: str, **meta) -> None:

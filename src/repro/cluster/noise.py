@@ -148,7 +148,9 @@ class NoiseModel:
         self._spike_scale = self.config.spike_scale
         phase_gen = self._phase_rng.generator
         self._lognormal = phase_gen.lognormal
-        self._uniform = phase_gen.uniform
+        # random() is uniform(0, 1) without its argument handling:
+        # uniform computes 0 + 1 * next_double from the same stream word
+        self._random = phase_gen.random
         self._integers = phase_gen.integers
 
     @classmethod
@@ -180,11 +182,15 @@ class NoiseModel:
         balancer uses — filters it out. This is precisely why SeeSAw
         with w=1 can over-react to anomalies (§VII-C1) while the
         time-aware scheme is blind to them.
+
+        Without a burst, ``spiked`` and ``clean`` are one array object;
+        :func:`repro.power.execution.execute_program` relies on that
+        identity to skip the clean-time algebra.
         """
         phase = self._lognormal(0.0, self._phase_sigma, size=self.n_nodes)
         clean = self._base * phase
         spiked = clean
-        if self._spike_prob > 0 and self._uniform() < self._spike_prob:
+        if self._spike_prob > 0 and self._random() < self._spike_prob:
             # One interference burst hits one node of the partition —
             # rare at the *partition* level so it reads as an anomaly,
             # not a bias (a per-node-independent draw would fire nearly

@@ -54,15 +54,15 @@ def redistribute_caps(
     caps = caps.copy()
     at_cap = mean_power >= caps - at_cap_margin_w
     below = ~at_cap
-    if not np.any(at_cap):
+    if not at_cap.any():
         return None  # "only takes action if nodes are at the cap"
-    if not np.any(below):
+    if not below.any():
         return None  # nothing to reclaim
 
     # Reclaim headroom from under-consuming nodes (not below δ_min).
     donor_new = np.maximum(mean_power + reclaim_margin_w, lo)
     donor_new = np.minimum(donor_new, caps)  # donors never gain here
-    pool = float(np.sum((caps - donor_new)[below]))
+    pool = float((caps - donor_new)[below].sum())
     caps[below] = donor_new[below]
 
     # Divide the pool evenly among nodes that require more power,

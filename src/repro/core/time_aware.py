@@ -63,10 +63,10 @@ def balance_caps(
     fast = times < target
     slow = ~fast
 
-    if np.any(fast) and np.any(slow):
+    if fast.any() and slow.any():
         # Fast nodes give up eta (not below δ_min).
         new_fast = np.maximum(caps[fast] - eta, lo)
-        pool = float(np.sum(caps[fast] - new_fast))
+        pool = float((caps[fast] - new_fast).sum())
         caps[fast] = new_fast
         # Pool divided among the slower nodes, clamped at δ_max.
         receivers = np.where(slow)[0]

@@ -50,12 +50,12 @@ class PartitionMeasurement:
     @property
     def mean_power_w(self) -> float:
         """Partition mean power over the interval (sum/nodes)."""
-        return float(np.mean(self.node_power_w))
+        return float(self.node_power_w.mean())
 
     @property
     def total_power_w(self) -> float:
         """Summed node power — the paper's partition power metric."""
-        return float(np.sum(self.node_power_w))
+        return float(self.node_power_w.sum())
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class Allocation:
     ana_caps_w: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(self.sim_caps_w <= 0) or np.any(self.ana_caps_w <= 0):
+        if (self.sim_caps_w <= 0).any() or (self.ana_caps_w <= 0).any():
             raise ValueError("caps must be positive")
 
     @property

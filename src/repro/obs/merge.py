@@ -78,13 +78,35 @@ class TelemetryMux:
             journal is not None and journal.path is not None
         )
 
-    def _emit(self, record: dict) -> None:
+    def _emit(self, records: list[dict]) -> None:
+        """Fan ``records`` out: one by one to the ambient tracer's sink,
+        as one append (rows in order) to a file-backed journal."""
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.sink.emit(record)
+            emit = tracer.sink.emit
+            for record in records:
+                emit(record)
         journal = self.journal
         if journal is not None and journal.path is not None:
-            journal.telemetry(record)
+            journal.telemetry_many(records)
+
+    def _lane_rows(self, wid: int) -> list[dict]:
+        """The campaign process's name record for worker ``wid``'s row,
+        the first time the worker is seen."""
+        if wid in self._named_workers:
+            return []
+        self._named_workers.add(wid)
+        return [
+            {
+                "ph": "M",
+                "name": "thread_name",
+                "cat": "",
+                "ts": 0.0,
+                "pid": 0,
+                "tid": wid + 1,
+                "args": {"name": f"worker {wid}"},
+            }
+        ]
 
     def ensure_worker_lane(self, wid: int) -> int:
         """Name the campaign process's per-worker row once; return tid.
@@ -93,21 +115,10 @@ class TelemetryMux:
         this lane (``tid = wid + 1`` of trace process 0), giving the
         campaign process one row per worker.
         """
-        tid = wid + 1
-        if wid not in self._named_workers:
-            self._named_workers.add(wid)
-            self._emit(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "cat": "",
-                    "ts": 0.0,
-                    "pid": 0,
-                    "tid": tid,
-                    "args": {"name": f"worker {wid}"},
-                }
-            )
-        return tid
+        rows = self._lane_rows(wid)
+        if rows:
+            self._emit(rows)
+        return wid + 1
 
     # ----------------------------------------------------------- absorb
     def absorb(
@@ -127,7 +138,7 @@ class TelemetryMux:
         if not records:
             return 0
         metrics.counter("obs.ship.records").inc(len(records))
-        self.ensure_worker_lane(wid)
+        rows = self._lane_rows(wid)
         campaign = self.campaign_id
         for rec in records:
             lane = (wid, rec.get("pid", 0))
@@ -149,6 +160,7 @@ class TelemetryMux:
                 args = dict(out.get("args") or {})
                 args["name"] = f"w{wid} {cell_label or args.get('name', '')}".strip()
                 out["args"] = args
-            self.absorbed += 1
-            self._emit(out)
+            rows.append(out)
+        self.absorbed += len(records)
+        self._emit(rows)
         return len(records)

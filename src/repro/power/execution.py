@@ -144,7 +144,11 @@ def execute_phase(
     if work_seconds < 0:
         raise ValueError("negative work")
     n = domain.n_nodes
-    noise = np.broadcast_to(np.asarray(noise_factors, dtype=float), (n,))
+    noise = noise_factors
+    if not (
+        type(noise) is np.ndarray and noise.shape == (n,) and noise.dtype == float
+    ):
+        noise = np.broadcast_to(np.asarray(noise, dtype=float), (n,))
     remaining = work_seconds * noise  # per-node work still to do (owned)
     durations = np.zeros(n)
     energy = np.zeros(n)
@@ -160,41 +164,37 @@ def execute_phase(
         domain, source, node, row, t, remaining, active
     )
 
-    # Fast path: no cap change lands before the slowest node finishes,
-    # so the whole phase resolves in one closed-form pass. The float
-    # expressions mirror the general loop's first iteration exactly
-    # (same np.where forms, same operand order) to stay bit-identical.
-    # max over all == max over active: inactive entries hold t and every
-    # active completion is >= t
-    if float(finish_at.max()) <= t_change:
-        active_time = np.where(active, finish_at - t, 0.0)
-        durations = np.where(active, finish_at - t_start, durations)
-        energy += active_time * draw
-        return PhaseOutcome(durations=durations, energy_joules=energy)
-
-    # General loop: it starts from the first segment computed above and
-    # queries the next one at the end of each iteration.
+    # Each iteration integrates one cap segment. ``_segment`` returns
+    # ``t_change > t`` (a pending request that is due at ``t`` is applied
+    # by the query itself), so a segment always has positive length.
     guard = 0
     while True:
+        # Last segment: no cap change lands before the slowest node
+        # finishes (max over all entries == max over active ones:
+        # inactive entries hold t and every active completion is >= t).
+        # The general iteration below would take seg_end = max(finish_at)
+        # and find done_in_seg == active, still_going all False. Its
+        # expressions then reduce, operand for operand, to these three:
+        #   active_time = where(active, finish_at - t, where(False, span, 0))
+        #               = where(active, finish_at - t, 0.0)
+        #   durations   = where(active, finish_at - t_start, durations)
+        #   energy     += active_time * draw
+        # and the loop would return. (When every active node finishes at
+        # t, it would take seg_end = t_change instead; done_in_seg is
+        # still ``active`` and the same expressions result.)
+        if float(finish_at.max()) <= t_change:
+            active_time = np.where(active, finish_at - t, 0.0)
+            durations = np.where(active, finish_at - t_start, durations)
+            energy += active_time * draw
+            return PhaseOutcome(durations=durations, energy_joules=energy)
+
         guard += 1
         if guard > 10_000:
             raise RuntimeError("phase executor failed to converge")
-        # The segment ends at the earliest of: next cap change, or the
-        # last active node's completion within this cap regime (max over
-        # all entries — inactive ones hold t, never above an active one).
-        seg_end = min(t_change, float(finish_at.max()))
-        if seg_end <= t:
-            # Cap change exactly at t (or zero work): apply and retry.
-            if t_change <= t:
-                # Force pending application by an epsilon-free query at
-                # the same t; segment_at applies pending when t >= t_act.
-                t_change, speed, draw, finish_at = _segment(
-                    domain, source, node, row, t, remaining, active
-                )
-                continue
-            seg_end = t_change
-        span = seg_end - t
-        done_in_seg = active & (finish_at <= seg_end)
+        # A cap change lands before the slowest node finishes: integrate
+        # up to it and query the next segment.
+        span = t_change - t
+        done_in_seg = active & (finish_at <= t_change)
         still_going = active & ~done_in_seg
 
         # Progress accounting.
@@ -209,9 +209,7 @@ def execute_phase(
         )
         energy += active_time * draw
         active = still_going
-        t = seg_end
-        if not active.any():
-            return PhaseOutcome(durations=durations, energy_joules=energy)
+        t = t_change
         t_change, speed, draw, finish_at = _segment(
             domain, source, node, row, t, remaining, active
         )
@@ -272,6 +270,14 @@ def execute_program(
     linear in the noise factor). With ``trace``, each phase adds one
     mean-node segment.
 
+    ``factor_pair`` returns one array object as both factors when no
+    interference burst fired (:meth:`NoiseModel.phase_factor_pair`).
+    Until a phase spikes, ``clean_times`` equals ``times`` bit for bit:
+    ``x / x == 1.0``, ``d * 1.0 == d``, and the additions run in the
+    same order. So the ratio algebra is skipped: a spike-free program
+    returns a copy of ``times``, and a spiked one starts
+    ``clean_times`` from ``times`` as it stood before its first spike.
+
     Phases that start while a cap request is still pending run one at a
     time through :func:`execute_phase`, which splits them at the
     actuation. Once the caps are settled (no pending request, so no cap
@@ -285,7 +291,7 @@ def execute_program(
     """
     n = domain.n_nodes
     times = np.zeros(n)
-    clean_times = np.zeros(n)
+    clean_times = None  # equal to times until a phase spikes
     energy = np.zeros(n)
     t = t_start
     for i, phase in enumerate(program.phases):
@@ -296,22 +302,32 @@ def execute_program(
             phase.kind, node, phase.work_s, domain, t_start=t,
             noise_factors=spiked, program=(program, i),
         )
+        durations = outcome.durations
         if trace is not None:
-            _trace_phase(trace, t, outcome.durations, outcome.energy_joules)
-        times += outcome.durations
-        clean_times += outcome.durations * (clean / spiked)
+            _trace_phase(trace, t, durations, outcome.energy_joules)
+        if clean_times is None and spiked is not clean:
+            clean_times = times.copy()
+        times += durations
+        if clean_times is not None:
+            clean_times += durations * (clean / spiked)
         energy += outcome.energy_joules
-        t = t_start + float(times.mean())
+        # np.add.reduce(x) / n is exactly x.mean(), without its overhead
+        t = t_start + float(np.add.reduce(times) / n)
     else:
-        return times, clean_times, energy
+        return times, times.copy() if clean_times is None else clean_times, energy
 
     # Settled: every remaining phase runs under the current caps.
     op = _operating_point_cached(domain, program, node, domain.segment_at(t)[0])
     n_phases = len(program.phases) - i
     spiked = np.empty((n_phases, n))
-    clean = np.empty((n_phases, n))
+    spikes = []
     for p in range(n_phases):
-        spiked[p], clean[p] = factor_pair()
+        factors, clean = factor_pair()
+        spiked[p] = factors
+        if factors is not clean:
+            spikes.append((p, clean))
+    if spikes and clean_times is None:
+        clean_times = times.copy()
     remaining = program.work[i:] * spiked
     # nodes with no work finish at the phase start, as in execute_phase
     run_s = np.where(remaining > 0.0, remaining / op.speed[i:], 0.0)
@@ -320,18 +336,21 @@ def execute_program(
     starts = []
     for p in range(n_phases):
         starts.append(t)
-        row = (t + run_s[p]) - t
-        durations[p] = row
+        # row = (t + run_s[p]) - t, written in place
+        row = durations[p]
+        np.add(t, run_s[p], out=row)
+        np.subtract(row, t, out=row)
         times += row
-        # np.add.reduce(x) / n is exactly x.mean(), without its overhead
         t = t_start + float(np.add.reduce(times) / n)
 
     phase_energy = durations * op.draw_watts[i:]
     if trace is not None:
         for p in range(n_phases):
             _trace_phase(trace, starts[p], durations[p], phase_energy[p])
-    return (
-        times,
-        _fold(clean_times, durations * (clean / spiked)),
-        _fold(energy, phase_energy),
-    )
+    energy = _fold(energy, phase_energy)
+    if clean_times is None:
+        return times, times.copy(), energy
+    clean = spiked.copy()
+    for p, factors in spikes:
+        clean[p] = factors
+    return times, _fold(clean_times, durations * (clean / spiked)), energy

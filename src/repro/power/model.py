@@ -208,7 +208,7 @@ def operating_point(
     single = isinstance(kinds, PhaseKind)
     stack = _stack((kinds,) if single else tuple(kinds), node)
     cap = np.atleast_1d(np.asarray(cap_watts, dtype=float))
-    if np.any(cap <= 0):
+    if (cap <= 0).any():
         raise ValueError("power caps must be positive")
 
     # PhaseKind.freq_for_cap, one row per kind
@@ -233,7 +233,7 @@ def operating_point(
 
     # Regime 3: duty-cycled — cannot reach the cap even at f_min.
     starved = cap < stack.demand_min
-    if np.any(starved):
+    if starved.any():
         duty = cap / stack.demand_min
         speed = np.where(starved, stack.speed_min * duty, speed)
         draw = np.where(starved, cap, draw)

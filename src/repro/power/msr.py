@@ -96,7 +96,7 @@ class MsrSafeFs:
             raise PermissionError(f"{path} is read-only")
         if value <= 0:
             raise ValueError("cap must be positive")
-        caps = self.domain.requested_caps
+        caps = self.domain.requested_caps.copy()
         caps[node] = value / 1e6
         self.domain.request_caps(caps, now=self._clock())
 

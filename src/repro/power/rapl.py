@@ -88,11 +88,12 @@ class RaplDomainArray:
         self.actuation_delay_s = actuation_delay_s
         if mode is CapMode.NONE:
             caps = np.full(n_nodes, node.tdp_watts, dtype=float)
+            caps.flags.writeable = False
         else:
             caps = self._clamp(
                 np.broadcast_to(
                     np.asarray(initial_cap_watts, dtype=float), (n_nodes,)
-                ).copy()
+                )
             )
         self._caps = caps
         self._pending: Optional[tuple[float, np.ndarray]] = None
@@ -121,7 +122,14 @@ class RaplDomainArray:
 
     # ------------------------------------------------------------------
     def _clamp(self, caps: np.ndarray) -> np.ndarray:
-        return np.clip(caps, self.node.rapl_min_watts, self.node.tdp_watts)
+        """A new read-only array of ``caps`` clamped to the hardware
+        range: installed and requested caps are shared, never copied."""
+        # np.clip's float kernel is exactly min(max(x, lo), hi)
+        clamped = np.minimum(
+            np.maximum(caps, self.node.rapl_min_watts), self.node.tdp_watts
+        )
+        clamped.flags.writeable = False
+        return clamped
 
     def _make_effective(self, caps: np.ndarray) -> np.ndarray:
         effective = caps * self.mode.undershoot
@@ -149,19 +157,19 @@ class RaplDomainArray:
         requested = np.asarray(caps_watts, dtype=float)
         if requested.size == 0:
             raise ValueError("empty cap request")
-        if not np.all(np.isfinite(requested)):
+        if not np.isfinite(requested).all():
             raise ValueError(
                 f"cap request contains non-finite watts: {requested!r}"
             )
-        if np.any(requested <= 0.0):
+        if (requested <= 0.0).any():
             raise ValueError(
                 f"cap request contains non-positive watts: {requested!r}"
             )
         if self.mode is CapMode.NONE:
-            return self._caps.copy()
-        caps = self._clamp(
-            np.broadcast_to(requested, (self.n_nodes,)).copy()
-        )
+            return self._caps
+        if requested.shape != (self.n_nodes,):
+            requested = np.broadcast_to(requested, (self.n_nodes,))
+        caps = self._clamp(requested)
         delay_s = self.actuation_delay_s
         fault = (
             self._faults.actuation(now, fault_rank)
@@ -172,7 +180,7 @@ class RaplDomainArray:
             if fault.dropped:
                 # silently lost: registers keep their old value, but the
                 # requester still believes the request landed
-                return caps.copy()
+                return caps
             delay_s += fault.extra_delay_s
             if fault.offset_w:
                 # miscalibrated actuation: installed != requested
@@ -196,13 +204,13 @@ class RaplDomainArray:
             self._metrics.histogram("power.cap_change_w").observe(
                 float(np.abs(caps - self._caps).mean())
             )
-        return caps.copy()
+        return caps
 
     # ------------------------------------------------------------------
     def _apply_pending(self, t: float) -> None:
         if self._pending is not None and t >= self._pending[0]:
             t_act, caps = self._pending
-            unchanged = np.array_equal(caps, self._caps)
+            unchanged = (caps == self._caps).all()
             self._caps = caps
             self._pending = None
             if not unchanged:
@@ -248,10 +256,10 @@ class RaplDomainArray:
     def requested_caps(self) -> np.ndarray:
         """Most recently *requested* caps (pending included) — what the
         controllers believe they allocated (Fig. 5 contrasts this with
-        measured power)."""
+        measured power). The array is shared and read-only."""
         if self._pending is not None:
-            return self._pending[1].copy()
-        return self._caps.copy()
+            return self._pending[1]
+        return self._caps
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

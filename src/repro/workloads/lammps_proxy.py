@@ -163,9 +163,13 @@ class JobConfig:
         return self.budget_per_node_w * self.n_nodes
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncRecord:
-    """Everything the figures need about one synchronization interval."""
+    """Everything the figures need about one synchronization interval.
+
+    Slotted: an experiment holds every cell's records (400 per cell)
+    until its fold, so the per-instance ``__dict__`` is worth dropping.
+    """
 
     step: int
     t_start: float
@@ -331,8 +335,9 @@ class ProxyJobSession:
             job_factor=job_factor,
             phase_rng=run_rng.child("ana_phase"),
         )
-        self._sensor = run_rng.child("sensor")
-        self._epoch_rng = run_rng.child("epoch")
+        self._sensor = run_rng.child("sensor").generator
+        self._epoch = run_rng.child("epoch").generator
+        self._leaks = attribution_leak(cfg.n_nodes)
 
         alloc = controller.initial_allocation()
         self.sim = _Partition(
@@ -418,20 +423,18 @@ class ProxyJobSession:
         # the two; the controller sees only the folded totals below)
         sim_work_j, ana_work_j = sim_energy, ana_energy
         t_arrive = t0 + work
-        sim_energy = sim_energy + sim_wait * sim.wait_draw(t_arrive)
-        ana_energy = ana_energy + ana_wait * ana.wait_draw(t_arrive)
+        sim_wait_w = sim.wait_draw(t_arrive)
+        ana_wait_w = ana.wait_draw(t_arrive)
+        sim_energy = sim_energy + sim_wait * sim_wait_w
+        ana_energy = ana_energy + ana_wait * ana_wait_w
 
         # trace the waiting tail of the faster partition (Fig. 1's idle
         # plateau at ~105 W)
         if cfg.collect_traces:
             sim_mean_end = t0 + float(sim_times.mean())
             ana_mean_end = t0 + float(ana_times.mean())
-            sim.add_trace(
-                sim_mean_end, t_arrive, float(sim.wait_draw(t_arrive).mean())
-            )
-            ana.add_trace(
-                ana_mean_end, t_arrive, float(ana.wait_draw(t_arrive).mean())
-            )
+            sim.add_trace(sim_mean_end, t_arrive, float(sim_wait_w.mean()))
+            ana.add_trace(ana_mean_end, t_arrive, float(ana_wait_w.mean()))
 
         # --- allocation + synchronization ------------------------------
         # With no analysis due this step, there is no simulation↔
@@ -442,31 +445,37 @@ class ProxyJobSession:
         step_sync_s = sync_s if due else 0.0
         step_overhead = overhead if due else 0.0
         interval = work + step_overhead + step_sync_s
-        comm_draw_sim = np.minimum(103.0, sim.wait_draw(t_arrive))
-        comm_draw_ana = np.minimum(103.0, ana.wait_draw(t_arrive))
+        comm_draw_sim = np.minimum(103.0, sim_wait_w)
+        comm_draw_ana = np.minimum(103.0, ana_wait_w)
         sim_energy = sim_energy + (step_overhead + step_sync_s) * comm_draw_sim
         ana_energy = ana_energy + (step_overhead + step_sync_s) * comm_draw_ana
         if cfg.collect_traces:
             sim.add_trace(t_arrive, t0 + interval, float(comm_draw_sim.mean()))
             ana.add_trace(t_arrive, t0 + interval, float(comm_draw_ana.mean()))
 
+        # np.add.reduce(x) is np.sum(x), and np.add.reduce(x) / n is
+        # exactly np.mean(x), without the wrappers' overhead
+        add = np.add.reduce
+        sim_energy_j = float(add(sim_energy))
+        ana_energy_j = float(add(ana_energy))
         t_decide = t_arrive + step_overhead
         if due:
             obs = _build_observation(
                 step,
-                cfg,
-                sim_times,
-                ana_times,
+                self._leaks,
+                sim_work,
+                ana_work,
                 sim_clean,
                 ana_clean,
                 sim_wait,
                 ana_wait,
                 sim_energy,
                 ana_energy,
+                sim_energy_j,
+                ana_energy_j,
                 interval,
                 self._sensor,
-                self._epoch_rng,
-                due,
+                self._epoch,
             )
             decision = self.controller.observe(obs)
             if decision is not None:
@@ -489,6 +498,7 @@ class ProxyJobSession:
                 ana_energy,
             )
 
+        n_sim, n_ana = sim.n, ana.n
         record = SyncRecord(
             step=step,
             t_start=t0,
@@ -498,12 +508,12 @@ class ProxyJobSession:
             overhead_s=step_overhead,
             sync_s=step_sync_s,
             slack_norm=abs(sim_work - ana_work) / interval,
-            sim_cap_mean_w=float(np.mean(sim.domain.requested_caps)),
-            ana_cap_mean_w=float(np.mean(ana.domain.requested_caps)),
-            sim_power_mean_w=float(np.mean(sim_energy)) / interval,
-            ana_power_mean_w=float(np.mean(ana_energy)) / interval,
-            sim_energy_j=float(np.sum(sim_energy)),
-            ana_energy_j=float(np.sum(ana_energy)),
+            sim_cap_mean_w=float(add(sim.domain.requested_caps)) / n_sim,
+            ana_cap_mean_w=float(add(ana.domain.requested_caps)) / n_ana,
+            sim_power_mean_w=sim_energy_j / n_sim / interval,
+            ana_power_mean_w=ana_energy_j / n_ana / interval,
+            sim_energy_j=sim_energy_j,
+            ana_energy_j=ana_energy_j,
         )
         self.records.append(record)
         self.t = t0 + interval
@@ -643,19 +653,20 @@ def run_job(
 
 def _build_observation(
     step: int,
-    cfg: JobConfig,
-    sim_times: np.ndarray,
-    ana_times: np.ndarray,
+    leaks: tuple[float, float],
+    sim_work: float,
+    ana_work: float,
     sim_clean: np.ndarray,
     ana_clean: np.ndarray,
     sim_wait: np.ndarray,
     ana_wait: np.ndarray,
     sim_energy: np.ndarray,
     ana_energy: np.ndarray,
+    sim_energy_j: float,
+    ana_energy_j: float,
     interval: float,
-    sensor: RngStream,
-    epoch_rng: RngStream,
-    due: list[str],
+    sensor: np.random.Generator,
+    epoch: np.random.Generator,
 ) -> Observation:
     """Assemble the controllers' view of one interval.
 
@@ -663,35 +674,31 @@ def _build_observation(
     included — that is PoLiMER's instrumented measurement and also what
     physically gates the job); the per-node epoch times use the
     median-of-ranks (spike-filtered) view plus misattributed wait,
-    which is what a system-level balancer observes.
+    which is what a system-level balancer observes. ``leaks`` is
+    :func:`attribution_leak` of the job, ``*_energy_j`` the per-node
+    energies summed, and ``sensor`` and ``epoch`` draw the power-sensor
+    noise and the epoch jitter.
     """
-
-    sim_leak, ana_leak = attribution_leak(cfg.n_nodes)
-
-    def epoch(clean: np.ndarray, waits: np.ndarray, leak: float, rng_) -> np.ndarray:
-        observed = clean + leak * waits
-        jitter = rng_.lognormal(0.0, 0.03, size=len(clean))
-        return observed * jitter
-
-    def power(energy: np.ndarray) -> np.ndarray:
-        return np.maximum(
-            energy / interval + sensor.normal(0.0, 1.5, size=len(energy)),
-            1.0,
-        )
-
+    sim_leak, ana_leak = leaks
+    n_sim, n_ana = len(sim_clean), len(ana_clean)
     sim_m = PartitionMeasurement(
-        work_time_s=float(sim_times.max()),
-        energy_j=float(sim_energy.sum()),
+        work_time_s=sim_work,
+        energy_j=sim_energy_j,
         interval_s=interval,
-        node_epoch_times_s=epoch(sim_clean, sim_wait, sim_leak, epoch_rng),
-        node_power_w=power(sim_energy),
+        node_epoch_times_s=(sim_clean + sim_leak * sim_wait)
+        * epoch.lognormal(0.0, 0.03, size=n_sim),
+        node_power_w=np.maximum(
+            sim_energy / interval + sensor.normal(0.0, 1.5, size=n_sim), 1.0
+        ),
     )
-    ana_work = float(ana_times.max()) if due else 1e-9
     ana_m = PartitionMeasurement(
         work_time_s=max(ana_work, 1e-9),
-        energy_j=float(ana_energy.sum()),
+        energy_j=ana_energy_j,
         interval_s=interval,
-        node_epoch_times_s=epoch(ana_clean, ana_wait, ana_leak, epoch_rng),
-        node_power_w=power(ana_energy),
+        node_epoch_times_s=(ana_clean + ana_leak * ana_wait)
+        * epoch.lognormal(0.0, 0.03, size=n_ana),
+        node_power_w=np.maximum(
+            ana_energy / interval + sensor.normal(0.0, 1.5, size=n_ana), 1.0
+        ),
     )
     return Observation(step=step, sim=sim_m, ana=ana_m)

@@ -8,10 +8,12 @@ properties underpin the chaos seed-replay guarantee too.
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import NoiseModel
+from repro.cluster.noise import NoiseConfig
 from repro.power.rapl import CapMode
 from repro.util.rng import RngStream
 
@@ -92,3 +94,46 @@ def test_different_seeds_differ():
     a = NoiseModel(RngStream(0), 8, CapMode.LONG)
     b = NoiseModel(RngStream(1), 8, CapMode.LONG)
     assert not np.array_equal(a.phase_factors(), b.phase_factors())
+
+
+def test_phase_factor_pair_shares_one_array_unless_a_burst_fired():
+    # execute_program skips the clean-time algebra on this identity
+    never = NoiseModel(
+        RngStream(3), 8, CapMode.LONG, NoiseConfig(spike_prob=0.0)
+    )
+    spiked, clean = never.phase_factor_pair()
+    assert spiked is clean
+    always = NoiseModel(
+        RngStream(3), 8, CapMode.LONG, NoiseConfig(spike_prob=1.0)
+    )
+    spiked, clean = always.phase_factor_pair()
+    assert spiked is not clean
+    assert int((spiked != clean).sum()) == 1
+
+
+@pytest.mark.parametrize("spike_prob", [0.015, 0.5])
+@pytest.mark.parametrize("mode", list(CapMode))
+def test_phase_pairs_match_a_uniform_drawing_reference(spike_prob, mode):
+    # the spike test draws Generator.random(); Generator.uniform(0, 1)
+    # computes 0 + 1 * next_double from the same stream word
+    n, seed = 16, 11
+    cfg = NoiseConfig(spike_prob=spike_prob)
+    phase = RngStream(seed, name="phase")
+    model = NoiseModel(RngStream(5), n, mode, cfg, phase_rng=phase)
+
+    ref = RngStream(seed, name="phase").generator
+    run_factor = float(ref.lognormal(0.0, cfg.run_sigma[mode]))
+    base = model.job_factor * run_factor * model.node_factors
+    spikes = 0
+    for _ in range(1000):
+        clean = base * ref.lognormal(0.0, cfg.phase_sigma[mode], size=n)
+        spiked = clean
+        if ref.uniform() < spike_prob:
+            spiked = clean.copy()
+            spiked[int(ref.integers(0, n))] *= cfg.spike_scale
+            spikes += 1
+        got_spiked, got_clean = model.phase_factor_pair()
+        assert np.array_equal(got_spiked, spiked)
+        assert np.array_equal(got_clean, clean)
+    assert spikes > 0
+    assert phase.generator.bit_generator.state == ref.bit_generator.state

@@ -117,3 +117,39 @@ def test_counter_free_when_journal_memory_only():
     mux = TelemetryMux(journal=journal)
     mux.absorb(_worker_batch(1))  # no ambient tracer, no file: no crash
     assert mux.absorbed == 4
+
+
+def test_absorbed_batch_is_one_fsynced_append_with_per_record_bytes(
+    tmp_path, monkeypatch
+):
+    import repro.campaign.journal as journal_mod
+
+    fsyncs = []
+    real_fsync = journal_mod.os.fsync
+
+    def counted(fd):
+        fsyncs.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(journal_mod.os, "fsync", counted)
+    batches = [(_worker_batch(0), "a", "k1"), (_worker_batch(1, t0=2.0), "b", "k2")]
+    batched = tmp_path / "batched.jsonl"
+    with RunJournal(batched) as journal:
+        mux = TelemetryMux(journal=journal, campaign_id="c0")
+        for batch, label, key in batches:
+            before = len(fsyncs)
+            mux.absorb(batch, cell_label=label, cell_key=key)
+            assert len(fsyncs) == before + 1
+
+    # reference: the same re-stamped records written one row at a time
+    sink = MemorySink()
+    with use_tracer(Tracer(sink)):
+        mux = TelemetryMux(campaign_id="c0")
+        for batch, label, key in batches:
+            mux.absorb(batch, cell_label=label, cell_key=key)
+    single = tmp_path / "single.jsonl"
+    with RunJournal(single) as journal:
+        for record in sink.records:
+            journal.telemetry(record)
+    assert batched.read_bytes() == single.read_bytes()
+    assert len(batched.read_bytes().splitlines()) == 2 * 5

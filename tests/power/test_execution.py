@@ -128,3 +128,59 @@ def test_per_node_heterogeneous_caps():
     dom.request_caps(np.array([98.0, 180.0]), now=0.0)
     out = execute_phase(COMPUTE, THETA_NODE, 3.0, dom, t_start=0.0)
     assert out.durations[1] < out.durations[0]
+
+
+def general_loop(kind, work, dom, t_start, noise):
+    """Reference: every cap segment, the last one included, through the
+    general iteration (no closed-form exit)."""
+    n = dom.n_nodes
+    remaining = work * np.asarray(noise, dtype=float)
+    durations = np.zeros(n)
+    energy = np.zeros(n)
+    t = t_start
+    active = remaining > 0.0
+    while active.any():
+        caps, t_change = dom.segment_at(t)
+        op = operating_point(kind, THETA_NODE, caps)
+        speed = np.maximum(op.speed, 1e-12)
+        finish_at = np.where(active, t + remaining / speed, t)
+        seg_end = min(t_change, float(finish_at.max()))
+        if seg_end <= t:
+            seg_end = t_change
+        span = seg_end - t
+        done = active & (finish_at <= seg_end)
+        going = active & ~done
+        active_time = np.where(done, finish_at - t, np.where(going, span, 0.0))
+        remaining = np.where(
+            going, remaining - span * speed, np.where(done, 0.0, remaining)
+        )
+        durations = np.where(done, finish_at - t_start, durations)
+        energy += active_time * op.draw_watts
+        active = going
+        t = seg_end
+    return durations, energy
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.01, 0.5, 1.3, 50.0])
+@pytest.mark.parametrize("caps", [98.0, [98.0, 130.0, 215.0, 110.0, 105.0]])
+def test_last_segment_closed_form_matches_a_general_iteration(delay, caps):
+    # With a 0.5 s actuation, node 0 finishes before the cap change and
+    # nodes 1-3 after it (node 4 has no work); the segment after the
+    # change resolves in the closed-form exit, which must give the
+    # general iteration's bits.
+    noise = np.array([0.1, 1.0, 1.7, 0.6, 0.0])
+    results = []
+    for run in ("closed", "general"):
+        dom = make_domain(n=5, cap=caps, delay=delay)
+        dom.request_caps([215.0, 180.0, 98.0, 140.0, 120.0], now=2.0)
+        if run == "closed":
+            out = execute_phase(
+                COMPUTE, THETA_NODE, 1.5, dom, t_start=2.0, noise_factors=noise
+            )
+            results.append((out.durations, out.energy_joules))
+        else:
+            results.append(general_loop(COMPUTE, 1.5, dom, 2.0, noise))
+    (durations, energy), (ref_durations, ref_energy) = results
+    assert np.array_equal(durations, ref_durations)
+    assert np.array_equal(energy, ref_energy)
+    assert durations[4] == 0.0 and energy[4] == 0.0

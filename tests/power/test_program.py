@@ -143,7 +143,7 @@ pendings = st.one_of(
     new_per_node=st.one_of(st.none(), st.integers(0, 2**16)),
     pending=pendings,
     seed=st.integers(0, 2**16),
-    spike_prob=st.sampled_from([0.0, 0.5]),
+    spike_prob=st.sampled_from([0.0, 0.015, 0.5, 1.0]),
     t_start=st.sampled_from([0.0, 3.7, 1234.5]),
 )
 @settings(max_examples=150, deadline=None)
