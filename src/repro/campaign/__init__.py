@@ -8,7 +8,7 @@ serial loop; this package turns them into a campaign engine:
 * :mod:`repro.campaign.cells` — the cell specification, the pure
   function that executes one cell (deterministic: a cell's result
   depends only on its spec, never on the process running it), and the
-  a-priori cost estimate the scheduler ranks cells by;
+  a-priori cost estimate the pool orders cells by;
 * :mod:`repro.campaign.hashing` — stable content hashing of cell
   specs plus a code-version salt, so cached results are invalidated
   the moment any source file changes;
@@ -20,10 +20,10 @@ serial loop; this package turns them into a campaign engine:
   line per cell: key, status, wall time, cache hit/miss, worker) that
   doubles as a replayable campaign ledger, with flock-serialized
   appends for concurrent writers;
-* :mod:`repro.campaign.scheduler` — cost-model-informed work-stealing
-  scheduler over a warm, persistent worker pool: longest cells first,
-  adaptive chunking, bounded in-flight work, idle workers stealing
-  from loaded ones, per-worker utilization/steal/ETA telemetry;
+* :mod:`repro.campaign.scheduler` — a warm, persistent worker pool
+  fed from one longest-first queue, one cell in flight per worker,
+  with per-cell timeout and respawn and per-worker utilization/ETA
+  telemetry;
 * :mod:`repro.campaign.resume` — campaign checkpoint/resume: parse a
   journal back into a ledger so ``campaign resume`` skips every
   completed cell and re-enqueues in-flight ones;
@@ -53,11 +53,9 @@ from repro.campaign.resume import (
     load_ledger,
 )
 from repro.campaign.scheduler import (
-    CostModel,
     SchedulerStats,
     SchedulerUnavailable,
     WorkerPool,
-    WorkStealingScheduler,
 )
 from repro.campaign.store import CellLease, CellStore, default_cache_dir
 
@@ -68,11 +66,9 @@ __all__ = [
     "CellLease",
     "CellSpec",
     "CellStore",
-    "CostModel",
     "RunJournal",
     "SchedulerStats",
     "SchedulerUnavailable",
-    "WorkStealingScheduler",
     "WorkerPool",
     "campaign_id",
     "campaign_meta",

@@ -48,9 +48,9 @@ def cell_label(spec: CellSpec) -> str:
 def cell_units(spec: CellSpec) -> float:
     """A-priori relative cost of a cell, in abstract units.
 
-    Only the *ranking* matters (longest-first placement); the
-    scheduler's cost model calibrates units to wall seconds from
-    observed cells. Cost scales with the simulated work: Verlet steps
+    The pool dispatches the most units first, and its ETA scales the
+    remaining units by the busy seconds per unit of the batch's
+    completed cells. Cost scales with the simulated work: Verlet steps
     dominate, with node count and analysis fan-out as secondary
     factors.
     """

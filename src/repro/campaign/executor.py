@@ -7,13 +7,13 @@ Execution strategy for a batch of cells:
 2. uncached cells are *leased* through the store's single-flight locks:
    cells another concurrent campaign is already computing are observed
    (never recomputed), the rest are owned by this engine;
-3. owned cells fan out through a cost-model-informed work-stealing
-   scheduler over a **warm, persistent worker pool** when the engine
-   was built with ``jobs > 1`` (see :mod:`repro.campaign.scheduler`):
-   longest cells first, adaptive chunking, bounded in-flight work, and
-   idle workers stealing from loaded ones. A raised/hung/lost worker
-   triggers bounded retry, with the final attempt always executed
-   in-process so a poisoned pool cannot fail a deterministic cell;
+3. owned cells fan out over a **warm, persistent worker pool** when
+   the engine was built with ``jobs > 1`` (see
+   :mod:`repro.campaign.scheduler`): one queue, longest cells first,
+   the next single cell to whichever worker is idle. A raised/hung/lost
+   worker triggers bounded retry, with the final attempt always
+   executed in-process so a poisoned pool cannot fail a deterministic
+   cell;
 4. if the pool cannot be created at all (restricted environments,
    missing semaphores) the whole batch gracefully degrades to the
    in-process serial path — identical results, just slower;
@@ -41,12 +41,7 @@ from typing import Callable, Sequence
 from repro.campaign.cells import CellSpec, cell_label, run_cell
 from repro.campaign.hashing import cell_key
 from repro.campaign.journal import RunJournal
-from repro.campaign.scheduler import (
-    CostModel,
-    SchedulerUnavailable,
-    WorkerPool,
-    WorkStealingScheduler,
-)
+from repro.campaign.scheduler import SchedulerUnavailable, WorkerPool
 from repro.campaign.store import CellLease, CellStore
 from repro.faults.injector import get_faults
 from repro.obs.merge import TelemetryMux
@@ -83,13 +78,8 @@ class CampaignEngine:
         the cell executor (default :func:`run_cell`); injectable for
         fault-injection tests. Must be picklable for pool use.
     progress:
-        emit a live one-line progress update (with ETA once the cost
-        model calibrates) to stderr.
-    longest_first / steal / static_chunks:
-        scheduling policy knobs (see
-        :class:`~repro.campaign.scheduler.WorkStealingScheduler`).
-        The defaults are the production policy; the FIFO/static
-        combination exists as the benchmark baseline.
+        emit a live one-line progress update (with ETA once a pooled
+        cell has completed) to stderr.
     """
 
     def __init__(
@@ -101,9 +91,6 @@ class CampaignEngine:
         retries: int = 1,
         run_fn: Callable[[CellSpec], object] = run_cell,
         progress: bool = False,
-        longest_first: bool = True,
-        steal: bool = True,
-        static_chunks: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -116,10 +103,6 @@ class CampaignEngine:
         self.retries = retries
         self.run_fn = run_fn
         self.progress = progress
-        self.longest_first = longest_first
-        self.steal = steal
-        self.static_chunks = static_chunks
-        self.cost_model = CostModel()
         #: merges telemetry batches shipped back by pool workers into
         #: the ambient tracer sink and the journal (repro.obs)
         self.obs = TelemetryMux(journal=self.journal)
@@ -128,37 +111,28 @@ class CampaignEngine:
         self._last_sched_row = 0.0
         self._batch_t0: float | None = None
         self._pool: WorkerPool | None = None
-        self._scheduler: WorkStealingScheduler | None = None
         self._pool_broken = False
         self._leases: dict[str, CellLease] = {}
         self._done = 0
         self._total = 0
 
     # ----------------------------------------------------------- pool
-    def _ensure_scheduler(self) -> WorkStealingScheduler:
-        """The warm pool + scheduler (created once, reused per batch)."""
-        if self._scheduler is None:
+    def _ensure_pool(self) -> WorkerPool:
+        """The warm pool (created once, reused per batch)."""
+        if self._pool is None:
             self._pool = WorkerPool(self.jobs, self.run_fn)
-            self._scheduler = WorkStealingScheduler(
-                self._pool,
-                cost_model=self.cost_model,
-                longest_first=self.longest_first,
-                steal=self.steal,
-                static_chunks=self.static_chunks,
-            )
-        return self._scheduler
+        return self._pool
 
     @property
     def scheduler_stats(self):
-        """Stats of the most recent scheduled batch (None before any)."""
-        return self._scheduler.stats if self._scheduler is not None else None
+        """Stats of the most recent pooled batch (None before any)."""
+        return self._pool.stats if self._pool is not None else None
 
     def close(self) -> None:
         """Shut down the warm worker pool (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown()
         self._pool = None
-        self._scheduler = None
 
     def __enter__(self) -> "CampaignEngine":
         return self
@@ -202,18 +176,18 @@ class CampaignEngine:
 
         One ``sched`` row at most every ``sched_row_interval_s`` wall
         seconds (plus an unconditional end-of-batch row) gives
-        ``campaign watch`` worker utilization, queue depth, steals and
-        ETA without a side channel — the journal stays the single
+        ``campaign watch`` worker utilization, queue depth, dispatches
+        and ETA without a side channel — the journal stays the single
         stream every observer tails.
         """
-        if self.journal.path is None or self._scheduler is None:
+        pool = self._pool
+        if self.journal.path is None or pool is None or pool.stats is None:
             return
         now = time.perf_counter()
         if not final and now - self._last_sched_row < self.sched_row_interval_s:
             return
         self._last_sched_row = now
-        scheduler = self._scheduler
-        stats = scheduler.stats
+        stats = pool.stats
         wall_s = (
             stats.wall_s
             if stats.wall_s > 0
@@ -224,10 +198,8 @@ class CampaignEngine:
             final=final,
             n_workers=stats.n_workers,
             dispatches=stats.dispatches,
-            steals=stats.steals,
-            stolen_cells=stats.stolen_cells,
-            queue_depth=scheduler._queue_depth(),
-            eta_s=scheduler.eta_s(),
+            queue_depth=pool.queue_depth,
+            eta_s=pool.eta_s(),
             wall_s=round(wall_s, 6),
             ship_dropped=self.obs.dropped,
             ship_records=self.obs.absorbed,
@@ -237,14 +209,10 @@ class CampaignEngine:
                     "pid": w.pid,
                     "cells": w.cells,
                     "busy_s": round(w.busy_s, 6),
-                    "stolen_cells": w.stolen_cells,
                     "respawns": w.respawns,
                     "utilization": round(w.utilization(wall_s), 4),
                 }
-                for w in (
-                    stats.workers
-                    or [wk.stats for wk in scheduler.pool.workers]
-                )
+                for w in (stats.workers or [wk.stats for wk in pool.workers])
             ],
         )
 
@@ -381,16 +349,16 @@ class CampaignEngine:
         self._tick()
 
     def _run_pool(self, specs, keys, todo, results) -> None:
-        """Scheduled fan-out over the warm pool; see the module doc."""
+        """Longest-first fan-out over the warm pool; see the module doc."""
         if self._pool_broken:
             for i in todo:
                 results[i] = self._run_serial(specs[i], keys[i])
             return
-        scheduler = self._ensure_scheduler()
+        pool = self._ensure_pool()
         retry: list[int] = []  # indices to re-run in-process
         self._batch_t0 = time.perf_counter()
         try:
-            outcomes = scheduler.run(
+            outcomes = pool.run(
                 [specs[i] for i in todo],
                 timeout_s=self.timeout_s,
                 ship=self.obs.wanted(),
@@ -499,8 +467,8 @@ class CampaignEngine:
             return
         c = self.journal.counts
         eta = ""
-        if self._scheduler is not None:
-            eta_s = self._scheduler.eta_s()
+        if self._pool is not None:
+            eta_s = self._pool.eta_s()
             if eta_s:
                 eta = f" · eta {eta_s:.0f}s"
         sys.stderr.write(

@@ -47,8 +47,8 @@ content-addressed under ``--cache DIR`` (default
 ``~/.cache/seesaw-repro/cells``; disable with ``--no-cache``) so
 re-running an experiment whose inputs and code are unchanged is
 near-instant; ``--journal PATH`` appends a JSONL record per cell plus
-a final summary. With ``--jobs > 1`` the cells are scheduled
-longest-first over a warm work-stealing worker pool (see
+a final summary. With ``--jobs > 1`` the cells are dispatched
+longest-first, one at a time, to a warm worker pool (see
 :mod:`repro.campaign.scheduler`).
 
 Resume (see :mod:`repro.campaign.resume`): a journal written by

@@ -332,8 +332,8 @@ def _add_campaign(sub) -> None:
         "'run --journal PATH': 'status' prints the replayable ledger "
         "(completed / in-flight cells, resumability); 'watch' tails "
         "the journal as a live in-terminal dashboard (worker "
-        "utilization, steals, ETA, cache hit rate, power sparklines); "
-        "'report' renders the SeeSAw-style energy attribution (joules "
+        "utilization, queue depth, ETA, cache hit rate, power "
+        "sparklines); 'report' renders the SeeSAw-style energy attribution (joules "
         "and wall time by rank x phase x controller decision interval) "
         "as text, JSON, or self-contained HTML; 'resume' "
         "re-enters a killed campaign — completed cells are served from "

@@ -17,7 +17,7 @@ boundary and puts them in front of a human mid-run (DESIGN.md §14):
   export yields one coherent Chrome trace for the whole campaign;
 * :mod:`repro.obs.watch` — ``seesaw-experiments campaign watch``: an
   in-terminal, refresh-in-place dashboard (worker utilization, queue
-  depth, steals, ETA, cache hit rate, rolling power sparkline per
+  depth, dispatches, ETA, cache hit rate, rolling power sparkline per
   controller) driven purely by tailing the journal; degrades to
   deterministic plain-text snapshots when stdout is not a TTY;
 * :mod:`repro.obs.report` / :mod:`repro.obs.html` — ``campaign

@@ -25,8 +25,8 @@ and ``campaign report`` tail).
 The mux also widens the campaign's own trace lane: the engine stamps
 per-cell ``campaign.cell`` spans onto ``tid = wid + 1`` of trace
 process 0, so the campaign process shows one row per worker with each
-worker's cells laid end to end — steals and respawns visible as cells
-jumping lanes.
+worker's cells laid end to end — the longest-first order and any
+respawns visible as cells landing on whichever lane was idle.
 """
 
 from __future__ import annotations

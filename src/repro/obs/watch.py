@@ -8,8 +8,8 @@ second terminal, over NFS, or against a dead campaign's journal
 equally well. What it shows:
 
 * cells completed / scheduled, cache hit rate, errors and retries;
-* per-worker utilization, executed cells, steals and respawns plus
-  queue depth and cost-model ETA (from the engine's ``sched`` rows);
+* per-worker utilization, executed cells and respawns plus queue
+  depth, dispatches and ETA (from the engine's ``sched`` rows);
 * a rolling power sparkline and energy total per controller approach
   (from shipped ``phase.*`` telemetry rows), and controller decision /
   cap-actuation counts;
@@ -182,8 +182,6 @@ def render_state(state: WatchState, width: int = 72) -> str:
         eta_txt = f"{eta:.0f}s" if isinstance(eta, (int, float)) else "?"
         lines.append(
             f"sched   queue {sched.get('queue_depth', 0)}"
-            f" · steals {sched.get('steals', 0)}"
-            f" ({sched.get('stolen_cells', 0)} cells)"
             f" · dispatches {sched.get('dispatches', 0)}"
             f" · eta {eta_txt}"
         )
@@ -191,15 +189,13 @@ def render_state(state: WatchState, width: int = 72) -> str:
         if workers:
             lines.append("")
             lines.append(
-                f"  {'worker':>6} {'cells':>6} {'stolen':>7}"
-                f" {'respawn':>8} {'util':>6}"
+                f"  {'worker':>6} {'cells':>6} {'respawn':>8} {'util':>6}"
             )
             for w in workers:
                 util = float(w.get("utilization", 0.0))
                 ubar = "#" * int(round(util * 10))
                 lines.append(
                     f"  {w.get('wid', '?'):>6} {w.get('cells', 0):>6}"
-                    f" {w.get('stolen_cells', 0):>7}"
                     f" {w.get('respawns', 0):>8}"
                     f" {util * 100:>5.0f}% {ubar}"
                 )

@@ -1,9 +1,8 @@
-"""Scheduler unit tests: cost model, LPT placement, adaptive chunking,
-steal accounting, pool lifecycle, and end-to-end determinism.
+"""Pool unit tests: cost ranking, longest-first dispatch order, the
+ratio ETA, pool lifecycle, and end-to-end determinism.
 
 End-to-end tests use the real :func:`repro.campaign.cells.run_cell`
-(module-level, picklable); placement/steal tests drive the scheduler's
-queue logic directly without spawning processes.
+(module-level, picklable); the dispatch-order test needs no processes.
 """
 
 import multiprocessing
@@ -19,14 +18,13 @@ from repro.campaign import (
     CellSpec,
     CellStore,
     cell_key,
+    cell_units,
     run_cell,
 )
 from repro.campaign.scheduler import (
-    CostModel,
     SchedulerUnavailable,
-    Task,
     WorkerPool,
-    WorkStealingScheduler,
+    dispatch_order,
 )
 from repro.metrics import MetricRegistry, use_metrics
 from repro.workloads import JobConfig
@@ -45,114 +43,53 @@ def _spec(seed=1, steps=10, nodes=8):
     )
 
 
-def _offline_scheduler(n_workers=2, **kwargs):
-    """A scheduler whose pool is never started: queue logic only."""
-    pool = WorkerPool(n_workers, run_cell)
-    return WorkStealingScheduler(pool, **kwargs)
-
-
-# ----------------------------------------------------------- cost model
+# ----------------------------------------------------------- cost units
 def test_cost_model_ranks_bigger_cells_higher():
-    model = CostModel()
-    small = model.estimate(_spec(steps=10, nodes=8))
-    tall = model.estimate(_spec(steps=10, nodes=512))
-    long_ = model.estimate(_spec(steps=400, nodes=8))
+    small = cell_units(_spec(steps=10, nodes=8))
+    tall = cell_units(_spec(steps=10, nodes=512))
+    long_ = cell_units(_spec(steps=400, nodes=8))
     assert small > 0
     assert tall > small and long_ > small
 
 
-def test_cost_model_calibrates_and_predicts():
-    model = CostModel(alpha=0.5)
-    assert model.predict_s(100.0) is None
-    model.observe(units=100.0, wall_s=1.0)  # 0.01 s/unit
-    assert model.predict_s(200.0) == pytest.approx(2.0)
-    model.observe(units=100.0, wall_s=3.0)  # sample 0.03 -> EWMA 0.02
-    assert model.scale == pytest.approx(0.02)
-    assert model.observations == 2
-    # bad samples are ignored, not poisonous
-    model.observe(units=0.0, wall_s=1.0)
-    model.observe(units=10.0, wall_s=-1.0)
-    assert model.observations == 2
-
-
-def test_cost_model_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        CostModel(alpha=0.0)
-    with pytest.raises(ValueError):
-        CostModel(alpha=1.5)
-
-
-# ----------------------------------------------------------- placement
-def _tasks(costs):
-    return [Task(i, _spec(seed=i + 1), cost) for i, cost in enumerate(costs)]
-
-
+# ----------------------------------------------------------- dispatch
 def test_lpt_assignment_balances_skewed_costs():
-    sched = _offline_scheduler(n_workers=2, longest_first=True)
-    # FIFO blocks would split this 19.0 / 3.0; LPT balances it 11 / 11
-    sched._assign(_tasks([10.0, 9.0, 1.0, 1.0, 1.0]))
-    loads = [sum(t.cost for t in q) for q in sched._queues]
+    """Longest first, ties in submission order; handing each next cell
+    to the first idle worker then balances a skewed batch."""
+    steps = [10, 90, 10, 40, 90, 10]
+    specs = [_spec(seed=i + 1, steps=n) for i, n in enumerate(steps)]
+    assert dispatch_order(specs) == [1, 4, 3, 0, 2, 5]
+    assert dispatch_order([]) == []
+    # offline list scheduling of the order on 2 workers: submission
+    # order would split this 19 / 3; longest first balances it 11 / 11
+    costs = [1.0, 1.0, 1.0, 10.0, 9.0]
+    specs = [_spec(seed=i + 1, steps=int(10 * c)) for i, c in enumerate(costs)]
+    loads = [0.0, 0.0]
+    for i in dispatch_order(specs):
+        loads[loads.index(min(loads))] += costs[i]
     assert sorted(loads) == [11.0, 11.0]
-    # the most expensive task is placed first
-    heads = {q[0].cost for q in sched._queues}
-    assert 10.0 in heads and 9.0 in heads
-
-
-def test_fifo_assignment_keeps_submission_blocks():
-    sched = _offline_scheduler(n_workers=2, longest_first=False)
-    sched._assign(_tasks([1.0, 2.0, 3.0, 4.0]))
-    assert [t.task_id for t in sched._queues[0]] == [0, 1]
-    assert [t.task_id for t in sched._queues[1]] == [2, 3]
-
-
-def test_chunk_size_is_guided_then_single_at_tail():
-    sched = _offline_scheduler()
-    assert sched._chunk_size(100) == sched.MAX_CHUNK
-    assert sched._chunk_size(16) == 4
-    assert sched._chunk_size(4) == 1
-    assert sched._chunk_size(1) == 1
-    static = _offline_scheduler(static_chunks=True)
-    assert static._chunk_size(100) == 100
-    assert static._chunk_size(1) == 1
-
-
-def test_idle_worker_steals_from_loaded_victims_tail():
-    sched = _offline_scheduler(n_workers=2, steal=True)
-    sched._assign(_tasks([5.0, 4.0, 3.0, 2.0, 1.0, 0.5]))
-    # drain worker 0's own queue so its next take must steal
-    sched._queues[0].clear()
-    victim_before = list(sched._queues[1])
-    registry = MetricRegistry()
-    with use_metrics(registry):
-        stolen = sched._take_chunk(0)
-    assert stolen  # half the victim's queue, from the cheap (tail) end
-    assert len(stolen) == max(1, len(victim_before) // 2)
-    assert stolen[0] is victim_before[-1]
-    assert sched.stats.steals == 1
-    assert sched.stats.stolen_cells == len(stolen)
-    assert registry.counter("campaign.sched.steals").value == 1
-    assert registry.counter("campaign.sched.stolen_cells").value == len(
-        stolen
-    )
-
-
-def test_steal_disabled_returns_empty_chunk():
-    sched = _offline_scheduler(n_workers=2, steal=False)
-    sched._assign(_tasks([5.0, 4.0, 3.0]))
-    sched._queues[0].clear()
-    assert sched._take_chunk(0) == []
-    assert sched.stats.steals == 0
 
 
 def test_eta_uses_calibrated_cost_model():
-    sched = _offline_scheduler(n_workers=2)
-    sched._assign(_tasks([10.0, 10.0]))
-    assert sched.eta_s() is None  # uncalibrated
-    sched.cost_model.observe(units=1.0, wall_s=0.1)
-    # 20 units over 2 workers at 0.1 s/unit -> 1 s
-    assert sched.eta_s() == pytest.approx(1.0)
-    sched._queues = []
-    assert sched.eta_s() == 0.0
+    """The ETA scales remaining units by this batch's busy seconds per
+    completed unit, spread over the workers."""
+    specs = [_spec(seed=s, steps=n) for s, n in ((1, 40), (2, 20), (3, 10))]
+    units = [cell_units(s) for s in specs]
+    pool = WorkerPool(2, run_cell)
+    try:
+        assert pool.eta_s() is None  # no completion yet
+        outcomes = pool.run(specs)
+        first = next(outcomes)
+        # every other cell is queued or in flight
+        remaining = sum(units) - units[first.task_id]
+        assert pool.eta_s() == pytest.approx(
+            remaining * (first.wall_s / units[first.task_id]) / 2
+        )
+        rest = list(outcomes)
+    finally:
+        pool.shutdown()
+    assert len(rest) == 2
+    assert pool.eta_s() == 0.0
 
 
 # ----------------------------------------------------------- end to end
@@ -160,48 +97,28 @@ def test_run_yields_every_task_exactly_once_with_correct_results():
     specs = [_spec(seed=s) for s in range(1, 9)]
     expected = [run_cell(s) for s in specs]
     pool = WorkerPool(2, run_cell)
-    sched = WorkStealingScheduler(pool)
     try:
-        outcomes = list(sched.run(specs))
+        outcomes = list(pool.run(specs))
     finally:
         pool.shutdown()
     assert sorted(o.task_id for o in outcomes) == list(range(8))
     assert all(o.status == "ok" for o in outcomes)
     for o in outcomes:
         assert o.result == expected[o.task_id]
-    stats = sched.stats
+    stats = pool.stats
     assert stats.n_workers == 2
     assert sum(w.cells for w in stats.workers) == 8
+    assert stats.dispatches == 8
     assert stats.wall_s > 0
-    assert sched.cost_model.observations == 8
-
-
-def test_fifo_static_baseline_still_produces_correct_results():
-    specs = [_spec(seed=s) for s in range(1, 6)]
-    expected = [run_cell(s) for s in specs]
-    pool = WorkerPool(2, run_cell)
-    sched = WorkStealingScheduler(
-        pool, longest_first=False, steal=False, static_chunks=True
-    )
-    try:
-        outcomes = list(sched.run(specs))
-    finally:
-        pool.shutdown()
-    assert all(o.status == "ok" for o in outcomes)
-    assert {o.task_id for o in outcomes} == set(range(5))
-    for o in outcomes:
-        assert o.result == expected[o.task_id]
-    assert sched.stats.steals == 0
 
 
 def test_scheduler_metrics_are_mirrored_into_registry():
     registry = MetricRegistry()
     specs = [_spec(seed=s) for s in range(1, 7)]
     pool = WorkerPool(2, run_cell)
-    sched = WorkStealingScheduler(pool)
     try:
         with use_metrics(registry):
-            list(sched.run(specs))
+            list(pool.run(specs))
     finally:
         pool.shutdown()
     assert registry.counter("campaign.sched.dispatches").value >= 2
@@ -237,8 +154,7 @@ def test_pool_respawn_replaces_process_in_place():
         assert worker.proc.pid != old_pid
         assert worker.stats.respawns == 1
         # the respawned worker still executes work
-        sched = WorkStealingScheduler(pool)
-        outcomes = list(sched.run([_spec(seed=3)]))
+        outcomes = list(pool.run([_spec(seed=3)]))
         assert [o.status for o in outcomes] == ["ok"]
     finally:
         pool.shutdown()

@@ -16,13 +16,13 @@ def _journal_rows():
         {"event": "cell", "status": "error", "key": "k3"},
         {"event": "cell", "status": "retried", "key": "k3"},
         {"event": "sched", "final": False, "n_workers": 2, "dispatches": 3,
-         "steals": 1, "stolen_cells": 2, "queue_depth": 1, "eta_s": 4.5,
+         "queue_depth": 1, "eta_s": 4.5,
          "ship_records": 120, "ship_dropped": 0,
          "workers": [
              {"wid": 0, "pid": 11, "cells": 2, "busy_s": 1.0,
-              "stolen_cells": 0, "respawns": 0, "utilization": 0.8},
+              "respawns": 0, "utilization": 0.8},
              {"wid": 1, "pid": 12, "cells": 1, "busy_s": 0.4,
-              "stolen_cells": 2, "respawns": 1, "utilization": 0.3},
+              "respawns": 1, "utilization": 0.3},
          ]},
         {"event": "telemetry", "ph": "X", "name": "phase.md", "ts": 0.0,
          "dur": 2.0, "pid": 1000, "tid": 1, "args": {"energy_j": 100.0},
@@ -65,7 +65,7 @@ def test_render_is_deterministic_and_complete():
     assert frame == render_state(state)  # no wall-clock dependence
     assert "cafe0123" in frame and "fig8" in frame
     assert "3/4" in frame and "FINISHED" in frame
-    assert "queue 1" in frame and "steals 1 (2 cells)" in frame
+    assert "queue 1" in frame and "dispatches 3" in frame
     assert "eta 4s" in frame
     assert "120 records merged" in frame
     assert "seesaw" in frame and "250.0 J" in frame

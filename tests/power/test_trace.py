@@ -1,5 +1,8 @@
 """Tests for power traces and sampling."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,38 @@ def test_out_of_order_rejected():
     tr.add(0.0, 2.0, 100.0)
     with pytest.raises(ValueError):
         tr.add(1.0, 3.0, 100.0)
+
+
+def test_start_one_ulp_before_previous_end_accepted():
+    # at a proxy clock of ~16,400 s one ulp (3.6e-12) exceeds 1e-12
+    tr = PowerTrace()
+    end = 16469.881638376635
+    tr.add(16469.0, end, 100.0)
+    tr.add(math.nextafter(end, 0.0), end + 1.0, 105.0)
+    assert len(tr) == 2
+    assert tr.span == (16469.0, end + 1.0)
+
+
+@pytest.mark.parametrize("run_index", [0, 1])
+def test_traced_fig3a_proxy_cell_runs(run_index):
+    # power-aware/vacf/d36/n128/s1124 ends a phase segment one ulp
+    # after the wait segment that follows it starts
+    from repro.campaign import CellSpec, cell_label, run_cell
+    from repro.scenario.loader import load_suite
+
+    label = f"power-aware/vacf/d36/n128/s1124/r{run_index}"
+    (cell,) = [
+        c
+        for s in load_suite("fig3a").specs
+        for c in s.to_cells()
+        if cell_label(c) == label
+    ]
+    cfg = dataclasses.replace(cell.cfg, collect_traces=True)
+    traced = run_cell(
+        CellSpec(cell.approach, cfg, cell.run_index, cell.controller_kwargs)
+    )
+    assert not traced.sim_trace.empty and not traced.ana_trace.empty
+    assert traced.total_time_s == run_cell(cell).total_time_s
 
 
 def test_backwards_segment_rejected():
