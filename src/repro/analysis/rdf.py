@@ -58,10 +58,9 @@ class RadialDistribution(Analysis):
         r_search = min(self.r_max, 0.5 * float(box.min()) * 0.999)
         tree_t = cKDTree(targets, boxsize=box)
         tree_c = cKDTree(centers, boxsize=box)
-        dists = tree_c.sparse_distance_matrix(
-            tree_t, r_search, output_type="coo_matrix"
-        )
-        r = dists.data
+        r = tree_c.sparse_distance_matrix(
+            tree_t, r_search, output_type="ndarray"
+        )["v"]
         r = r[r > 1e-9]  # drop self-coincidences if center==target type
         hist, _ = np.histogram(r, bins=self.n_bins, range=(0.0, self.r_max))
         self._counts += hist

@@ -55,6 +55,17 @@ RESPAWNS_PER_WORKER = 2
 POLL_S = 0.05
 
 
+#: pools not yet shut down: one exit hook shuts them all down, so a shut
+#: pool is neither kept alive nor leaves a hook of its own behind
+_open_pools: set[WorkerPool] = set()
+
+
+@atexit.register
+def _shutdown_open_pools() -> None:
+    for pool in list(_open_pools):
+        pool.shutdown()
+
+
 class SchedulerUnavailable(RuntimeError):
     """The worker pool cannot run here (no fork/pipes/semaphores)."""
 
@@ -272,7 +283,7 @@ class WorkerPool:
         self._queue: deque[int] = deque()
         self._busy_s = 0.0
         self._units_done = 0.0
-        atexit.register(self.shutdown)
+        _open_pools.add(self)
 
     # ------------------------------------------------------------ state
     @property
@@ -357,6 +368,7 @@ class WorkerPool:
 
     def shutdown(self) -> None:
         """Stop every worker; safe to call repeatedly."""
+        _open_pools.discard(self)
         self._closed = True
         workers, self._workers = self._workers, []
         for worker in workers:

@@ -33,14 +33,26 @@ type and molecule-id arrays it was built for and is rebuilt when
 evaluated against any other; a rebuilt neighbor list starts without
 one.
 
+**Scratch.** Every candidate-length and kept-length column of the
+kernel is a view of one ``(9, cap)`` block of 8-byte words that the
+force field owns (:meth:`ForceField._scratch`): allocated on its first
+non-empty evaluation, regrown only for a list with more candidates than
+``cap``, and reused by every later call, whichever list it evaluates.
+A row is reused within a call once its values are consumed, and the
+scatter's stacked indices and weights live in consumed rows too. Only
+the returned forces and the kept-pair index array are fresh per call,
+and one force field must not evaluate from two threads at once.
+
 **Bit-identity.** The columnar kernel gives bit-identical forces and
 energies to the row-wise one it replaced (``tests/md/test_forces.py``
 keeps that one as its reference): every float expression is the same
-element for element, in-place updates only reuse buffers, ``r2`` sums
-the squares as ``(dx*dx + dy*dy) + dz*dz``, the order of a 3-element
-row sum, and the pairs keep their neighbor-list order, so the energy
-sum and the ``i``-then-``j`` force scatter visit the same values in
-the same order.
+element for element, ``out=`` arguments and in-place updates only
+choose where a result is written, ``r2`` sums the squares as
+``(dx*dx + dy*dy) + dz*dz``, the order of a 3-element row sum, and the
+pairs keep their neighbor-list order, so the energy sum (a pairwise
+``np.sum`` over a scratch row of the kept length) and the
+``i``-then-``j`` force scatter visit the same values in the same
+order.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ import numpy as np
 
 from repro.md.neighbor import NeighborList
 from repro.md.system import CHARGES, ParticleSystem
-from repro.util.scatter import scatter_add_pairs
+from repro.util.scatter import scatter_add_pairs, scatter_add_stacked
 
 __all__ = ["ForceField", "ForceResult"]
 
@@ -108,6 +120,7 @@ class ForceField:
         eps = np.array([1.0, 0.2, 0.8, 0.8])
         sig = np.array([1.0, 0.5, 0.9, 1.1])
         self.eps_pair, self.sig_pair = _lorentz_berthelot(eps, sig)
+        self._rows: np.ndarray | None = None  # see :meth:`_scratch`
 
     # ------------------------------------------------------------------
     def _pair_table(
@@ -150,40 +163,60 @@ class ForceField:
         nlist.pair_table = table
         return table
 
+    def _scratch(self, c: int) -> np.ndarray:
+        """The pair kernel's scratch for ``c`` candidate pairs: a
+        ``(9, cap)`` block of 8-byte words, ``cap >= c``, kept on the
+        force field and regrown, with some headroom, only for a list
+        with more candidates than it holds."""
+        rows = self._rows
+        if rows is None or rows.shape[1] < c:
+            cap = -(-(c + c // 32) // 8) * 8  # a multiple of 8
+            self._rows = rows = np.empty((9, cap))
+        return rows
+
     def _pair_forces(
         self, system: ParticleSystem, nlist: NeighborList
     ) -> tuple[np.ndarray, float, int]:
         pos = system.positions
         table = self._pair_table(system, nlist)
-        if len(table.i) == 0:
+        c = len(table.i)
+        if c == 0:
             return np.zeros_like(pos), 0.0, 0
-        # per-axis minimum-image separations of the candidate pairs
+        # Every column below is a view of one scratch row: rows 0-2 hold
+        # the candidates' separations, 3 a temporary, 4 r2, and 5 the
+        # cutoff mask; once a row's values are consumed it is reused.
+        rows = self._scratch(c)
+        cap = rows.shape[1]
+        # per-axis minimum-image separations of the candidate pairs;
+        # every gather below has mode="clip" because the default "raise"
+        # writes through a temporary copy of ``out`` (its indices are in
+        # range by construction, so the clip never acts)
         xyz = np.ascontiguousarray(pos.T)
         lengths = system.box.lengths
-        axes = []
+        sep = rows[:3, :c]
+        t = rows[3, :c]
         for k in range(3):
-            d = xyz[k].take(table.i)
-            d -= xyz[k].take(table.j)
-            q = d / lengths[k]
+            d = xyz[k].take(table.i, out=sep[k], mode="clip")
+            d -= xyz[k].take(table.j, out=t, mode="clip")
+            q = np.divide(d, lengths[k], out=t)
             np.round(q, out=q)
             q *= lengths[k]
             d -= q
-            axes.append(d)
-        dx, dy, dz = axes
-        r2 = dx * dx
-        r2 += np.multiply(dy, dy, out=q)
-        r2 += np.multiply(dz, dz, out=q)
-        keep = np.flatnonzero(r2 <= self.cutoff**2)
+        dx, dy, dz = sep
+        r2 = np.multiply(dx, dx, out=rows[4, :c])
+        r2 += np.multiply(dy, dy, out=t)
+        r2 += np.multiply(dz, dz, out=t)
+        mask = rows[5].view(bool)[:c]
+        keep = np.flatnonzero(np.less_equal(r2, self.cutoff**2, out=mask))
         m = len(keep)
         if m == 0:
             return np.zeros_like(pos), 0.0, 0
         # (3, m) separations of the kept pairs, scaled to forces below
-        fvec = np.empty((3, m))
+        fvec = rows[5:8, :m]
         for k in range(3):
-            axes[k].take(keep, out=fvec[k])
-        r2 = r2.take(keep)
-        del axes, dx, dy, dz, d, q  # free the candidate-length columns
-        r = np.sqrt(r2)
+            sep[k].take(keep, out=fvec[k], mode="clip")
+        r2 = r2.take(keep, out=rows[3, :m], mode="clip")
+        r = np.sqrt(r2, out=rows[4, :m])
 
         # The in-place updates below evaluate, element for element,
         #   sr6 = (sig**2 / r2) ** 3,  sr12 = sr6**2,
@@ -193,23 +226,23 @@ class ForceField:
         #   f_coul / r = qq screen (1 + kappa r) / (r2 r),
         # grouped as written (left to right); an in-place product may
         # swap its two operands, which IEEE multiplication allows.
-        sr6 = table.sig2.take(keep)
+        sr6 = table.sig2.take(keep, out=rows[0, :m], mode="clip")
         sr6 /= r2
         sr6 **= 3
-        sr12 = sr6 * sr6
-        eps = table.eps.take(keep)
-        # truncated & shifted LJ energy
-        energy = sr12 - sr6
-        energy *= 4.0 * eps
-        energy -= table.shift.take(keep)
+        sr12 = np.multiply(sr6, sr6, out=rows[1, :m])
+        energy = np.subtract(sr12, sr6, out=rows[2, :m])
         # dU/dr * (1/r) factor for LJ
         f_over_r = np.multiply(2.0, sr12, out=sr12)
         f_over_r -= sr6
+        # truncated & shifted LJ energy
+        eps = table.eps.take(keep, out=rows[8, :m], mode="clip")
+        energy *= np.multiply(4.0, eps, out=sr6)
+        energy -= table.shift.take(keep, out=sr6, mode="clip")
         eps *= 24.0
         f_over_r *= eps
         f_over_r /= r2
 
-        qq_screen = table.qq.take(keep)
+        qq_screen = table.qq.take(keep, out=eps, mode="clip")
         screen = np.multiply(-self.kappa, r, out=sr6)
         qq_screen *= np.exp(screen, out=screen)
         energy += np.divide(qq_screen, r, out=screen)
@@ -221,10 +254,15 @@ class ForceField:
         f_over_r += r
 
         fvec *= f_over_r
-        forces = scatter_add_pairs(
-            len(pos), table.i.take(keep), table.j.take(keep), fvec.T
-        )
-        return forces, float(np.sum(energy)), m
+        energy = float(np.sum(energy))
+        # the scatter's weights and its stacked [i; j] indices, in rows
+        # 0-1 and 2-3
+        flat = rows.reshape(-1)
+        idx = flat[2 * cap : 2 * cap + 2 * m].view(np.intp)
+        table.i.take(keep, out=idx[:m], mode="clip")
+        table.j.take(keep, out=idx[m:], mode="clip")
+        forces = scatter_add_stacked(len(pos), idx, fvec.T, flat[: 2 * m])
+        return forces, energy, m
 
     def _bond_forces(
         self, system: ParticleSystem

@@ -88,6 +88,7 @@ class VelocityVerlet:
     def _maybe_rebuild(self) -> bool:
         sys_ = self.system
         if self._nlist.needs_rebuild(sys_.positions, sys_.box):
+            self._nlist = None  # free the old list and its pair table first
             self._nlist = build_neighbor_list(
                 sys_.positions, sys_.box, self.ff.cutoff, self.skin
             )

@@ -145,9 +145,9 @@ def execute_phase(
         raise ValueError("negative work")
     n = domain.n_nodes
     noise = noise_factors
-    if not (
-        type(noise) is np.ndarray and noise.shape == (n,) and noise.dtype == float
-    ):
+    if type(noise) is not np.ndarray:  # a scalar: one factor per node
+        noise = np.full(n, float(noise))
+    elif noise.shape != (n,) or noise.dtype != float:
         noise = np.broadcast_to(np.asarray(noise, dtype=float), (n,))
     remaining = work_seconds * noise  # per-node work still to do (owned)
     durations = np.zeros(n)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["scatter_add", "scatter_add_pairs"]
+__all__ = ["scatter_add", "scatter_add_pairs", "scatter_add_stacked"]
 
 
 def scatter_add(
@@ -61,10 +61,20 @@ def scatter_add_pairs(
     (the concatenated traversal visits every contribution in the same
     order the two ``add.at`` passes would).
     """
-    m = len(i)
+    return scatter_add_stacked(
+        n, np.concatenate([i, j]), vectors, np.empty(2 * len(i))
+    )
+
+
+def scatter_add_stacked(
+    n: int, idx: np.ndarray, vectors: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """:func:`scatter_add_pairs` given the stacked indices
+    ``idx = [i; j]`` and ``w``, ``len(idx)`` floats it overwrites as
+    the weights of one component at a time: a caller that keeps both
+    across calls allocates neither."""
+    m = len(vectors)
     out = np.empty((n, vectors.shape[1]))
-    idx = np.concatenate([i, j])
-    w = np.empty(2 * m)  # one weights buffer, refilled per component
     for k in range(vectors.shape[1]):
         w[:m] = vectors[:, k]
         np.negative(vectors[:, k], out=w[m:])

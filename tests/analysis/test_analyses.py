@@ -84,6 +84,64 @@ def test_rdf_invalid_params():
         RadialDistribution(r_max=-1.0)
 
 
+def coo_rdf_counts(rdf, frames):
+    """Histogram counts and normalization of ``frames`` through the
+    ``coo_matrix`` distances :class:`RadialDistribution` once read, kept
+    as the reference for the ``ndarray`` path."""
+    from scipy.spatial import cKDTree
+
+    counts, norm = np.zeros(rdf.n_bins), 0.0
+    for frame in frames:
+        box = frame.box_lengths
+        wrapped = np.mod(frame.positions, box)
+        wrapped = np.minimum(wrapped, np.nextafter(box, 0.0))
+        centers = wrapped[frame.types == rdf.center_type]
+        targets = wrapped[frame.types == rdf.target_type]
+        r_search = min(rdf.r_max, 0.5 * float(box.min()) * 0.999)
+        tree_t = cKDTree(targets, boxsize=box)
+        tree_c = cKDTree(centers, boxsize=box)
+        r = tree_c.sparse_distance_matrix(
+            tree_t, r_search, output_type="coo_matrix"
+        ).data
+        r = r[r > 1e-9]
+        counts += np.histogram(r, bins=rdf.n_bins, range=(0.0, rdf.r_max))[0]
+        norm += len(centers) * (len(targets) / float(np.prod(box)))
+    return counts, norm
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("same_species", [True, False])
+def test_rdf_matches_the_coo_reference(seed, same_species):
+    rng = np.random.default_rng(seed)
+    # a box under 2 r_max clamps the search radius to half its edge;
+    # positions spill outside it, as unwrapped ones do
+    box = rng.uniform(3.0, 7.0, 3)
+    frames = []
+    for step in range(4):
+        n = int(rng.integers(20, 200))
+        pos = rng.uniform(-0.5, 1.5, (n, 3)) * box
+        frames.append(
+            Frame(
+                step=step,
+                time=float(step),
+                box_lengths=box,
+                positions=pos,
+                velocities=np.zeros((n, 3)),
+                types=rng.integers(0, Species.COUNT, n),
+                molecule_ids=np.arange(n),
+            )
+        )
+    target = Species.CAT if same_species else Species.O
+    rdf = RadialDistribution(center_type=Species.CAT, target_type=target)
+    assert 0.5 * box.min() < rdf.r_max
+    for frame in frames:
+        rdf.update(frame)
+    counts, norm = coo_rdf_counts(rdf, frames)
+    assert counts.sum() > 0
+    assert np.array_equal(rdf._counts, counts)
+    assert rdf._norm_accum == norm
+
+
 # ---------------------------------------------------------------- VACF
 def test_vacf_starts_at_one():
     vacf = VelocityAutocorrelation()

@@ -5,10 +5,13 @@ End-to-end tests use the real :func:`repro.campaign.cells.run_cell`
 (module-level, picklable); the dispatch-order test needs no processes.
 """
 
+import atexit
+import gc
 import multiprocessing
 import os
 import signal
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -141,6 +144,28 @@ def test_pool_shutdown_is_idempotent_and_poisons_restart():
     assert pool.workers == []
     with pytest.raises(SchedulerUnavailable):
         pool.ensure_started()
+
+
+def test_shut_pools_leave_no_exit_hook_behind():
+    # one exit hook serves every pool, and a pool leaves it when it shuts
+    # down: a process that builds many pools neither grows the hooks nor
+    # keeps the pools alive. A first started pool lets multiprocessing
+    # register its own hooks.
+    warm = WorkerPool(1, run_cell)
+    warm.ensure_started()
+    warm.shutdown()
+    before = atexit._ncallbacks()
+    refs = []
+    for i in range(20):
+        pool = WorkerPool(1, run_cell)
+        if i % 5 == 0:
+            pool.ensure_started()
+        pool.shutdown()
+        refs.append(weakref.ref(pool))
+        del pool
+    assert atexit._ncallbacks() == before
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_pool_respawn_replaces_process_in_place():

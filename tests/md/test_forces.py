@@ -330,3 +330,89 @@ def test_table_reused_across_steps_and_replaced_on_rebuild():
             assert nlist.pair_table is not tables[-1]
         tables.append(nlist.pair_table)
     assert 0 < integrator.rebuild_count < 12
+
+
+# ----------------------------------------------------------------------
+# the kernel's scratch, reused across calls
+
+
+def moved(system, rng, scale):
+    """``system`` with every atom displaced by ``N(0, scale)`` per axis."""
+    return replace(
+        system,
+        positions=system.box.wrap(
+            system.positions + rng.normal(0.0, scale, system.positions.shape)
+        ),
+    )
+
+
+def test_one_list_many_times_as_the_kept_count_rises_and_falls():
+    system = water_ion_box(dim=1, seed=5)
+    ff = ForceField()
+    # a wide skin leaves room for the kept count to move both ways
+    nlist = build_neighbor_list(system.positions, system.box, ff.cutoff, 0.8)
+    rng = np.random.default_rng(11)
+    counts, results = [], []
+    for scale in (0.0, 0.2, 0.05, 0.35, 0.01, 0.3, 0.1, 0.0, 0.25, 0.15):
+        state = moved(system, rng, scale)
+        counts.append(assert_same_as_reference(ff, state, nlist))
+        results.append((state, ff._pair_forces(state, nlist)))
+    steps = np.diff(counts)
+    assert (steps > 0).any() and (steps < 0).any()
+    # odd and even kept counts move where the scratch rows end
+    assert {m % 2 for m in counts} == {0, 1}
+    # a result does not alias the scratch a later call overwrites
+    for state, (forces, energy, count) in results:
+        ref_forces, ref_energy, ref_count = rowwise_pair_forces(ff, state, nlist)
+        assert np.array_equal(forces, ref_forces)
+        assert (energy, count) == (ref_energy, ref_count)
+
+
+def test_scratch_is_reused_and_regrown_only_for_more_candidates():
+    system = water_ion_box(dim=1, seed=2)
+    ff = ForceField()
+    nlist = build_neighbor_list(system.positions, system.box, ff.cutoff, 0.3)
+    assert ff._rows is None
+    assert_same_as_reference(ff, system, nlist)
+    rows = ff._rows
+    assert rows.shape[0] == 9 and rows.shape[1] >= len(nlist.pair_table.i)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        assert_same_as_reference(ff, moved(system, rng, 0.05), nlist)
+        assert ff._rows is rows
+    # a rebuilt list with fewer candidates keeps the buffers
+    thinner = build_neighbor_list(system.positions, system.box, ff.cutoff, 0.1)
+    assert len(thinner.pairs) < len(nlist.pairs)
+    assert_same_as_reference(ff, system, thinner)
+    assert thinner.pair_table is not nlist.pair_table
+    assert ff._rows is rows
+    # one with more than the rows hold regrows them
+    wider = build_neighbor_list(system.positions, system.box, ff.cutoff, 0.9)
+    assert len(wider.pairs) > rows.shape[1]
+    assert_same_as_reference(ff, system, wider)
+    assert ff._rows is not rows
+    assert ff._rows.shape[1] >= len(wider.pair_table.i)
+    # and the smaller lists then run in the larger rows
+    grown = ff._rows
+    assert_same_as_reference(ff, system, nlist)
+    assert_same_as_reference(ff, system, thinner)
+    assert ff._rows is grown
+
+
+@given(system=systems, other=systems, cutoff=st.floats(0.8, 2.5))
+@settings(max_examples=60, deadline=None)
+def test_two_force_fields_interleaved_over_two_systems(system, other, cutoff):
+    # each force field owns its scratch; the two systems' lists differ
+    # in size, so one field's rows run both a long and a short list
+    ff = ForceField()
+    other_ff = ForceField(cutoff=cutoff, coulomb_strength=2.0)
+    lists = [
+        (state, build_neighbor_list(state.positions, state.box, cutoff, 0.7))
+        for state in (system, other)
+    ]
+    for _ in range(2):
+        for state, nlist in lists:
+            assert_same_as_reference(ff, state, nlist)
+            assert_same_as_reference(other_ff, state, nlist)
+    if ff._rows is not None and other_ff._rows is not None:
+        assert not np.shares_memory(ff._rows, other_ff._rows)

@@ -184,3 +184,28 @@ def test_last_segment_closed_form_matches_a_general_iteration(delay, caps):
     assert np.array_equal(durations, ref_durations)
     assert np.array_equal(energy, ref_energy)
     assert durations[4] == 0.0 and energy[4] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "noise",
+    # a float, an int and the fault slowdown product a node runtime
+    # passes (noise * slowdown_factor, a NumPy scalar)
+    [1.0, 1.37, 2, 1.1 * np.float64(1.5), np.float64(0.85)],
+)
+def test_scalar_noise_matches_a_full_array(n, noise):
+    # the first phase after a decision runs under a pending cap change
+    results = []
+    for factors in (noise, np.full(n, float(noise))):
+        dom = make_domain(n=n, cap=105.0, delay=0.01)
+        dom.request_caps(200.0, now=3.0)
+        out = execute_phase(
+            COMPUTE, THETA_NODE, 0.25, dom, t_start=3.0, noise_factors=factors
+        )
+        results.append((out.durations, out.energy_joules))
+    (durations, energy), (ref_durations, ref_energy) = results
+    assert durations.shape == energy.shape == (n,)
+    assert np.array_equal(durations, ref_durations)
+    assert np.array_equal(energy, ref_energy)
+    # the change landed inside the phase
+    assert durations.min() > 0.01
