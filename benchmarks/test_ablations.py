@@ -85,7 +85,7 @@ def test_ablation_ewma_damping_under_noise(benchmark):
         res_raw = run_job(cfg, seesaw(cfg, damping="none"))
 
         def churn(res):
-            caps = np.array([r.sim_cap_mean_w for r in res.records[10:]])
+            caps = res.syncs["sim_cap_mean_w"][10:]
             return float(np.abs(np.diff(caps)).mean())
 
         return churn(res_damped), churn(res_raw)

@@ -47,18 +47,19 @@ def main() -> None:
         for name, cls in CONTROLLERS.items():
             ctl = cls(cfg.budget_w, cfg.n_sim, cfg.n_ana, THETA_NODE)
             res = run_job(cfg, ctl)
-            last = res.records[-1]
+            last = res.syncs[-1]
+            caps = f"{last['sim_cap_mean_w']:.0f}/{last['ana_cap_mean_w']:.0f} W"
             if name == "static":
                 base_time = res.total_time_s
                 print(
                     f"{name:12s} {res.total_time_s:9.1f} s   (baseline)"
-                    f"   caps {last.sim_cap_mean_w:.0f}/{last.ana_cap_mean_w:.0f} W"
+                    f"   caps {caps}"
                 )
             else:
                 gain = 100.0 * (base_time - res.total_time_s) / base_time
                 print(
                     f"{name:12s} {res.total_time_s:9.1f} s   {gain:+6.2f} %"
-                    f"   caps {last.sim_cap_mean_w:.0f}/{last.ana_cap_mean_w:.0f} W"
+                    f"   caps {caps}"
                     f"   slack {res.mean_slack * 100:5.1f} %"
                 )
 

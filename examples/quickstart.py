@@ -35,12 +35,12 @@ def main() -> None:
     )
 
     gain = 100.0 * (baseline.total_time_s - seesaw.total_time_s) / baseline.total_time_s
-    last = seesaw.records[-1]
+    last = seesaw.syncs[-1]
     print(f"static baseline : {baseline.total_time_s:9.1f} s")
     print(f"SeeSAw          : {seesaw.total_time_s:9.1f} s  ({gain:+.2f} %)")
     print(
-        f"settled split   : simulation {last.sim_cap_mean_w:.1f} W/node, "
-        f"analysis {last.ana_cap_mean_w:.1f} W/node"
+        f"settled split   : simulation {last['sim_cap_mean_w']:.1f} W/node, "
+        f"analysis {last['ana_cap_mean_w']:.1f} W/node"
     )
     print(f"mean slack      : {seesaw.mean_slack * 100:.2f} % of each interval")
 

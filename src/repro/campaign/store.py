@@ -2,7 +2,11 @@
 concurrent campaigns.
 
 Entries are pickled :class:`~repro.workloads.JobResult` objects stored
-at ``<root>/<key[:2]>/<key>.pkl``. Writes are atomic (temp file +
+at ``<root>/<key[:2]>/<key>.pkl``. A result's per-synchronization log
+is one structured array (``JobResult.syncs``), so an entry pickles as
+one array buffer, not one object per synchronization; cell keys are
+salted with a digest of the ``repro`` sources, so entries of an older
+result layout are never looked up. Writes are atomic (temp file +
 ``os.replace``) so concurrent campaigns sharing a cache directory can
 never observe a torn entry; unreadable entries are treated as misses
 and removed.

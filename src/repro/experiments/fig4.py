@@ -44,17 +44,17 @@ class StepSeries:
 
     @classmethod
     def from_result(cls, res: JobResult) -> "StepSeries":
-        r = res.records
+        s = res.syncs
         return cls(
             approach=res.controller_name,
-            steps=np.array([x.step for x in r]),
-            sim_cap_w=np.array([x.sim_cap_mean_w for x in r]),
-            ana_cap_w=np.array([x.ana_cap_mean_w for x in r]),
-            slack_norm=np.array([x.slack_norm for x in r]),
-            sim_work_s=np.array([x.sim_work_s for x in r]),
-            ana_work_s=np.array([x.ana_work_s for x in r]),
-            sim_power_w=np.array([x.sim_power_mean_w for x in r]),
-            ana_power_w=np.array([x.ana_power_mean_w for x in r]),
+            steps=s["step"],
+            sim_cap_w=s["sim_cap_mean_w"],
+            ana_cap_w=s["ana_cap_mean_w"],
+            slack_norm=s["slack_norm"],
+            sim_work_s=s["sim_work_s"],
+            ana_work_s=s["ana_work_s"],
+            sim_power_w=s["sim_power_mean_w"],
+            ana_power_w=s["ana_power_mean_w"],
         )
 
     def mean_slack_from(self, step: int = 10) -> float:

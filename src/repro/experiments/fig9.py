@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.experiments.report import format_table, heading
 from repro.experiments.runner import run_specs
 from repro.scenario import load_suite
@@ -82,8 +80,7 @@ def run_fig9(
     ]
     result = Fig9Result()
     for nodes, (res, *_) in zip(node_counts, run_specs(specs)):
-        overheads = np.array([r.overhead_s for r in res.records])
-        intervals = np.array([r.interval_s for r in res.records])
+        overheads, intervals = res.syncs["overhead_s"], res.syncs["interval_s"]
         result.relative[nodes] = (
             float((overheads / intervals).mean()),
             float(overheads.mean()),

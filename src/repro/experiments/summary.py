@@ -168,8 +168,8 @@ def run_summary(
         result.claims.append(
             Claim(claim, paper, measured, bool(predicate(measured)))
         )
-    last = direction.records[-1]
-    gap = last.ana_cap_mean_w - last.sim_cap_mean_w
+    last = direction.syncs[-1]
+    gap = float(last["ana_cap_mean_w"] - last["sim_cap_mean_w"])
     result.claims.append(
         Claim("SeeSAw gives analysis more power on MSD", "Fig. 4a", gap, gap > 0)
     )

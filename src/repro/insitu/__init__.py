@@ -11,7 +11,6 @@ from repro.insitu.replica import (
     AnalysisEnsemble,
     ReplicaKey,
     ReplicaOrderError,
-    ReplicaPool,
     SharedReplica,
     merge_slices,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "InsituResult",
     "ReplicaKey",
     "ReplicaOrderError",
-    "ReplicaPool",
     "SharedReplica",
     "merge_slices",
     "run_insitu",

@@ -70,7 +70,7 @@ from repro.insitu.costs import (
 from repro.insitu.replica import (
     AnalysisEnsemble,
     ReplicaKey,
-    ReplicaPool,
+    SharedReplica,
     merge_slices,
 )
 from repro.metrics.registry import get_metrics
@@ -84,9 +84,6 @@ from repro.workloads.profiles import PHASES
 SAMPLE_PERIOD_S = 0.01
 
 __all__ = ["InsituConfig", "InsituResult", "run_insitu"]
-
-# kept under its old private name for the analysis-side merge
-_merge_slices = merge_slices
 
 
 @dataclass(frozen=True)
@@ -179,9 +176,8 @@ def run_insitu(
     verification_failures = [0]
 
     shared = cfg.shared_replica
-    pool = ReplicaPool() if shared else None
     replica = (
-        pool.acquire(
+        SharedReplica(
             ReplicaKey(
                 dim=cfg.dim,
                 seed=cfg.seed,
@@ -428,9 +424,8 @@ def run_insitu(
     world.run(main)
     pm0 = managers[0]
     if shared:
-        hits, misses = pool.cache_stats()
-        hits += ensemble.hits
-        misses += ensemble.misses
+        hits = replica.hits + ensemble.hits
+        misses = replica.misses + ensemble.misses
     else:
         hits = misses = 0
     return InsituResult(

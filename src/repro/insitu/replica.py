@@ -19,11 +19,13 @@ This module deduplicates that host-side work while leaving the
   integrator; every other rank gets the cached result.
 * :class:`AnalysisEnsemble` owns one instance of each configured
   analysis and runs ``update(frame)`` once per synchronization (one
-  ``_merge_slices`` call instead of N), returning the shared per-
+  :func:`merge_slices` call instead of N), returning the shared per-
   analysis work estimates to every analysis rank.
-* :class:`ReplicaPool` hands out replicas keyed by the physics tuple
-  ``(dim, seed, dt, thermostat_t, n_sim_ranks)`` so a run's ranks all
-  resolve to the same instance.
+
+``run_insitu`` builds one :class:`SharedReplica` per call from the
+job's physics tuple (:class:`ReplicaKey`), so every sim rank of the
+run resolves to the same instance; a replica is a stateful trajectory,
+so it is never shared between runs.
 
 Why virtual-time bit-identity is preserved: ranks still perform every
 *virtual* action individually — the sends, allgathers, bcasts,
@@ -65,7 +67,6 @@ __all__ = [
     "AnalysisEnsemble",
     "ReplicaKey",
     "ReplicaOrderError",
-    "ReplicaPool",
     "SharedReplica",
 ]
 
@@ -209,37 +210,6 @@ class AnalysisEnsemble:
 
     def results(self) -> dict:
         return {a.name: a.result() for a in self.analyses}
-
-
-class ReplicaPool:
-    """Replicas keyed by their physics tuple.
-
-    A pool is scoped to one ``run_insitu`` invocation: every sim rank
-    of a job acquires the same :class:`SharedReplica` because the job's
-    config maps to one :class:`ReplicaKey`. (Replicas are *stateful*
-    trajectories, so a pool must never be shared between runs — a fresh
-    run must start from step 0.)
-    """
-
-    def __init__(self) -> None:
-        self._replicas: dict[ReplicaKey, SharedReplica] = {}
-
-    def acquire(self, key: ReplicaKey) -> SharedReplica:
-        replica = self._replicas.get(key)
-        if replica is None:
-            replica = SharedReplica(key)
-            self._replicas[key] = replica
-        return replica
-
-    @property
-    def replicas(self) -> int:
-        return len(self._replicas)
-
-    def cache_stats(self) -> tuple[int, int]:
-        """Aggregate (hits, misses) across the pool's replicas."""
-        hits = sum(r.hits for r in self._replicas.values())
-        misses = sum(r.misses for r in self._replicas.values())
-        return hits, misses
 
 
 def merge_slices(

@@ -10,10 +10,10 @@ imports neither.
 """
 
 from repro.workloads.lammps_proxy import (
+    SYNC_DTYPE,
     JobConfig,
     JobResult,
     ProxyJobSession,
-    SyncRecord,
     run_job,
 )
 from repro.workloads.profiles import (
@@ -33,7 +33,7 @@ __all__ = [
     "JobResult",
     "ProxyJobSession",
     "PHASES",
-    "SyncRecord",
+    "SYNC_DTYPE",
     "WorkPhase",
     "analysis_work_phases",
     "atoms_total",

@@ -57,7 +57,7 @@ from repro.workloads.profiles import (
     snapshot_bytes_per_node,
 )
 
-__all__ = ["JobConfig", "JobResult", "ProxyJobSession", "SyncRecord", "run_job"]
+__all__ = ["SYNC_DTYPE", "JobConfig", "JobResult", "ProxyJobSession", "run_job"]
 
 #: trace threads of the simulation and analysis partitions in a traced
 #: proxy run (tid 0 is the controller lane)
@@ -163,49 +163,62 @@ class JobConfig:
         return self.budget_per_node_w * self.n_nodes
 
 
-@dataclass(slots=True)
-class SyncRecord:
-    """Everything the figures need about one synchronization interval.
-
-    Slotted: an experiment holds every cell's records (400 per cell)
-    until its fold, so the per-instance ``__dict__`` is worth dropping.
-    """
-
-    step: int
-    t_start: float
-    interval_s: float
-    sim_work_s: float
-    ana_work_s: float
-    overhead_s: float
-    sync_s: float
-    #: |T_sim - T_ana| normalized by the interval (Fig. 4's black line)
-    slack_norm: float
-    sim_cap_mean_w: float
-    ana_cap_mean_w: float
-    sim_power_mean_w: float
-    ana_power_mean_w: float
-    sim_energy_j: float
-    ana_energy_j: float
+#: One row per synchronization interval: everything the figures need.
+#: ``slack_norm`` is |T_sim - T_ana| normalized by the interval
+#: (Fig. 4's black line); the ``*_mean_w`` fields are per-node means.
+SYNC_DTYPE = np.dtype(
+    [
+        ("step", np.int64),
+        ("t_start", np.float64),
+        ("interval_s", np.float64),
+        ("sim_work_s", np.float64),
+        ("ana_work_s", np.float64),
+        ("overhead_s", np.float64),
+        ("sync_s", np.float64),
+        ("slack_norm", np.float64),
+        ("sim_cap_mean_w", np.float64),
+        ("ana_cap_mean_w", np.float64),
+        ("sim_power_mean_w", np.float64),
+        ("ana_power_mean_w", np.float64),
+        ("sim_energy_j", np.float64),
+        ("ana_energy_j", np.float64),
+    ]
+)
 
 
-@dataclass
+@dataclass(eq=False)
 class JobResult:
     config: JobConfig
     controller_name: str
     total_time_s: float
-    records: list[SyncRecord]
+    #: the completed synchronizations, one ``SYNC_DTYPE`` row each;
+    #: ``syncs["slack_norm"]`` is one field's column
+    syncs: np.ndarray
     sim_trace: PowerTrace | None = None
     ana_trace: PowerTrace | None = None
+
+    def __eq__(self, other: object) -> bool:
+        """Exact equality: every column compares bit for bit."""
+        if not isinstance(other, JobResult):
+            return NotImplemented
+        return (
+            self.config == other.config
+            and self.controller_name == other.controller_name
+            and self.total_time_s == other.total_time_s
+            and self.syncs.dtype == other.syncs.dtype
+            and self.syncs.tobytes() == other.syncs.tobytes()
+            and self.sim_trace == other.sim_trace
+            and self.ana_trace == other.ana_trace
+        )
 
     @property
     def mean_slack(self) -> float:
         """Mean normalized slack from the 10th step on (paper §VII-B1
         computes the MSD slack average "calculated from the 10th
         step")."""
-        tail = [r.slack_norm for r in self.records if r.step >= 10]
-        if not tail:
-            tail = [r.slack_norm for r in self.records]
-        return float(np.mean(tail))
+        slack = self.syncs["slack_norm"]
+        tail = slack[self.syncs["step"] >= 10]
+        return float(np.mean(tail if len(tail) else slack))
 
 
 class _Partition:
@@ -364,7 +377,7 @@ class ProxyJobSession:
 
         self.t = 0.0
         self.step_index = 0
-        self.records: list[SyncRecord] = []
+        self._syncs = np.empty(cfg.n_syncs, SYNC_DTYPE)
         # Phase programs repeat: the simulation's differs only during
         # setup, the analysis's only by the set of due analyses. Each is
         # one PhaseProgram, which keys its partition's operating points.
@@ -395,7 +408,7 @@ class ProxyJobSession:
         return self.step_index >= self.cfg.n_syncs
 
     # ------------------------------------------------------------------
-    def step(self) -> SyncRecord:
+    def step(self) -> None:
         """Advance one synchronization interval."""
         if self.done:
             raise RuntimeError("job already completed")
@@ -499,26 +512,24 @@ class ProxyJobSession:
             )
 
         n_sim, n_ana = sim.n, ana.n
-        record = SyncRecord(
-            step=step,
-            t_start=t0,
-            interval_s=interval,
-            sim_work_s=sim_work,
-            ana_work_s=ana_work,
-            overhead_s=step_overhead,
-            sync_s=step_sync_s,
-            slack_norm=abs(sim_work - ana_work) / interval,
-            sim_cap_mean_w=float(add(sim.domain.requested_caps)) / n_sim,
-            ana_cap_mean_w=float(add(ana.domain.requested_caps)) / n_ana,
-            sim_power_mean_w=sim_energy_j / n_sim / interval,
-            ana_power_mean_w=ana_energy_j / n_ana / interval,
-            sim_energy_j=sim_energy_j,
-            ana_energy_j=ana_energy_j,
+        self._syncs[step - 1] = (
+            step,
+            t0,
+            interval,
+            sim_work,
+            ana_work,
+            step_overhead,
+            step_sync_s,
+            abs(sim_work - ana_work) / interval,
+            float(add(sim.domain.requested_caps)) / n_sim,
+            float(add(ana.domain.requested_caps)) / n_ana,
+            sim_energy_j / n_sim / interval,
+            ana_energy_j / n_ana / interval,
+            sim_energy_j,
+            ana_energy_j,
         )
-        self.records.append(record)
         self.t = t0 + interval
         self.step_index = step
-        return record
 
     def _programs(
         self, step: int, due: list[str]
@@ -628,11 +639,12 @@ class ProxyJobSession:
         return self.result()
 
     def result(self) -> JobResult:
+        """The job so far: one ``syncs`` row per completed interval."""
         return JobResult(
             config=self.cfg,
             controller_name=self.controller.name,
             total_time_s=self.t,
-            records=self.records,
+            syncs=self._syncs[: self.step_index],
             sim_trace=self.sim.trace,
             ana_trace=self.ana.trace,
         )

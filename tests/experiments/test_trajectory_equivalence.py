@@ -37,14 +37,10 @@ def _digest(values) -> str:
 
 
 def job_fingerprint(result) -> str:
-    values = [result.total_time_s, result.controller_name, len(result.records)]
-    for r in result.records:
-        values += [
-            r.step, r.t_start, r.interval_s, r.sim_work_s, r.ana_work_s,
-            r.overhead_s, r.sync_s, r.slack_norm, r.sim_cap_mean_w,
-            r.ana_cap_mean_w, r.sim_power_mean_w, r.ana_power_mean_w,
-            r.sim_energy_j, r.ana_energy_j,
-        ]
+    values = [result.total_time_s, result.controller_name, len(result.syncs)]
+    # tolist() rows are Python int/float tuples in SYNC_DTYPE field order
+    for row in result.syncs.tolist():
+        values += row
     return _digest(values)
 
 

@@ -18,7 +18,7 @@ from repro.insitu import (
     InsituConfig,
     ReplicaKey,
     ReplicaOrderError,
-    ReplicaPool,
+    SharedReplica,
     merge_slices,
     run_insitu,
 )
@@ -153,19 +153,8 @@ def replica_key(**kw):
     return ReplicaKey(**defaults)
 
 
-def test_pool_returns_same_replica_for_same_key():
-    pool = ReplicaPool()
-    a = pool.acquire(replica_key())
-    b = pool.acquire(replica_key())
-    assert a is b
-    assert pool.replicas == 1
-    c = pool.acquire(replica_key(seed=4))
-    assert c is not a
-    assert pool.replicas == 2
-
-
 def test_step_report_memoized_and_ordered():
-    replica = ReplicaPool().acquire(replica_key())
+    replica = SharedReplica(replica_key())
     r1a, t1a = replica.step_report(1)
     r1b, t1b = replica.step_report(1)
     assert r1a is r1b and t1a is t1b
@@ -175,7 +164,7 @@ def test_step_report_memoized_and_ordered():
 
 
 def test_snapshots_memoized_and_state_checked():
-    replica = ReplicaPool().acquire(replica_key())
+    replica = SharedReplica(replica_key())
     batch = replica.snapshots(1, at_step=0)
     assert len(batch) == 2
     assert replica.snapshots(1, at_step=0) is batch
@@ -187,7 +176,7 @@ def test_snapshots_memoized_and_state_checked():
 
 def test_shared_snapshots_match_per_rank_extraction():
     key = replica_key(n_sim_ranks=4)
-    replica = ReplicaPool().acquire(key)
+    replica = SharedReplica(key)
     batch = replica.snapshots(1, at_step=0)
     for rank in range(4):
         ref = replica.dd.snapshot(rank, step=1)

@@ -72,7 +72,7 @@ def _run(session_cls=ProxyJobSession, sink=None):
 
 
 def _bits(result):
-    return repr((result.total_time_s, result.records))
+    return result.total_time_s, result.syncs.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ def test_two_spans_per_partition_per_interval(traced):
     result, records, _, ref_records, _ = traced
     spans = _spans(records)
     assert {r["tid"] for r in spans} == {1, 2}
-    assert len(spans) <= 4 * len(result.records)
+    assert len(spans) <= 4 * len(result.syncs)
     assert len(spans) * 4 < len(_spans(ref_records))
     assert validate_spans(records) == []
     names = {r["tid"]: r["args"]["name"] for r in records if r["name"] == "thread_name"}
@@ -141,10 +141,10 @@ def test_partition_energy_matches_sync_records(traced):
     energy = defaultdict(float)
     for interval, rec in _by_interval(records):
         energy[(interval, rec["tid"])] += rec["args"]["energy_j"]
-    assert interval == len(result.records) - 1
-    for i, sync in enumerate(result.records):
-        assert energy[(i, 1)] == pytest.approx(sync.sim_energy_j, rel=REL)
-        assert energy[(i, 2)] == pytest.approx(sync.ana_energy_j, rel=REL)
+    assert interval == len(result.syncs) - 1
+    for i, sync in enumerate(result.syncs):
+        assert energy[(i, 1)] == pytest.approx(sync["sim_energy_j"], rel=REL)
+        assert energy[(i, 2)] == pytest.approx(sync["ana_energy_j"], rel=REL)
 
 
 def test_slack_args_summarize_per_rank_waits(traced):

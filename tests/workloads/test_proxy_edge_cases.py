@@ -23,7 +23,22 @@ def test_session_stepwise_equals_run():
         s1.step()
     s2 = ProxyJobSession(cfg, controller(cfg))
     res2 = s2.run()
-    assert s1.t == pytest.approx(res2.total_time_s)
+    assert s1.t == res2.total_time_s
+    assert s1.result() == res2
+
+
+def test_stopped_session_returns_completed_rows():
+    cfg = JobConfig(analyses=("vacf",), dim=8, n_nodes=8, n_verlet_steps=10, seed=2)
+    session = ProxyJobSession(cfg, controller(cfg))
+    for _ in range(5):
+        session.step()
+    part = session.result()
+    assert len(part.syncs) == 5
+    assert part.syncs["step"].tolist() == [1, 2, 3, 4, 5]
+    assert part.total_time_s == session.t
+    # the finished run's first rows are the stopped session's rows
+    full = ProxyJobSession(cfg, controller(cfg)).run()
+    assert full.syncs[:5].tobytes() == part.syncs.tobytes()
 
 
 def test_step_after_done_raises():
@@ -48,14 +63,13 @@ def test_no_analysis_due_means_no_synchronization():
     )
     ctl = controller(cfg, kind="seesaw")
     res = run_job(cfg, ctl)
-    for rec in res.records:
-        if rec.step % 5 == 0:
-            assert rec.sync_s > 0
-            assert rec.ana_work_s > 0
-        else:
-            assert rec.sync_s == 0.0
-            assert rec.overhead_s == 0.0
-            assert rec.ana_work_s == 0.0
+    s = res.syncs
+    due = s["step"] % 5 == 0
+    assert (s["sync_s"][due] > 0).all()
+    assert (s["ana_work_s"][due] > 0).all()
+    assert (s["sync_s"][~due] == 0.0).all()
+    assert (s["overhead_s"][~due] == 0.0).all()
+    assert (s["ana_work_s"][~due] == 0.0).all()
 
 
 def test_rare_analysis_does_not_starve_itself():
@@ -70,14 +84,14 @@ def test_rare_analysis_does_not_starve_itself():
         seed=3,
     )
     res = run_job(cfg, controller(cfg, kind="seesaw"))
-    assert res.records[-1].ana_cap_mean_w > THETA_NODE.rapl_min_watts + 2.0
+    assert res.syncs["ana_cap_mean_w"][-1] > THETA_NODE.rapl_min_watts + 2.0
 
 
 # ------------------------------------------------------------- extremes
 def test_minimum_size_job():
     cfg = JobConfig(analyses=("vacf",), dim=1, n_nodes=2, n_verlet_steps=5, seed=4)
     res = run_job(cfg, controller(cfg))
-    assert len(res.records) == 5
+    assert len(res.syncs) == 5
     assert res.total_time_s > 0
 
 
@@ -91,9 +105,8 @@ def test_budget_at_machine_minimum():
         seed=4,
     )
     res = run_job(cfg, controller(cfg, kind="seesaw"))
-    for rec in res.records:
-        assert rec.sim_cap_mean_w >= 98.0 - 1e-9
-        assert rec.ana_cap_mean_w >= 98.0 - 1e-9
+    assert (res.syncs["sim_cap_mean_w"] >= 98.0 - 1e-9).all()
+    assert (res.syncs["ana_cap_mean_w"] >= 98.0 - 1e-9).all()
 
 
 def test_none_cap_mode_ignores_seesaw_decisions():
@@ -107,8 +120,7 @@ def test_none_cap_mode_ignores_seesaw_decisions():
     )
     res = run_job(cfg, controller(cfg, kind="seesaw"))
     # uncapped: every node pinned at TDP regardless of the controller
-    for rec in res.records:
-        assert rec.sim_cap_mean_w == pytest.approx(THETA_NODE.tdp_watts)
+    assert res.syncs["sim_cap_mean_w"] == pytest.approx(THETA_NODE.tdp_watts)
 
 
 def test_extreme_noise_still_completes():
@@ -128,5 +140,5 @@ def test_extreme_noise_still_completes():
     res = run_job(cfg, controller(cfg, kind="seesaw"))
     assert res.total_time_s > 0
     assert np.isfinite(res.total_time_s)
-    for rec in res.records:
-        assert 98.0 - 1e-9 <= rec.sim_cap_mean_w <= 215.0 + 1e-9
+    caps = res.syncs["sim_cap_mean_w"]
+    assert ((98.0 - 1e-9 <= caps) & (caps <= 215.0 + 1e-9)).all()
