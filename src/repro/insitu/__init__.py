@@ -8,20 +8,18 @@ full-stack integration of every substrate.
 
 from repro.insitu.coupler import InsituConfig, InsituResult, run_insitu
 from repro.insitu.replica import (
-    AnalysisEnsemble,
-    ReplicaKey,
-    ReplicaOrderError,
-    SharedReplica,
+    Trajectory,
+    TrajectoryKey,
     merge_slices,
+    trajectory,
 )
 
 __all__ = [
-    "AnalysisEnsemble",
     "InsituConfig",
     "InsituResult",
-    "ReplicaKey",
-    "ReplicaOrderError",
-    "SharedReplica",
+    "Trajectory",
+    "TrajectoryKey",
     "merge_slices",
     "run_insitu",
+    "trajectory",
 ]

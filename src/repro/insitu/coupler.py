@@ -29,34 +29,24 @@ pairing, tagged exchange, count verification, collective thermo,
 pre-synchronization allocation). Virtual compute durations come from
 the engines' measured operation counts via :mod:`repro.insitu.costs`.
 
-Because the replicas are bit-identical by construction, the host-side
-physics is computed **once** by default and memoized across ranks (the
-shared-replica fast path, :mod:`repro.insitu.replica`): one Verlet
-integration per step and one analysis update per synchronization
-instead of N of each, while every rank still performs all of its
-*virtual* actions individually. ``InsituConfig(shared_replica=False)``
-restores the fully replicated execution; both paths are pinned
-bit-identical in virtual time, thermo, analysis results and allocation
-decisions by ``tests/insitu/test_replica.py``.
+The replicas are bit-identical by construction and the controller,
+the machine and the faults never touch their data, so the host-side
+physics depends on the job's physics tuple alone. It is computed once
+per tuple, before the DES starts, and memoized across calls
+(:mod:`repro.insitu.replica`); the ranks replay that trajectory while
+performing every *virtual* action individually, so virtual time, DES
+events and the controller's logs are those of a live run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis import Analysis, make_analysis
 from repro.cluster.machine import MachineSpec, theta
 from repro.core.controller import PowerController
 from repro.des.engine import Engine
 from repro.faults.injector import get_faults
-from repro.md import (
-    DomainDecomposition,
-    VelocityVerlet,
-    compute_thermo,
-    water_ion_box,
-    write_lammps_dump,
-)
-from repro.md.thermo import ThermoLog
+from repro.md.thermo import ThermoLog, ThermoRecord
 from repro.mpi.comm import Communicator, MpiWorld
 from repro.insitu.costs import (
     ANALYSIS_KIND,
@@ -67,12 +57,7 @@ from repro.insitu.costs import (
     SECONDS_PER_EXCHANGE_ATOM,
     SECONDS_PER_PAIR,
 )
-from repro.insitu.replica import (
-    AnalysisEnsemble,
-    ReplicaKey,
-    SharedReplica,
-    merge_slices,
-)
+from repro.insitu.replica import TrajectoryKey, compute_trajectory, trajectory
 from repro.metrics.registry import get_metrics
 from repro.metrics.timeseries import PeriodicSampler
 from repro.polimer import poli_init_power_manager, poli_power_alloc
@@ -101,13 +86,9 @@ class InsituConfig:
     seed: int = 2020
     thermostat_t: float | None = 1.0
     #: optional LAMMPS-dump trajectory path (step 8's "optional output
-    #: of state of S"); one frame per synchronization, written by sim
-    #: rank 0
+    #: of state of S"); one frame of the live system per
+    #: synchronization, so such a call computes its own trajectory
     dump_path: str | None = None
-    #: compute rank-invariant MD/analysis work once and share it across
-    #: ranks (:mod:`repro.insitu.replica`); ``False`` runs every rank's
-    #: own replica, the reference the fast path is pinned against
-    shared_replica: bool = True
 
     def __post_init__(self) -> None:
         if self.n_sim_ranks != self.n_ana_ranks:
@@ -127,6 +108,20 @@ class InsituConfig:
     def n_syncs(self) -> int:
         return self.n_verlet_steps // self.j
 
+    @property
+    def trajectory_key(self) -> TrajectoryKey:
+        """The physics tuple the job's trajectory depends on."""
+        return TrajectoryKey(
+            dim=self.dim,
+            seed=self.seed,
+            dt=self.dt,
+            thermostat_t=self.thermostat_t,
+            n_sim_ranks=self.n_sim_ranks,
+            j=self.j,
+            n_verlet_steps=self.n_verlet_steps,
+            analyses=tuple(self.analyses),
+        )
+
 
 @dataclass
 class InsituResult:
@@ -144,10 +139,12 @@ class InsituResult:
     verification_failures: int = 0
     #: DES callbacks fired — deterministic for a given engine version
     events_executed: int = 0
-    #: whether the shared-replica fast path was active
-    shared_replica: bool = False
-    #: replica memo hits/misses (0/0 on the per-rank path)
+    #: rank requests served from the trajectory (every step report,
+    #: snapshot batch and analysis update a rank replays)
     replica_hits: int = 0
+    #: host computations this call made: one per Verlet step plus a
+    #: snapshot batch and an analysis update per sync when it computed
+    #: the trajectory, 0 when it replayed a memoized one
     replica_misses: int = 0
     #: injected fault-marker rows that fired during this run (empty
     #: unless a FaultInjector with a non-empty plan was installed)
@@ -171,25 +168,19 @@ def run_insitu(
     world = MpiWorld(engine, cfg.world_size, cost=machine.interconnect())
 
     thermo_out = ThermoLog()
-    analysis_out: dict = {}
     managers: dict[int, object] = {}
     verification_failures = [0]
 
-    shared = cfg.shared_replica
-    replica = (
-        SharedReplica(
-            ReplicaKey(
-                dim=cfg.dim,
-                seed=cfg.seed,
-                dt=cfg.dt,
-                thermostat_t=cfg.thermostat_t,
-                n_sim_ranks=cfg.n_sim_ranks,
-            )
-        )
-        if shared
-        else None
-    )
-    ensemble = AnalysisEnsemble(cfg.analyses) if shared else None
+    # The physics, computed (or found in the memo) before the DES
+    # starts; a dump needs the live system, so it computes its own.
+    key = cfg.trajectory_key
+    if cfg.dump_path is not None:
+        traj = compute_trajectory(key, dump_path=cfg.dump_path)
+        computed = True
+    else:
+        before = trajectory.cache_info().misses
+        traj = trajectory(key)
+        computed = trajectory.cache_info().misses != before
 
     # The null tracer's begin/end are no-ops, so the per-sync span
     # bookkeeping below costs a method call when tracing is off.
@@ -234,19 +225,9 @@ def run_insitu(
         managers[rank] = pm
         yield from pm.initialize()
 
-        if shared:
-            system = replica.system
-            integrator = None
-            dd = None
-        else:
-            system = water_ion_box(dim=cfg.dim, seed=cfg.seed)
-            integrator = VelocityVerlet(
-                system, dt=cfg.dt, thermostat_t=cfg.thermostat_t
-            )
-            dd = DomainDecomposition(system, cfg.n_sim_ranks)
         if rank == 0:
             # analysis partition needs the box to rebuild frames
-            yield comm.bcast(rank, system.box.lengths, root=0)
+            yield comm.bcast(rank, traj.box_lengths, root=0)
         else:
             yield comm.bcast(rank, None, root=0)
         node = pm.node
@@ -263,12 +244,7 @@ def run_insitu(
             exchange_span = tracer.begin(
                 "insitu.exchange", cat="insitu", tid=tid
             )
-            if shared:
-                snap = replica.snapshots(sync, at_step=(sync - 1) * cfg.j)[
-                    rank
-                ]
-            else:
-                snap = dd.snapshot(rank, step=sync)
+            snap = traj.snapshots[sync - 1][rank]
             yield comm.send(rank, dest=pair_rank, payload=snap, tag=sync)
             yield node.compute(
                 PHASES["comm"], snap.n_atoms * SECONDS_PER_EXCHANGE_ATOM
@@ -284,16 +260,7 @@ def run_insitu(
                     "insitu.step", cat="insitu", tid=tid
                 )
                 # steps 1, 5, 6: integrate, neighbor, force
-                if shared:
-                    report, thermo_rec = replica.step_report(
-                        (sync - 1) * cfg.j + k + 1
-                    )
-                else:
-                    report = integrator.step()
-                    # thermo is captured per-step on the owning replica
-                    thermo_rec = (
-                        compute_thermo(system, report) if rank == 0 else None
-                    )
+                report, thermo_rec = traj.steps[(sync - 1) * cfg.j + k]
                 yield node.compute(
                     PHASES["integrate"],
                     n_local * SECONDS_PER_ATOM_INTEGRATE,
@@ -320,7 +287,7 @@ def run_insitu(
                 )
                 if rank == 0:
                     # cross-rank reduced energy replaces the local one
-                    record = type(thermo_rec)(
+                    record = ThermoRecord(
                         step=thermo_rec.step,
                         temperature=thermo_rec.temperature,
                         kinetic_energy=thermo_rec.kinetic_energy,
@@ -330,9 +297,6 @@ def run_insitu(
                     )
                     thermo_out.append(record)
                 step_span.end()
-            if rank == 0 and cfg.dump_path is not None:
-                # step 8: optional output of the simulation state
-                write_lammps_dump(cfg.dump_path, system, step=sync)
             sync_span.end()
         return None
 
@@ -348,12 +312,7 @@ def run_insitu(
         )
         managers[rank] = pm
         yield from pm.initialize()
-        box_lengths = yield comm.bcast(rank, None, root=0)
-        analyses: list[Analysis] = (
-            ensemble.analyses
-            if shared
-            else [make_analysis(name) for name in cfg.analyses]
-        )
+        yield comm.bcast(rank, None, root=0)  # the box, as a live run ships it
         node = pm.node
         local = rank - cfg.n_sim_ranks
         pair_rank = local  # world rank of paired simulation rank
@@ -373,45 +332,20 @@ def run_insitu(
             )
             if count != snap.n_atoms:  # step-4 verification
                 verification_failures[0] += 1
-            slices = yield pm.part_comm.allgather(pm.part_rank, snap)
+            yield pm.part_comm.allgather(pm.part_rank, snap)
             exchange_span.end(atoms=snap.n_atoms)
-            frame_time = sync * cfg.j * cfg.dt
-            # step 7: run the analyses, charging measured work. On the
-            # fast path the merge + updates run once per sync (first
-            # rank to arrive); every rank still charges the shared
-            # work estimate to its own node.
-            if shared:
-                work = ensemble.update(
-                    sync,
-                    lambda: merge_slices(
-                        slices, box_lengths, time=frame_time
-                    ),
+            # step 7: the merge and analyses of this sync are in the
+            # trajectory; every rank charges their measured work to its
+            # own node
+            for name, work in zip(cfg.analyses, traj.work[sync - 1]):
+                analysis_span = tracer.begin(
+                    f"insitu.analysis.{name}", cat="insitu", tid=tid
                 )
-                for a in analyses:
-                    analysis_span = tracer.begin(
-                        f"insitu.analysis.{a.name}", cat="insitu", tid=tid
-                    )
-                    yield node.compute(
-                        ANALYSIS_KIND[a.name],
-                        work[a.name] * SECONDS_PER_ANALYSIS_OP[a.name],
-                    )
-                    analysis_span.end()
-            else:
-                frame = merge_slices(slices, box_lengths, time=frame_time)
-                for a in analyses:
-                    analysis_span = tracer.begin(
-                        f"insitu.analysis.{a.name}", cat="insitu", tid=tid
-                    )
-                    a.update(frame)
-                    yield node.compute(
-                        ANALYSIS_KIND[a.name],
-                        a.work_estimate * SECONDS_PER_ANALYSIS_OP[a.name],
-                    )
-                    analysis_span.end()
+                yield node.compute(
+                    ANALYSIS_KIND[name], work * SECONDS_PER_ANALYSIS_OP[name]
+                )
+                analysis_span.end()
             sync_span.end()
-        if local == 0:
-            for a in analyses:
-                analysis_out[a.name] = a.result()
         return None
 
     def main(rank: int, comm: Communicator):
@@ -423,21 +357,22 @@ def run_insitu(
     fault_mark = faults.log_mark() if faults.enabled else 0
     world.run(main)
     pm0 = managers[0]
-    if shared:
-        hits = replica.hits + ensemble.hits
-        misses = replica.misses + ensemble.misses
-    else:
-        hits = misses = 0
+    # every rank replays each step / snapshot batch / analysis update of
+    # the trajectory once
+    hits = cfg.n_sim_ranks * traj.computations
+    misses = traj.computations if computed else 0
+    if metrics.enabled:
+        metrics.counter("insitu.replica.hits").inc(hits)
+        metrics.counter("insitu.replica.misses").inc(misses)
     return InsituResult(
         config=cfg,
         virtual_time_s=engine.now,
         thermo=thermo_out,
-        analysis_results=analysis_out,
+        analysis_results=traj.analysis_results(),
         allocation_log=list(pm0.allocation_log),
         observation_log=list(pm0.observation_log),
         verification_failures=verification_failures[0],
         events_executed=engine.events_executed,
-        shared_replica=shared,
         replica_hits=hits,
         replica_misses=misses,
         fault_events=faults.log_since(fault_mark) if faults.enabled else [],

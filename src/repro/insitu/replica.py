@@ -1,215 +1,166 @@
-"""Shared-replica fast path: compute rank-invariant work once.
+"""One trajectory per physics key, computed once and replayed.
 
 The coupler's execution model (see :mod:`repro.insitu.coupler`) has
-every simulation rank advance an *identical replica* of the global
-system — deterministic seeding makes the N per-rank integrators
-bit-for-bit interchangeable — and every analysis rank run the same
-analyses over the same merged frame. A ``run_insitu`` job with 2×N
-ranks therefore performs N identical Verlet integrations per step and
-N identical analysis updates per synchronization: host wall time scales
-as O(ranks × atoms) for physics that is rank-invariant by construction.
+every simulation rank advance an identical replica of the global system
+and every analysis rank run the same analyses over the same merged
+frame. None of that physics depends on anything but the job's physics
+tuple (:class:`TrajectoryKey`): the controller only moves power between
+the partitions, the machine only prices time, and no fault kind touches
+MD or analysis data (:mod:`repro.faults.plan`).
 
-This module deduplicates that host-side work while leaving the
-*virtual* execution untouched:
+So the physics of a job is built once, eagerly, before the DES starts:
+:func:`compute_trajectory` integrates the replica and runs the analyses
+in the protocol's order and returns an immutable :class:`Trajectory`
+(box, per-step reports and thermo records, per-sync snapshot batches and
+analysis work estimates, final analysis results). :func:`trajectory`
+keeps the last :data:`MEMO_SIZE` trajectories in a process-wide LRU, so
+every ``run_insitu`` call with the same key replays the same one.
 
-* :class:`SharedReplica` owns the one real :class:`VelocityVerlet`
-  integrator + :class:`ParticleSystem` + :class:`DomainDecomposition`
-  and memoizes per-step :class:`StepReport`/thermo records and per-sync
-  domain snapshots. The first rank to request a step advances the
-  integrator; every other rank gets the cached result.
-* :class:`AnalysisEnsemble` owns one instance of each configured
-  analysis and runs ``update(frame)`` once per synchronization (one
-  :func:`merge_slices` call instead of N), returning the shared per-
-  analysis work estimates to every analysis rank.
-
-``run_insitu`` builds one :class:`SharedReplica` per call from the
-job's physics tuple (:class:`ReplicaKey`), so every sim rank of the
-run resolves to the same instance; a replica is a stateful trajectory,
-so it is never shared between runs.
-
-Why virtual-time bit-identity is preserved: ranks still perform every
-*virtual* action individually — the sends, allgathers, bcasts,
-``node.compute`` charges and controller interactions are untouched —
-and all virtual durations derive from values (atom counts, pair counts,
-rebuild flags, analysis work estimates) that are bit-identical between
-the memoized results and what each rank's private replica would have
-produced. The DES event trajectory, thermo log, analysis results and
-allocation log are therefore unchanged; the property tests in
-``tests/insitu/test_replica.py`` pin this for multiple controllers and
-rank counts.
-
-Ordering safety: the per-sync world collective (``poli_power_alloc``)
-and the per-step thermo allreduce mean no rank can request step ``t+1``
-(or sync ``s+1`` snapshots) before every rank has requested step ``t``
-(sync ``s``), so lazy advance-on-first-request is sound. The memoizers
-still assert monotone requests and raise :class:`ReplicaOrderError` on
-any out-of-order access rather than silently serving stale state.
-
-The fast path is on by default; ``InsituConfig(shared_replica=False)``
-selects the fully replicated per-rank execution for one job, which is
-the reference the equivalence tests compare against.
+Replay keeps the virtual execution whole: ranks still make every send,
+collective, ``node.compute`` charge and controller call, and each
+virtual duration derives from values the trajectory holds bit for bit
+(atom counts, pair counts, rebuild flags, analysis work estimates). A
+trajectory is read-only: its arrays are not writeable, and each call
+gets its own copy of the analysis results, so no call can change what a
+later one replays. ``tests/insitu/test_insitu_fingerprints.py`` pins
+whole results, computed and replayed, against the lazy per-request
+memo this module replaced.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis import Analysis, Frame, make_analysis
-from repro.md import DomainDecomposition, VelocityVerlet, compute_thermo, water_ion_box
+from repro.analysis import Frame, make_analysis
+from repro.md import (
+    DomainDecomposition,
+    VelocityVerlet,
+    compute_thermo,
+    water_ion_box,
+    write_lammps_dump,
+)
 from repro.md.domain import Snapshot
 from repro.md.thermo import ThermoRecord
 from repro.md.verlet import StepReport
-from repro.metrics.registry import get_metrics
 
 __all__ = [
-    "AnalysisEnsemble",
-    "ReplicaKey",
-    "ReplicaOrderError",
-    "SharedReplica",
+    "MEMO_SIZE",
+    "Trajectory",
+    "TrajectoryKey",
+    "compute_trajectory",
+    "merge_slices",
+    "trajectory",
 ]
 
-class ReplicaOrderError(RuntimeError):
-    """A rank requested replica state out of protocol order."""
+#: trajectories the process-wide memo keeps (least recently used out)
+MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
-class ReplicaKey:
-    """The physics tuple that makes two sim-rank replicas identical."""
+class TrajectoryKey:
+    """The physics tuple that fixes an in-situ job's trajectory."""
 
     dim: int
     seed: int
     dt: float
     thermostat_t: float | None
     n_sim_ranks: int
+    j: int
+    n_verlet_steps: int
+    analyses: tuple[str, ...]
+
+    @property
+    def n_syncs(self) -> int:
+        return self.n_verlet_steps // self.j
 
 
-class SharedReplica:
-    """One real MD replica memoized across all simulation ranks."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """The read-only physics of one in-situ job."""
 
-    def __init__(self, key: ReplicaKey) -> None:
-        self.key = key
-        self.system = water_ion_box(dim=key.dim, seed=key.seed)
-        self.integrator = VelocityVerlet(
-            self.system, dt=key.dt, thermostat_t=key.thermostat_t
-        )
-        self.dd = DomainDecomposition(self.system, key.n_sim_ranks)
-        #: step -> (StepReport, ThermoRecord); the thermo record is
-        #: captured at advance time because another rank may advance the
-        #: live system before rank 0 gets to its thermo output
-        self._steps: dict[int, tuple[StepReport, ThermoRecord]] = {}
-        #: sync -> per-rank snapshots (previous sync evicted on miss)
-        self._snapshots: dict[int, list[Snapshot]] = {}
-        self.hits = 0
-        self.misses = 0
-        metrics = get_metrics()
-        self._metrics = metrics if metrics.enabled else None
+    box_lengths: np.ndarray
+    #: (report, thermo record) of Verlet steps 1, 2, ...
+    steps: tuple[tuple[StepReport, ThermoRecord], ...]
+    #: per sync, the rank-ordered snapshot batch it ships
+    snapshots: tuple[tuple[Snapshot, ...], ...]
+    #: per sync, each analysis's work estimate, in the key's order
+    work: tuple[tuple[int, ...], ...]
+    #: (name, final result) of each analysis, in the key's order
+    results: tuple[tuple[str, object], ...]
 
-    # ------------------------------------------------------------------
-    def _hit(self) -> None:
-        self.hits += 1
-        if self._metrics is not None:
-            self._metrics.counter("insitu.replica.hits").inc()
+    @property
+    def computations(self) -> int:
+        """Host computations behind it: one per Verlet step, one
+        snapshot batch and one analysis update per sync."""
+        return len(self.steps) + 2 * len(self.snapshots)
 
-    def _miss(self) -> None:
-        self.misses += 1
-        if self._metrics is not None:
-            self._metrics.counter("insitu.replica.misses").inc()
-
-    # ------------------------------------------------------------------
-    def step_report(self, step: int) -> tuple[StepReport, ThermoRecord]:
-        """The report + thermo record of Verlet step ``step`` (1-based).
-
-        The first request advances the shared integrator; the memoized
-        pair is served to every other rank. Advancing more than one step
-        at a time would mean a rank skipped the per-step collective, so
-        it is rejected.
-        """
-        cached = self._steps.get(step)
-        if cached is not None:
-            self._hit()
-            return cached
-        if step != self.integrator.step_count + 1:
-            raise ReplicaOrderError(
-                f"step {step} requested with integrator at "
-                f"{self.integrator.step_count}"
-            )
-        self._miss()
-        report = self.integrator.step()
-        record = compute_thermo(self.system, report)
-        result = (report, record)
-        self._steps[step] = result
-        return result
-
-    def snapshots(self, sync: int, at_step: int) -> list[Snapshot]:
-        """All ranks' domain snapshots for synchronization ``sync``.
-
-        ``at_step`` is the Verlet step count the system must be at when
-        the batch is extracted (``(sync - 1) * j`` for the coupler's
-        protocol); a mismatch on first request means a rank raced past
-        the synchronization collective.
-        """
-        cached = self._snapshots.get(sync)
-        if cached is not None:
-            self._hit()
-            return cached
-        if self.integrator.step_count != at_step:
-            raise ReplicaOrderError(
-                f"sync {sync} snapshots requested at step "
-                f"{self.integrator.step_count}, expected {at_step}"
-            )
-        self._miss()
-        # by the time any rank reaches sync s+1 every rank has consumed
-        # sync s (power_alloc is a world collective), so keep one batch
-        self._snapshots.clear()
-        batch = self.dd.snapshot_all(step=sync)
-        self._snapshots[sync] = batch
-        return batch
+    def analysis_results(self) -> dict:
+        """A private, writeable copy of the final analysis results."""
+        return {name: copy.deepcopy(result) for name, result in self.results}
 
 
-class AnalysisEnsemble:
-    """One set of analyses updated once per sync, shared across ranks."""
+def _read_only(value):
+    """Mark every array in a nested result not writeable, in place."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, Snapshot):
+        for field in dataclasses.fields(value):
+            _read_only(getattr(value, field.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            _read_only(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _read_only(item)
+    return value
 
-    def __init__(self, names: tuple[str, ...]) -> None:
-        self.analyses: list[Analysis] = [make_analysis(n) for n in names]
-        self._work: dict[int, dict[str, int]] = {}
-        self._last_sync = 0
-        self.hits = 0
-        self.misses = 0
-        metrics = get_metrics()
-        self._metrics = metrics if metrics.enabled else None
 
-    def update(self, sync: int, frame_factory) -> dict[str, int]:
-        """Per-analysis work estimates for ``sync``.
+def compute_trajectory(
+    key: TrajectoryKey, dump_path: str | None = None
+) -> Trajectory:
+    """Integrate and analyse ``key``'s job in the coupler's order.
 
-        ``frame_factory`` builds the merged frame; it is only called on
-        the first request per sync, so the slice merge also runs once.
-        """
-        cached = self._work.get(sync)
-        if cached is not None:
-            self.hits += 1
-            if self._metrics is not None:
-                self._metrics.counter("insitu.replica.hits").inc()
-            return cached
-        if sync != self._last_sync + 1:
-            raise ReplicaOrderError(
-                f"analysis sync {sync} requested after {self._last_sync}"
-            )
-        self.misses += 1
-        if self._metrics is not None:
-            self._metrics.counter("insitu.replica.misses").inc()
-        frame: Frame = frame_factory()
-        work: dict[str, int] = {}
-        for a in self.analyses:
+    The sync-``s`` batch is taken at step ``(s - 1) * j``, merged and
+    analysed, and then ``j`` steps run, each followed by its thermo
+    record. ``dump_path`` appends one LAMMPS-dump frame of the live
+    system at the end of every sync (step 8's optional output).
+    """
+    system = water_ion_box(dim=key.dim, seed=key.seed)
+    integrator = VelocityVerlet(system, dt=key.dt, thermostat_t=key.thermostat_t)
+    dd = DomainDecomposition(system, key.n_sim_ranks)
+    analyses = [make_analysis(name) for name in key.analyses]
+    box_lengths = _read_only(system.box.lengths.copy())
+    steps, snapshots, work = [], [], []
+    for sync in range(1, key.n_syncs + 1):
+        batch = dd.snapshot_all(step=sync)
+        frame = merge_slices(batch, box_lengths, time=sync * key.j * key.dt)
+        for a in analyses:
             a.update(frame)
-            work[a.name] = a.work_estimate
-        self._work[sync] = work
-        self._last_sync = sync
-        return work
+        work.append(tuple(a.work_estimate for a in analyses))
+        snapshots.append(_read_only(tuple(batch)))
+        for _ in range(key.j):
+            report = integrator.step()
+            steps.append((report, compute_thermo(system, report)))
+        if dump_path is not None:
+            write_lammps_dump(dump_path, system, step=sync)
+    return Trajectory(
+        box_lengths=box_lengths,
+        steps=tuple(steps),
+        snapshots=tuple(snapshots),
+        work=tuple(work),
+        results=_read_only(tuple((a.name, a.result()) for a in analyses)),
+    )
 
-    def results(self) -> dict:
-        return {a.name: a.result() for a in self.analyses}
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def trajectory(key: TrajectoryKey) -> Trajectory:
+    """``key``'s trajectory, computed on first use and then memoized."""
+    return compute_trajectory(key)
 
 
 def merge_slices(

@@ -109,8 +109,9 @@ class DomainDecomposition:
 
         Computes the atom→rank map and the unwrapped coordinates once
         instead of once per rank; each returned snapshot is bit-identical
-        to the corresponding ``snapshot(rank, step)``. This is the
-        shared-replica fast path's extraction kernel.
+        to the corresponding ``snapshot(rank, step)``. The in-situ
+        trajectory (:mod:`repro.insitu.replica`) stores one such batch
+        per synchronization.
         """
         sys_ = self.system
         ranks = self.rank_of_atoms()

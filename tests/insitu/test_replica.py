@@ -1,11 +1,16 @@
-"""Shared-replica fast path: bit-identity, memoization, merge and the
-per-job switch.
+"""The replayed trajectory: per-rank equivalence, memoization,
+isolation, accounting and the slice merge.
 
-The headline property test pins the contract the fast path must keep:
-a run with ``shared_replica=True`` is **bit-identical** to the fully
-replicated run in virtual time, DES event count, thermo log, analysis
-results and allocation log — for multiple controllers and rank counts.
+The coupler's premise is that the N simulation ranks' replicas are
+interchangeable, so one computed trajectory stands for all of them. The
+per-rank tests below step N independent :class:`VelocityVerlet`
+replicas from the same seed, as the removed per-rank coupler path did,
+and require the cached :class:`Trajectory` to match them bit for bit.
+Whole ``run_insitu`` results are pinned separately, computed and
+replayed, by ``test_insitu_fingerprints.py``.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -13,16 +18,15 @@ import pytest
 from repro.analysis import frame_from_system, make_analysis
 from repro.cluster.node import THETA_NODE
 from repro.core import SeeSAwController, StaticController, TimeAwareController
-from repro.insitu import (
-    AnalysisEnsemble,
-    InsituConfig,
-    ReplicaKey,
-    ReplicaOrderError,
-    SharedReplica,
-    merge_slices,
-    run_insitu,
+from repro.insitu import InsituConfig, merge_slices, run_insitu, trajectory
+from repro.insitu.replica import MEMO_SIZE, TrajectoryKey, compute_trajectory
+from repro.md import (
+    DomainDecomposition,
+    VelocityVerlet,
+    compute_thermo,
+    water_ion_box,
+    write_lammps_dump,
 )
-from repro.md import VelocityVerlet, water_ion_box
 from repro.md.domain import Snapshot
 
 CONTROLLERS = {
@@ -60,132 +64,157 @@ def assert_tree_equal(a, b, path=""):
         assert a == b, f"{path}: {a} != {b}"
 
 
-# ------------------------------------------------------------ property test
+def assert_snapshot_equal(got: Snapshot, ref: Snapshot) -> None:
+    assert got.step == ref.step
+    for field in ("positions", "velocities", "types", "molecule_ids", "atom_ids"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def trajectory_key(**kw) -> TrajectoryKey:
+    defaults = dict(
+        dim=1,
+        seed=3,
+        dt=0.0005,
+        thermostat_t=1.0,
+        n_sim_ranks=2,
+        j=1,
+        n_verlet_steps=3,
+        analyses=("rdf", "vacf", "msd"),
+    )
+    defaults.update(kw)
+    return TrajectoryKey(**defaults)
+
+
+# ------------------------------------------------ per-rank equivalence
+
+
+def check_against_per_rank_replicas(cfg: InsituConfig, result) -> None:
+    """Step ``n_sim_ranks`` independent replicas from the job's seed, as
+    the per-rank coupler did (each rank its own integrator and its own
+    slice; analyses over the merged slices), and require the trajectory
+    the call replayed, and the call's results, to match bit for bit."""
+    traj = trajectory(cfg.trajectory_key)
+    replicas = []
+    for _ in range(cfg.n_sim_ranks):
+        system = water_ion_box(dim=cfg.dim, seed=cfg.seed)
+        integrator = VelocityVerlet(system, dt=cfg.dt, thermostat_t=cfg.thermostat_t)
+        replicas.append(
+            (system, integrator, DomainDecomposition(system, cfg.n_sim_ranks))
+        )
+    analyses = [make_analysis(name) for name in cfg.analyses]
+    box_lengths = replicas[0][0].box.lengths
+    assert np.array_equal(traj.box_lengths, box_lengths)
+    thermo = []
+    for sync in range(1, cfg.n_syncs + 1):
+        slices = [dd.snapshot(rank, step=sync) for rank, (_, _, dd) in enumerate(replicas)]
+        for got, ref in zip(traj.snapshots[sync - 1], slices, strict=True):
+            assert_snapshot_equal(got, ref)
+        frame = merge_slices(slices, box_lengths, time=sync * cfg.j * cfg.dt)
+        for a in analyses:
+            a.update(frame)
+        assert traj.work[sync - 1] == tuple(a.work_estimate for a in analyses)
+        for k in range(cfg.j):
+            reports = [integrator.step() for _, integrator, _ in replicas]
+            got_report, got_record = traj.steps[(sync - 1) * cfg.j + k]
+            assert all(report == got_report for report in reports)
+            record = compute_thermo(replicas[0][0], reports[0])
+            assert got_record == record
+            thermo.append(record)
+    assert_tree_equal(result.analysis_results, {a.name: a.result() for a in analyses})
+    # the call's thermo rows carry the replicas' values; only the
+    # potential energy is the cross-rank reduction
+    assert [(r.step, r.temperature, r.kinetic_energy, r.density) for r in thermo] == [
+        (r.step, r.temperature, r.kinetic_energy, r.density) for r in result.thermo.records
+    ]
+    assert result.verification_failures == 0
 
 
 @pytest.mark.parametrize("kind", ["static", "seesaw"])
 @pytest.mark.parametrize("ranks", [2, 4])
 def test_shared_and_per_rank_runs_bit_identical(kind, ranks):
     cfg = InsituConfig(
-        n_sim_ranks=ranks,
-        n_ana_ranks=ranks,
-        n_verlet_steps=6,
-        seed=11,
-        shared_replica=True,
+        n_sim_ranks=ranks, n_ana_ranks=ranks, n_verlet_steps=6, seed=11
     )
-    cfg_off = InsituConfig(
-        n_sim_ranks=ranks,
-        n_ana_ranks=ranks,
-        n_verlet_steps=6,
-        seed=11,
-        shared_replica=False,
-    )
-    fast = run_insitu(cfg, build_controller(kind, cfg))
-    slow = run_insitu(cfg_off, build_controller(kind, cfg_off))
-
-    assert fast.shared_replica and not slow.shared_replica
-    # virtual time + DES trajectory
-    assert fast.virtual_time_s == slow.virtual_time_s
-    assert fast.events_executed == slow.events_executed
-    # thermo log (exact float equality on every record)
-    assert fast.thermo.records == slow.thermo.records
-    # analysis science
-    assert_tree_equal(fast.analysis_results, slow.analysis_results)
-    # controller decisions
-    assert len(fast.allocation_log) == len(slow.allocation_log)
-    for (sa, aa), (sb, ab) in zip(fast.allocation_log, slow.allocation_log):
-        assert sa == sb
-        assert np.array_equal(aa.sim_caps_w, ab.sim_caps_w)
-        assert np.array_equal(aa.ana_caps_w, ab.ana_caps_w)
-    assert fast.verification_failures == slow.verification_failures == 0
+    check_against_per_rank_replicas(cfg, run_insitu(cfg, build_controller(kind, cfg)))
 
 
 def test_time_aware_controller_also_bit_identical():
-    cfg = InsituConfig(
-        n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4, shared_replica=True
+    cfg = InsituConfig(n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4, j=2)
+    check_against_per_rank_replicas(
+        cfg, run_insitu(cfg, build_controller("time-aware", cfg))
     )
-    cfg_off = InsituConfig(
-        n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4, shared_replica=False
-    )
-    fast = run_insitu(cfg, build_controller("time-aware", cfg))
-    slow = run_insitu(cfg_off, build_controller("time-aware", cfg_off))
-    assert fast.virtual_time_s == slow.virtual_time_s
-    assert fast.events_executed == slow.events_executed
-    assert fast.thermo.records == slow.thermo.records
-
-
-def test_fast_path_dedup_accounting():
-    """N ranks, one integration: misses are rank-independent, hits scale
-    with the redundant rank count."""
-    cfg = InsituConfig(
-        n_sim_ranks=4, n_ana_ranks=4, n_verlet_steps=6, shared_replica=True
-    )
-    res = run_insitu(cfg, build_controller("static", cfg))
-    # misses: one per step + one snapshot batch + one ensemble update
-    # per sync
-    assert res.replica_misses == cfg.n_verlet_steps + 2 * cfg.n_syncs
-    # every other access is a hit: (ranks-1) redundant requests each
-    assert res.replica_hits == (cfg.n_sim_ranks - 1) * res.replica_misses
 
 
 def test_dump_identical_between_modes(tmp_path):
-    paths = {}
-    for mode in (True, False):
-        p = tmp_path / f"dump-{mode}.lammpstrj"
-        cfg = InsituConfig(
-            n_sim_ranks=2,
-            n_ana_ranks=2,
-            n_verlet_steps=4,
-            dump_path=str(p),
-            shared_replica=mode,
+    """A dump call writes the live system at each sync end: the same
+    bytes as a per-rank replica dumped by hand, whether or not the memo
+    already holds the job's trajectory."""
+    cfg = InsituConfig(n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4, j=2)
+    reference = tmp_path / "reference.lammpstrj"
+    system = water_ion_box(dim=cfg.dim, seed=cfg.seed)
+    integrator = VelocityVerlet(system, dt=cfg.dt, thermostat_t=cfg.thermostat_t)
+    for sync in range(1, cfg.n_syncs + 1):
+        for _ in range(cfg.j):
+            integrator.step()
+        write_lammps_dump(str(reference), system, step=sync)
+    for warm in (False, True):
+        trajectory.cache_clear()
+        if warm:
+            run_insitu(cfg, build_controller("static", cfg))
+        path = tmp_path / f"dump-{warm}.lammpstrj"
+        dump_cfg = InsituConfig(
+            n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4, j=2, dump_path=str(path)
         )
-        run_insitu(cfg, build_controller("static", cfg))
-        paths[mode] = p
-    assert paths[True].read_text() == paths[False].read_text()
+        res = run_insitu(dump_cfg, build_controller("static", dump_cfg))
+        assert path.read_bytes() == reference.read_bytes()
+        # the dump call computed its own trajectory and cached nothing
+        assert res.replica_misses == cfg.n_verlet_steps + 2 * cfg.n_syncs
+        assert trajectory.cache_info().currsize == int(warm)
 
 
-# ------------------------------------------------------------ SharedReplica
-
-
-def replica_key(**kw):
-    defaults = dict(dim=1, seed=3, dt=0.0005, thermostat_t=1.0, n_sim_ranks=2)
-    defaults.update(kw)
-    return ReplicaKey(**defaults)
+# ------------------------------------------------------------ Trajectory
 
 
 def test_step_report_memoized_and_ordered():
-    replica = SharedReplica(replica_key())
-    r1a, t1a = replica.step_report(1)
-    r1b, t1b = replica.step_report(1)
-    assert r1a is r1b and t1a is t1b
-    assert replica.misses == 1 and replica.hits == 1
-    with pytest.raises(ReplicaOrderError):
-        replica.step_report(3)  # skipping step 2
+    trajectory.cache_clear()
+    key = trajectory_key()
+    traj = trajectory(key)
+    assert trajectory(key) is traj
+    assert [report.step for report, _ in traj.steps] == [1, 2, 3]
+    assert [record.step for _, record in traj.steps] == [1, 2, 3]
+    assert traj.computations == 3 + 2 * 3
 
 
 def test_snapshots_memoized_and_state_checked():
-    replica = SharedReplica(replica_key())
-    batch = replica.snapshots(1, at_step=0)
-    assert len(batch) == 2
-    assert replica.snapshots(1, at_step=0) is batch
-    # requesting sync 2 without having advanced the integrator is a
-    # protocol violation, not a silent stale serve
-    with pytest.raises(ReplicaOrderError):
-        replica.snapshots(2, at_step=1)
+    """The cached batches are served as they are and cannot be written."""
+    trajectory.cache_clear()
+    key = trajectory_key(n_verlet_steps=2)
+    traj = trajectory(key)
+    assert len(traj.snapshots) == 2
+    assert all(len(batch) == key.n_sim_ranks for batch in traj.snapshots)
+    assert [batch[0].step for batch in traj.snapshots] == [1, 2]
+    assert trajectory(key).snapshots[1] is traj.snapshots[1]
+    for batch in traj.snapshots:
+        for snap in batch:
+            for field in ("positions", "velocities", "types", "molecule_ids", "atom_ids"):
+                array = getattr(snap, field)
+                assert not array.flags.writeable, field
+                with pytest.raises(ValueError):
+                    array[...] = 0
+    assert not traj.box_lengths.flags.writeable
 
 
 def test_shared_snapshots_match_per_rank_extraction():
-    key = replica_key(n_sim_ranks=4)
-    replica = SharedReplica(key)
-    batch = replica.snapshots(1, at_step=0)
-    for rank in range(4):
-        ref = replica.dd.snapshot(rank, step=1)
-        got = batch[rank]
-        assert np.array_equal(got.positions, ref.positions)
-        assert np.array_equal(got.velocities, ref.velocities)
-        assert np.array_equal(got.types, ref.types)
-        assert np.array_equal(got.molecule_ids, ref.molecule_ids)
-        assert np.array_equal(got.atom_ids, ref.atom_ids)
+    key = trajectory_key(n_sim_ranks=4, n_verlet_steps=2)
+    traj = compute_trajectory(key)
+    system = water_ion_box(dim=key.dim, seed=key.seed)
+    integrator = VelocityVerlet(system, dt=key.dt, thermostat_t=key.thermostat_t)
+    dd = DomainDecomposition(system, key.n_sim_ranks)
+    for sync, batch in enumerate(traj.snapshots, start=1):
+        for rank in range(key.n_sim_ranks):
+            assert_snapshot_equal(batch[rank], dd.snapshot(rank, step=sync))
+        integrator.step()
 
 
 # ------------------------------------------------------------ merge_slices
@@ -244,7 +273,7 @@ def test_merge_slices_single_slice():
     assert frame.n_atoms == len(pos)
 
 
-# ------------------------------------------------------------ ensemble
+# ------------------------------------------------------------ analyses
 
 
 def run_frames(n_frames=4, seed=6):
@@ -258,54 +287,127 @@ def run_frames(n_frames=4, seed=6):
 
 
 def test_ensemble_matches_per_rank_analyses_all_five():
-    frames = run_frames()
-    ensemble = AnalysisEnsemble(ALL_ANALYSES)
+    """All five analyses over the merged slices of a computed trajectory
+    match each analysis updated on the whole system's frames."""
+    key = trajectory_key(n_sim_ranks=3, n_verlet_steps=3, analyses=ALL_ANALYSES)
+    traj = compute_trajectory(key)
+    system = water_ion_box(dim=key.dim, seed=key.seed)
+    integrator = VelocityVerlet(system, dt=key.dt, thermostat_t=key.thermostat_t)
     reference = [make_analysis(n) for n in ALL_ANALYSES]
-    for sync, frame in enumerate(frames, start=1):
-        work = ensemble.update(sync, lambda f=frame: f)
+    for sync in range(1, key.n_syncs + 1):
+        frame = frame_from_system(system, step=sync, time=sync * key.j * key.dt)
         for a in reference:
             a.update(frame)
-            assert work[a.name] == a.work_estimate
-    assert_tree_equal(
-        ensemble.results(), {a.name: a.result() for a in reference}
-    )
+        assert traj.work[sync - 1] == tuple(a.work_estimate for a in reference)
+        integrator.step()
+    assert_tree_equal(traj.analysis_results(), {a.name: a.result() for a in reference})
 
 
-def test_ensemble_update_runs_once_per_sync():
-    frames = run_frames(n_frames=2)
-    ensemble = AnalysisEnsemble(("rdf", "msd"))
-    calls = [0]
+def test_ensemble_update_runs_once_per_sync(monkeypatch):
+    """Each analysis updates once per sync when the trajectory is
+    computed, whatever the rank count, and not at all on a replay."""
+    calls = []
+    for name in ("rdf", "msd"):
+        cls = type(make_analysis(name))
+        original = cls.update
 
-    def factory():
-        calls[0] += 1
-        return frames[0]
+        def counted(self, frame, _original=original):
+            calls.append(self.name)
+            return _original(self, frame)
 
-    w1 = ensemble.update(1, factory)
-    w2 = ensemble.update(1, factory)
-    assert calls[0] == 1  # merge ran once
-    assert w1 is w2
-    assert ensemble.hits == 1 and ensemble.misses == 1
-    with pytest.raises(ReplicaOrderError):
-        ensemble.update(3, factory)  # skipped sync 2
-
-
-# ------------------------------------------------------------ switches
+        monkeypatch.setattr(cls, "update", counted)
+    cfg = InsituConfig(n_sim_ranks=4, n_ana_ranks=4, n_verlet_steps=2, analyses=("rdf", "msd"))
+    trajectory.cache_clear()
+    run_insitu(cfg, build_controller("static", cfg))
+    assert sorted(calls) == ["msd", "msd", "rdf", "rdf"]
+    run_insitu(cfg, build_controller("seesaw", cfg))
+    assert len(calls) == 4
 
 
-def test_shared_replica_is_the_default():
-    assert InsituConfig().shared_replica is True
+# ------------------------------------------------------------ isolation
+
+
+def _scribble(value) -> None:
+    """Overwrite every array of a nested result in place."""
+    if isinstance(value, np.ndarray):
+        value[...] = -1.0
+    elif isinstance(value, dict):
+        for item in value.values():
+            _scribble(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _scribble(item)
+
+
+def test_writing_into_a_result_leaves_later_replays_unchanged():
+    cfg = InsituConfig(n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=3, analyses=ALL_ANALYSES)
+    trajectory.cache_clear()
+    first = run_insitu(cfg, build_controller("static", cfg))
+    results = copy.deepcopy(first.analysis_results)
+    records = list(first.thermo.records)
+    _scribble(first.analysis_results)
+    first.thermo.records.reverse()
+    first.thermo.records.pop()
+    later = run_insitu(cfg, build_controller("static", cfg))
+    assert later.replica_misses == 0  # a replay of the same trajectory
+    assert_tree_equal(later.analysis_results, results)
+    assert later.thermo.records == records
+
+
+def test_memo_holds_at_most_its_size():
+    trajectory.cache_clear()
+    keys = [
+        trajectory_key(seed=seed, n_sim_ranks=1, n_verlet_steps=1)
+        for seed in range(MEMO_SIZE + 2)
+    ]
+    for key in keys:
+        trajectory(key)
+        assert trajectory.cache_info().currsize <= MEMO_SIZE
+    assert trajectory.cache_info().currsize == MEMO_SIZE
+    # least recently used out: the first key is computed again
+    misses = trajectory.cache_info().misses
+    trajectory(keys[0])
+    assert trajectory.cache_info().misses == misses + 1
+    trajectory(keys[-1])
+    assert trajectory.cache_info().misses == misses + 1
+
+
+def test_failed_computation_caches_nothing():
+    trajectory.cache_clear()
+    cfg = InsituConfig(n_sim_ranks=1, n_ana_ranks=1, n_verlet_steps=1, analyses=("nope",))
+    with pytest.raises(Exception):
+        run_insitu(cfg, build_controller("static", cfg))
+    assert trajectory.cache_info().currsize == 0
+
+
+# ------------------------------------------------------------ accounting
+
+
+def test_fast_path_dedup_accounting():
+    """A computing call misses once per computation; a replaying call
+    misses nothing. Both serve every rank request from the trajectory."""
+    cfg = InsituConfig(n_sim_ranks=4, n_ana_ranks=4, n_verlet_steps=6)
+    computations = cfg.n_verlet_steps + 2 * cfg.n_syncs
+    trajectory.cache_clear()
+    cold = run_insitu(cfg, build_controller("static", cfg))
+    warm = run_insitu(cfg, build_controller("seesaw", cfg))
+    assert cold.replica_misses == computations == 18
+    assert warm.replica_misses == 0
+    assert cold.replica_hits == warm.replica_hits == cfg.n_sim_ranks * computations
 
 
 def test_metrics_counters_record_dedup():
     from repro.metrics import MetricRegistry, use_metrics
 
-    cfg = InsituConfig(
-        n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4, shared_replica=True
-    )
-    registry = MetricRegistry()
-    with use_metrics(registry):
-        res = run_insitu(cfg, build_controller("static", cfg))
-    report = registry.report().to_json()
-    counters = report["counters"]
-    assert counters["insitu.replica.hits"] == res.replica_hits > 0
-    assert counters["insitu.replica.misses"] == res.replica_misses > 0
+    cfg = InsituConfig(n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4)
+    trajectory.cache_clear()
+    counters = []
+    for _ in range(2):
+        registry = MetricRegistry()
+        with use_metrics(registry):
+            run_insitu(cfg, build_controller("static", cfg))
+        counters.append(registry.report().to_json()["counters"])
+    cold, warm = counters
+    assert cold["insitu.replica.misses"] == 4 + 2 * 4
+    assert warm["insitu.replica.misses"] == 0
+    assert cold["insitu.replica.hits"] == warm["insitu.replica.hits"] == 2 * (4 + 2 * 4)

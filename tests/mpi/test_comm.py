@@ -275,3 +275,16 @@ def test_payload_nbytes_containers():
     assert payload_nbytes({"a": 1}) == 9
     assert payload_nbytes(None) == 0
     assert payload_nbytes(b"abc") == 3
+
+
+def test_payload_nbytes_charges_a_snapshot_the_opaque_envelope():
+    """Pinned divergence (DESIGN §7): a domain ``Snapshot`` is charged
+    the 64-byte opaque envelope, not ``Snapshot.nbytes()``, so the
+    coupler's step-2 exchange pays wire time for 64 bytes per slice
+    while it ships about 28 KB (dim 1, 4 ranks, the first sync)."""
+    from repro.md import DomainDecomposition, water_ion_box
+
+    batch = DomainDecomposition(water_ion_box(dim=1, seed=2020), 4).snapshot_all(step=1)
+    assert [snap.nbytes() for snap in batch] == [28152, 28368, 28224, 28152]
+    assert [payload_nbytes(snap) for snap in batch] == [64] * 4
+    assert payload_nbytes(batch) == 4 * 64  # the allgathered slices
