@@ -64,7 +64,8 @@ class _ComputeAwaitable:
             t_start=now + stall,
             noise_factors=noise,
         )
-        duration = outcome.slowest
+        # one node per runtime: read the element, not ndarray.max()
+        duration = float(outcome.durations[0])
         energy_j = float(outcome.energy_joules[0])
         runtime._compute_energy_j += energy_j
         runtime._busy_s += duration

@@ -140,10 +140,18 @@ def execute_phase(
     names the phase as ``(program, index)`` when it is one of a
     :class:`PhaseProgram`'s: each cap segment then reads the program's
     operating-point table instead of resolving ``kind`` alone.
+
+    A one-node domain (the per-rank DES's) runs the same integration in
+    Python floats (:func:`_execute_one_node`), bit for bit; wider
+    domains run it on per-node arrays.
     """
     if work_seconds < 0:
         raise ValueError("negative work")
     n = domain.n_nodes
+    if n == 1:
+        return _execute_one_node(
+            kind, node, work_seconds, domain, t_start, noise_factors, program
+        )
     noise = noise_factors
     if type(noise) is not np.ndarray:  # a scalar: one factor per node
         noise = np.full(n, float(noise))
@@ -213,6 +221,61 @@ def execute_phase(
         t_change, speed, draw, finish_at = _segment(
             domain, source, node, row, t, remaining, active
         )
+
+
+def _execute_one_node(
+    kind: PhaseKind,
+    node: NodeSpec,
+    work_seconds: float,
+    domain: RaplDomainArray,
+    t_start: float,
+    noise_factors: np.ndarray | float,
+    program: tuple[PhaseProgram, int] | None,
+) -> PhaseOutcome:
+    """:func:`execute_phase` on a one-node domain, in Python floats.
+
+    The per-rank DES runs one node per domain, where the array loop's
+    numpy calls on ``(1,)`` arrays cost far more than their arithmetic.
+    This is that loop for one element: the same IEEE-754 operations in
+    the same order and the same :meth:`RaplDomainArray.segment_at`
+    queries, so it is bit-identical and leaves the domain in the same
+    state. With one node, a segment that ends before the node finishes
+    only splits it (``still_going`` is the node itself), and the
+    closed-form exit finishes it.
+    """
+    noise = noise_factors
+    if type(noise) is np.ndarray:
+        if noise.shape != (1,) or noise.dtype != float:
+            noise = np.broadcast_to(np.asarray(noise, dtype=float), (1,))
+        noise = noise[0]
+    remaining = work_seconds * float(noise)
+    if not remaining > 0.0:
+        return PhaseOutcome(durations=np.zeros(1), energy_joules=np.zeros(1))
+    # a kind's table is (1,); a program's (phases, 1) has phase i at flat i
+    source, index = (kind, 0) if program is None else program
+
+    t = t_start
+    energy = 0.0
+    guard = 0
+    while True:
+        caps, t_change = domain.segment_at(t)
+        op = _operating_point_cached(domain, source, node, caps)
+        speed = op.speed.item(index)
+        draw = op.draw_watts.item(index)
+        finish_at = t + remaining / speed
+        if finish_at <= t_change:
+            energy += (finish_at - t) * draw
+            return PhaseOutcome(
+                durations=np.array((finish_at - t_start,)),
+                energy_joules=np.array((energy,)),
+            )
+        guard += 1
+        if guard > 10_000:
+            raise RuntimeError("phase executor failed to converge")
+        span = t_change - t
+        remaining = remaining - span * speed
+        energy += span * draw
+        t = t_change
 
 
 def _segment(

@@ -18,6 +18,7 @@ from repro.cluster.node import THETA_NODE
 from repro.core import SeeSAwController, StaticController
 from repro.experiments.runner import build_controller, improvement, run_specs
 from repro.insitu.coupler import InsituConfig, run_insitu
+from repro.power.rapl import CapMode
 from repro.scenario import JobParams, ScenarioSpec
 from repro.workloads import JobConfig, run_job
 
@@ -86,6 +87,14 @@ EXPECTED_INSITU_VIRTUAL_TIME_S = {
     "seesaw": 3.9209505489312075,
     "static": 4.104174966619667,
 }
+# SHA-256 over two-node proxy cells (one node per partition), each
+# contributing repr(total_time_s) then its syncs array's bytes, in the
+# order of _two_node_cells(). Captured from the vectorized per-phase
+# executor, before one-node domains got their scalar kernel: these
+# cells reach it through execute_program's pending-phase path.
+EXPECTED_TWO_NODE_CELLS = (
+    "8ee9838c3f93e8044a9ad19a6ff68dad047e63a9226b5dd01d81c6f49dbc3f05"
+)
 # Seeded headline values, pinned exactly: SeeSAw's paired improvement
 # over static at a high-gain and a faded cap of the Fig. 8 sweep, and
 # the virtual runtime of an 8-node and a Fig. 5-scale 1024-node SeeSAw
@@ -137,6 +146,30 @@ def test_proxy_job_256_node_trajectory_pinned():
     )
     result = run_job(cfg, build_controller("seesaw", cfg))
     assert job_fingerprint(result) == EXPECTED_JOB256_SEESAW
+
+
+def _two_node_cells():
+    for name in ("static", "seesaw", "power-aware", "time-aware"):
+        for mode in (CapMode.NONE, CapMode.LONG, CapMode.LONG_SHORT):
+            for j in (1, 2):
+                yield name, JobConfig(
+                    analyses=("all",),
+                    cap_mode=mode,
+                    dim=16,
+                    j=j,
+                    n_nodes=2,
+                    n_verlet_steps=60,
+                    seed=11,
+                )
+
+
+def test_two_node_proxy_cells_pinned():
+    h = hashlib.sha256()
+    for name, cfg in _two_node_cells():
+        result = run_job(cfg, build_controller(name, cfg))
+        h.update(repr(result.total_time_s).encode())
+        h.update(result.syncs.tobytes())
+    assert h.hexdigest() == EXPECTED_TWO_NODE_CELLS
 
 
 def test_insitu_trajectories_pinned():

@@ -51,26 +51,29 @@ def test_noise_factors_scale_duration():
     assert out.fastest == pytest.approx(1.8)
 
 
-def test_cap_change_mid_phase_splits_execution():
+# n=1 runs the one-node kernel, n=3 the per-node array loop
+@pytest.mark.parametrize("n", [1, 3])
+def test_cap_change_mid_phase_splits_execution(n):
     # Start throttled at 98 W; raise the cap to 215 W effective at t=1.
-    dom = make_domain(n=1, cap=98.0, delay=1.0)
+    dom = make_domain(n=n, cap=98.0, delay=1.0)
     dom.request_caps(215.0, now=0.0)
     work = 4.0
     out = execute_phase(COMPUTE, THETA_NODE, work, dom, t_start=0.0)
     s_low = operating_point(COMPUTE, THETA_NODE, 98.0).speed[0]
     s_high = operating_point(COMPUTE, THETA_NODE, 215.0).speed[0]
     expected = 1.0 + (work - 1.0 * s_low) / s_high
-    assert out.durations[0] == pytest.approx(expected)
+    assert out.durations == pytest.approx(expected)
 
 
-def test_cap_change_energy_accounting():
-    dom = make_domain(n=1, cap=98.0, delay=1.0)
+@pytest.mark.parametrize("n", [1, 3])
+def test_cap_change_energy_accounting(n):
+    dom = make_domain(n=n, cap=98.0, delay=1.0)
     dom.request_caps(215.0, now=0.0)
     out = execute_phase(COMPUTE, THETA_NODE, 4.0, dom, t_start=0.0)
     draw_low = operating_point(COMPUTE, THETA_NODE, 98.0).draw_watts[0]
     draw_high = operating_point(COMPUTE, THETA_NODE, 215.0).draw_watts[0]
-    expected = 1.0 * draw_low + (out.durations[0] - 1.0) * draw_high
-    assert out.energy_joules[0] == pytest.approx(expected)
+    expected = 1.0 * draw_low + (out.durations - 1.0) * draw_high
+    assert out.energy_joules == pytest.approx(expected)
 
 
 def test_zero_work_completes_instantly():
@@ -85,19 +88,20 @@ def test_negative_work_rejected():
         execute_phase(COMPUTE, THETA_NODE, -1.0, make_domain(), 0.0)
 
 
-def test_segments_collected_when_requested():
+@pytest.mark.parametrize("n", [1, 3])
+def test_segments_collected_when_requested(n):
     # The phase straddles the actuation at t=1: one second throttled at
     # the 98 W cap, then the rest of the work under the raised cap.
-    dom = make_domain(n=1, cap=98.0, delay=1.0)
+    dom = make_domain(n=n, cap=98.0, delay=1.0)
     dom.request_caps(215.0, now=0.0)
     out = execute_phase(COMPUTE, THETA_NODE, 4.0, dom, t_start=0.0)
     low = operating_point(COMPUTE, THETA_NODE, 98.0)
     high = operating_point(COMPUTE, THETA_NODE, 215.0)
     assert low.draw_watts[0] == pytest.approx(98.0)
-    tail = out.durations[0] - 1.0
-    assert tail > 0.0
+    tail = out.durations - 1.0
+    assert (tail > 0.0).all()
     assert tail * high.speed[0] == pytest.approx(4.0 - low.speed[0])
-    assert out.energy_joules[0] == pytest.approx(
+    assert out.energy_joules == pytest.approx(
         98.0 + tail * high.draw_watts[0]
     )
 
