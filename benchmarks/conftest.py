@@ -17,9 +17,13 @@ without touching any benchmark:
 * ``SEESAW_BENCH_CACHE=DIR`` — reuse cell results across invocations
   (content-addressed; a code edit invalidates the cache);
 * ``SEESAW_BENCH_METRICS=PATH`` — additionally collect streaming
-  metrics (see :mod:`repro.metrics`) over the in-process harness runs
-  and write one merged report to PATH at session end (``.json`` →
-  JSON, otherwise Prometheus text).
+  metrics (see :mod:`repro.metrics`) over the harness runs and write
+  one merged report to PATH at session end (``.json`` → JSON,
+  otherwise Prometheus text). The scope installs what ``run
+  --metrics`` does: the registry plus a tracer whose
+  :class:`~repro.metrics.MetricsSink` folds the runs' spans and
+  instants into it (phase histograms, cap and decision counts), so
+  pool workers' records are folded too.
 
 All unset (the default, and what CI uses) keeps the historical
 serial in-process behaviour — and identical numbers either way, since
@@ -34,7 +38,8 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignEngine, CellStore, use_engine
-from repro.metrics import MetricRegistry, use_metrics
+from repro.metrics import MetricRegistry, MetricsSink, use_metrics
+from repro.telemetry import Tracer, use_tracer
 
 
 def _engine_from_env() -> CampaignEngine | None:
@@ -70,11 +75,12 @@ def regenerate(benchmark, fn, **kwargs):
     def _call():
         import contextlib
 
-        scope = (
-            use_metrics(_METRICS_REGISTRY)
-            if _METRICS_REGISTRY is not None
-            else contextlib.nullcontext()
-        )
+        scope = contextlib.ExitStack()
+        if _METRICS_REGISTRY is not None:
+            scope.enter_context(use_metrics(_METRICS_REGISTRY))
+            scope.enter_context(
+                use_tracer(Tracer(MetricsSink(_METRICS_REGISTRY)))
+            )
         with scope:
             if engine is None:
                 return fn(**kwargs)

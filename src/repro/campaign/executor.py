@@ -144,7 +144,7 @@ class CampaignEngine:
     def _trace_cell(
         self, spec: CellSpec, status: str, wall_s: float, tid: int = 0
     ) -> None:
-        """One closed per-cell span + cache-outcome counter.
+        """One closed per-cell span, its cache outcome in ``status``.
 
         Campaign telemetry lives on the wall clock in trace process 0:
         the cells *inside* bind the tracer to their own virtual clocks
@@ -168,8 +168,6 @@ class CampaignEngine:
             label=cell_label(spec),
             status=status,
         )
-        kind = {"hit": "hits", "dup": "dups"}.get(status, "runs")
-        tracer.counter(f"campaign.cache_{kind}", cat="campaign").inc()
 
     def _journal_sched_stats(self, final: bool = False) -> None:
         """Mirror live scheduler stats into the journal (throttled).

@@ -184,7 +184,6 @@ class PowerAwareController(PowerController):
                 pool_w=pool,
                 receivers=n_receivers,
             )
-            tracer.counter("core.reallocations", cat="core").inc()
         self._caps = caps
         return Allocation(
             sim_caps_w=caps[: self.n_sim].copy(),

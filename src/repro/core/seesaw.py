@@ -274,7 +274,6 @@ class SeeSAwController(PowerController):
                 after_sim_w=total_s,
                 after_ana_w=total_a,
             )
-            tracer.counter("core.reallocations", cat="core").inc()
         self._prev_total_sim = total_s
         self._prev_total_ana = total_a
         self.decision_log.append((obs.step, p_opt_s, total_s))

@@ -184,7 +184,6 @@ class TimeAwareController(PowerController):
                 step_w=eta,
                 slack_w=max(slack, 0.0),
             )
-            tracer.counter("core.reallocations", cat="core").inc()
         self._caps = caps
         return Allocation(
             sim_caps_w=caps[: self.n_sim].copy(),

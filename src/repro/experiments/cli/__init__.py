@@ -60,7 +60,7 @@ are bit-identical to an uninterrupted run. ``campaign status`` prints
 the ledger without running anything.
 
 Tracing (see :mod:`repro.telemetry`): ``run ... --trace PATH`` records
-spans/counters from every layer of the in-process runs into a Chrome
+spans and instants from every layer of the in-process runs into a Chrome
 ``trace_event`` JSON that opens in ``chrome://tracing`` / Perfetto;
 ``trace`` runs a purpose-built small in-situ job under any registered
 approach — including the experimental ``seesaw-exploring`` — and

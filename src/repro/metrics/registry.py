@@ -17,13 +17,15 @@ every seam:
 
 Two ways in
 -----------
-Direct instrumentation (controllers, node runtimes) calls the registry;
-:class:`MetricsSink` additionally *feeds the registry off the tracer* —
-install it as (or chain it in front of) a tracer sink and every
-complete-span duration, counter sample and instant lands in streaming
-histograms/gauges without touching the instrumented code. The two
-sources share one namespace: tracer-fed series are prefixed ``span.``/
-``event.`` to keep them apart from first-class metrics.
+Direct instrumentation (engine, controllers, RAPL, PoLiMER, faults)
+calls the registry for facts no trace record carries; :class:`MetricsSink`
+*feeds the registry off the tracer* — install it as (or chain it in
+front of) a tracer sink and every complete-span duration and instant
+lands in streaming histograms and counters without touching the
+instrumented code. A fact has one source: what a record carries is
+folded from the record, never counted again beside it. Tracer-fed
+series are prefixed ``span.``/``event.`` to keep them apart from
+first-class metrics.
 
 The per-run :class:`MetricsReport` renders the registry three ways:
 a terminal table, Prometheus text exposition (counters, gauges and
@@ -54,7 +56,7 @@ __all__ = [
 
 
 class _CounterM:
-    """Monotonic counter (no per-inc record emission, unlike the tracer's)."""
+    """Monotonic counter."""
 
     __slots__ = ("name", "value")
 
@@ -242,7 +244,6 @@ class MetricsSink(Sink):
 
     * ``"X"`` complete spans  -> ``span.<name>.s`` duration histograms
       (plus ``span.<name>.energy_j`` when the span carries energy);
-    * ``"C"`` counter samples -> gauges (final value + envelope);
     * ``"i"`` instants        -> ``event.<name>`` counters.
 
     ``forward`` chains another sink behind the fold, so one tracer can
@@ -266,9 +267,6 @@ class MetricsSink(Sink):
                 self.registry.histogram(f"span.{name}.energy_j").observe(
                     max(float(energy), 0.0)
                 )
-        elif ph == "C":
-            value = (record.get("args") or {}).get("value", 0.0)
-            self.registry.gauge(record["name"]).set(float(value))
         elif ph == "i":
             self.registry.counter(f"event.{record['name']}").inc()
         if self.forward is not None:

@@ -1,7 +1,7 @@
 """Worker-side telemetry shipping: the bounded buffer behind the pipe.
 
 A pool worker executes cells with a :class:`ShippingSink`-backed tracer
-installed, so every span/counter/instant the cell's DES run emits lands
+installed, so every span and instant the cell's DES run emits lands
 in an in-memory buffer instead of dying with the process. When the cell
 finishes, the worker drains the buffer and attaches the batch to the
 result frame it was going to send anyway — shipping adds **zero extra

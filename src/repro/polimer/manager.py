@@ -235,9 +235,7 @@ class PowerManager:
             self.node.request_cap(self._my_cap(sim_caps, ana_caps))
         if span is not None:
             span.end(wait_s=self.engine.now - now)
-            self._tracer.counter("insitu.sync_waits", cat="insitu").inc()
         if self._metrics is not None:
-            self._metrics.counter("insitu.sync_waits").inc()
             self._metrics.histogram("insitu.sync_wait_s").observe(
                 max(self.engine.now - now, 0.0)
             )

@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.cluster.node import NodeSpec
 from repro.des.engine import Engine
 from repro.faults.injector import get_faults
-from repro.metrics.registry import get_metrics
 from repro.power.execution import execute_phase
 from repro.power.model import PhaseKind
 from repro.power.rapl import CapMode, RaplDomainArray
@@ -86,12 +85,6 @@ class _ComputeAwaitable:
                 cap_w=cap_w,
                 limited=limited,
             )
-            if limited:
-                tracer.counter("power.limited_phases", cat="power").inc()
-        metrics = runtime._metrics
-        if metrics is not None:
-            metrics.histogram(f"phase.{kind.name}.s").observe(duration)
-            metrics.histogram(f"phase.{kind.name}.energy_j").observe(energy_j)
         runtime.engine.schedule(
             stall + duration, lambda: process._advance(stall + duration)
         )
@@ -134,8 +127,6 @@ class NodeRuntime:
         self.fault_rank: int | None = None
         tracer = get_tracer()
         self._tracer = tracer if tracer.enabled else None
-        metrics = get_metrics()
-        self._metrics = metrics if metrics.enabled else None
         faults = get_faults()
         self._faults = faults if faults.enabled and faults.active else None
 

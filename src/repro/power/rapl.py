@@ -196,9 +196,7 @@ class RaplDomainArray:
                 n_nodes=self.n_nodes,
                 effective_at=now + delay_s,
             )
-            self._tracer.counter("power.caps_requested", cat="power").inc()
         if self._metrics is not None:
-            self._metrics.counter("power.caps_requested").inc()
             # magnitude of the requested move per node — how hard the
             # controller is steering
             self._metrics.histogram("power.cap_change_w").observe(
@@ -231,9 +229,7 @@ class RaplDomainArray:
                     mean_cap_w=float(caps.mean()),
                     n_nodes=self.n_nodes,
                 )
-                self._tracer.counter("power.caps_applied", cat="power").inc()
             if self._metrics is not None:
-                self._metrics.counter("power.caps_applied").inc()
                 self._metrics.gauge("power.mean_cap_w").set(float(caps.mean()))
 
     def segment_at(self, t: float) -> tuple[np.ndarray, float]:

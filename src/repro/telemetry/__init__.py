@@ -5,13 +5,16 @@ happen: controllers observing (time, power) tuples, partitions reaching
 synchronization points together, caps landing after their actuation
 delay. This package makes that visible:
 
-* :class:`Tracer` — nestable spans, instants, typed counters/gauges,
-  timestamped on the DES **virtual clock** once an engine binds it;
+* :class:`Tracer` — nestable spans and instants, timestamped on the
+  DES **virtual clock** once an engine binds it; a count is the number
+  of records that carry it (:class:`~repro.metrics.MetricsSink` folds
+  them into a registry);
 * sinks — :class:`NullSink` (default, near-zero cost),
   :class:`MemorySink` (tests), :class:`JsonlSink` /
   :class:`JournalSink` (streaming JSONL, campaign journal), and
   :class:`ChromeTraceSink` (opens in ``chrome://tracing`` / Perfetto);
-* :func:`summarize` — per-phase time/power breakdown and counter report;
+* :func:`summarize` — per-phase time/power breakdown, span totals and
+  instant counts;
 * :func:`get_tracer` / :func:`use_tracer` — the ambient-tracer pattern
   (same shape as :func:`repro.campaign.use_engine`) through which the
   CLI's ``--trace`` reaches every layer without parameter plumbing.
@@ -37,8 +40,6 @@ from repro.telemetry.summary import (
 )
 from repro.telemetry.tracer import (
     NULL_TRACER,
-    Counter,
-    Gauge,
     NullTracer,
     SpanHandle,
     Tracer,
@@ -48,8 +49,6 @@ from repro.telemetry.tracer import (
 
 __all__ = [
     "ChromeTraceSink",
-    "Counter",
-    "Gauge",
     "JournalSink",
     "JsonlSink",
     "MemorySink",

@@ -3,10 +3,9 @@
 Buffers tracer records and writes the JSON object format understood by
 ``chrome://tracing`` and https://ui.perfetto.dev: a ``traceEvents``
 array of events with microsecond timestamps. Span begin/end pairs,
-complete ("X") spans, instants, counter samples and process/thread
-metadata all map 1:1 onto Chrome phases, so a traced run opens directly
-in the viewer with one row per simulated rank and one process per
-simulation run.
+complete ("X") spans, instants and process/thread metadata all map
+1:1 onto Chrome phases, so a traced run opens directly in the viewer
+with one row per simulated rank and one process per simulation run.
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ def to_chrome_events(records: list[dict]) -> list[dict]:
             ev["dur"] = rec.get("dur", 0.0) * _US
         if ph == "i":
             ev["s"] = "t"  # thread-scoped instant
-        if ph == "C":
-            ev["args"] = {"value": (args or {}).get("value", 0.0)}
-        elif args:
+        if args:
             ev["args"] = args
         events.append(ev)
     return events

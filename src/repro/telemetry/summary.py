@@ -8,11 +8,11 @@ before writing a trace so a malformed instrumentation change fails
 loudly rather than producing a file Perfetto rejects.
 
 :func:`summarize` folds a record stream into per-phase time/power
-breakdowns (from the ``"X"`` phase spans' ``energy_j`` args), per-name
-span totals, and final counter values; ``render()`` prints the tables
-the ``trace`` subcommand shows after a run. A span that aggregates a
-partition's ranks (the proxy's, see :func:`span_seconds`) counts its
-rank-seconds, so times and mean powers stay per node.
+breakdowns (from the ``"X"`` phase spans' ``energy_j`` and ``limited``
+args), per-name span totals, and instant counts; ``render()`` prints
+the tables the ``trace`` subcommand shows after a run. A span that
+aggregates a partition's ranks (the proxy's, see :func:`span_seconds`)
+counts its rank-seconds, so times and mean powers stay per node.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ class SpanStat:
     #: seconds, per node: rank-seconds for per-partition spans
     total_s: float = 0.0
     energy_j: float = 0.0
+    #: spans whose ``limited`` arg is set: the cap sat below the phase's
+    #: turbo demand (the DES phase spans carry it)
+    limited: int = 0
 
     @property
     def mean_power_w(self) -> float:
@@ -123,8 +126,6 @@ class TelemetrySummary:
     spans: dict = field(default_factory=dict)
     #: phase-kind name -> aggregate (the per-phase time/power table)
     phases: dict = field(default_factory=dict)
-    #: counter/gauge name -> final value
-    counters: dict = field(default_factory=dict)
     #: instant-event name -> occurrence count
     instants: dict = field(default_factory=dict)
 
@@ -135,13 +136,14 @@ class TelemetrySummary:
             lines.append("per-phase time/power:")
             lines.append(
                 f"  {'phase':<12} {'count':>6} {'time s':>10}"
-                f" {'energy J':>10} {'mean W':>8}"
+                f" {'energy J':>10} {'mean W':>8} {'limited':>8}"
             )
             for name in sorted(self.phases):
                 s = self.phases[name]
                 lines.append(
                     f"  {name:<12} {s.count:>6} {s.total_s:>10.4f}"
                     f" {s.energy_j:>10.2f} {s.mean_power_w:>8.1f}"
+                    f" {s.limited:>8}"
                 )
         if self.spans:
             lines.append("")
@@ -152,11 +154,6 @@ class TelemetrySummary:
                     f"  {cat + '/' + name:<32} x{s.count:<5}"
                     f" {s.total_s:.4f} s"
                 )
-        if self.counters:
-            lines.append("")
-            lines.append("counters:")
-            for name in sorted(self.counters):
-                lines.append(f"  {name:<32} {self.counters[name]:g}")
         if self.instants:
             lines.append("")
             lines.append("events:")
@@ -204,8 +201,7 @@ def summarize(records: list[dict]) -> TelemetrySummary:
                 stat.count += 1
                 stat.total_s += dur
                 stat.energy_j += energy
-        elif ph == "C":
-            out.counters[name] = float(args.get("value", 0.0))
+                stat.limited += bool(args.get("limited"))
         elif ph == "i":
             out.instants[name] = out.instants.get(name, 0) + 1
     return out

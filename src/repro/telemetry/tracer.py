@@ -1,4 +1,4 @@
-"""Low-overhead tracer: nestable spans, counters, gauges, sim-time.
+"""Low-overhead tracer: nestable spans and instants on a sim-time clock.
 
 Record schema (what sinks receive) — a flat dict modelled on Chrome's
 ``trace_event`` format, with timestamps in **seconds** on whatever
@@ -8,8 +8,8 @@ clock the tracer is bound to:
 "args": {..}}``
 
 * ``ph``   — ``"B"``/``"E"`` span begin/end, ``"X"`` complete span
-  (carries ``"dur"``), ``"i"`` instant, ``"C"`` counter sample,
-  ``"M"`` metadata (process/thread names);
+  (carries ``"dur"``), ``"i"`` instant, ``"M"`` metadata
+  (process/thread names);
 * ``pid``  — one *process* per simulation run: every time a DES
   :class:`~repro.des.engine.Engine` binds its virtual clock the pid is
   bumped, so back-to-back runs (paired baselines, campaign sweeps) get
@@ -48,8 +48,6 @@ from typing import Callable, Optional
 from repro.telemetry.sinks import MemorySink, NullSink, Sink
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "SpanHandle",
     "Tracer",
     "get_tracer",
@@ -80,40 +78,8 @@ class SpanHandle:
         self.tracer.end(self, **args)
 
 
-class Counter:
-    """Monotonic counter; each :meth:`inc` emits a ``"C"`` sample."""
-
-    __slots__ = ("_tracer", "name", "cat", "value")
-
-    def __init__(self, tracer: "Tracer", name: str, cat: str):
-        self._tracer = tracer
-        self.name = name
-        self.cat = cat
-        self.value = 0.0
-
-    def inc(self, delta: float = 1.0) -> None:
-        self.value += delta
-        self._tracer._emit_counter(self.name, self.cat, self.value)
-
-
-class Gauge:
-    """Point-in-time value; each :meth:`set` emits a ``"C"`` sample."""
-
-    __slots__ = ("_tracer", "name", "cat", "value")
-
-    def __init__(self, tracer: "Tracer", name: str, cat: str):
-        self._tracer = tracer
-        self.name = name
-        self.cat = cat
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-        self._tracer._emit_counter(self.name, self.cat, self.value)
-
-
 class Tracer:
-    """Span/counter/gauge recorder in front of a pluggable sink."""
+    """Span/instant recorder in front of a pluggable sink."""
 
     def __init__(
         self,
@@ -126,8 +92,6 @@ class Tracer:
         self._wall0 = time.perf_counter()
         self.pid = 0
         self._pid_count = 0
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
 
     # ------------------------------------------------------------ time
     def now(self) -> float:
@@ -157,19 +121,6 @@ class Tracer:
     # ------------------------------------------------------------ emit
     def _emit(self, record: dict) -> None:
         self.sink.emit(record)
-
-    def _emit_counter(self, name: str, cat: str, value: float) -> None:
-        self._emit(
-            {
-                "ph": "C",
-                "name": name,
-                "cat": cat,
-                "ts": self.now(),
-                "pid": self.pid,
-                "tid": 0,
-                "args": {"value": value},
-            }
-        )
 
     def emit_many(self, records) -> None:
         """Emit a list of pre-built records in one pass.
@@ -282,21 +233,6 @@ class Tracer:
             }
         )
 
-    # ------------------------------------------------- counters/gauges
-    def counter(self, name: str, cat: str = "") -> Counter:
-        """The (cached) counter called ``name``."""
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(self, name, cat)
-        return c
-
-    def gauge(self, name: str, cat: str = "") -> Gauge:
-        """The (cached) gauge called ``name``."""
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(self, name, cat)
-        return g
-
     # -------------------------------------------------------- metadata
     def name_process(self, label: str, pid: int | None = None) -> None:
         self._emit(
@@ -337,43 +273,24 @@ class _NullSpanHandle(SpanHandle):
         pass
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, delta: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
 class NullTracer(Tracer):
     """Allocation-free no-op tracer; the process default.
 
     Every method returns immediately; ``span()`` hands back a shared
-    null context manager, ``begin()`` a shared closed handle, and
-    ``counter()/gauge()`` shared no-op instruments, so instrumented code
-    needs no ``if`` guards outside the very hottest loops.
+    null context manager and ``begin()`` a shared closed handle, so
+    instrumented code needs no ``if`` guards outside the very hottest
+    loops.
     """
 
     def __init__(self) -> None:
         super().__init__(NullSink())
         self._null_span = _NullSpanHandle(self, "", "", 0, 0, 0.0)
-        self._null_counter = _NullCounter(self, "", "")
-        self._null_gauge = _NullGauge(self, "", "")
         self._null_cm = contextlib.nullcontext(self._null_span)
 
     def bind_clock(self, clock, label=None) -> int:
         return 0
 
     def _emit(self, record: dict) -> None:  # pragma: no cover - no-op
-        pass
-
-    def _emit_counter(self, name, cat, value) -> None:
         pass
 
     def emit_many(self, records) -> None:
@@ -393,12 +310,6 @@ class NullTracer(Tracer):
 
     def instant(self, name, cat="", tid=0, ts=None, **args) -> None:
         pass
-
-    def counter(self, name, cat="") -> Counter:
-        return self._null_counter
-
-    def gauge(self, name, cat="") -> Gauge:
-        return self._null_gauge
 
     def name_process(self, label, pid=None) -> None:
         pass

@@ -308,6 +308,35 @@ def test_trace_subcommand_writes_valid_chrome_trace(tmp_path, capsys):
     assert "phase" in printed and "perfetto" in printed.lower()
 
 
+def test_trace_subcommand_counts_at_defaults(tmp_path, capsys):
+    # the counts a trace at the CLI defaults explains itself with, read
+    # from its spans and instants; the trace carries no counter samples
+    out = tmp_path / "trace.json"
+    assert cli.main(["trace", "--out", str(out)]) == 0
+    evs = json.loads(out.read_text())["traceEvents"]
+    assert "C" not in {e["ph"] for e in evs}
+
+    def count(ph, name):
+        return sum(1 for e in evs if e["ph"] == ph and e["name"] == name)
+
+    assert count("i", "core.seesaw.decision") == 6
+    assert count("i", "power.rapl.request") == 28
+    assert count("i", "power.rapl.apply") == 24
+    assert count("B", "insitu.sync_wait") == 24
+    limited = [
+        e for e in evs
+        if e["ph"] == "X" and e["name"].startswith("phase.")
+        and e["args"]["limited"]
+    ]
+    assert len(limited) == 58
+    # the summary's per-phase table shows the same 58 in its last column
+    printed = capsys.readouterr().out
+    table = printed.split("per-phase time/power:")[1].split("\n\n")[0]
+    rows = table.strip().splitlines()[1:]
+    assert sum(int(row.split()[-1]) for row in rows) == 58
+    assert "counters:" not in printed
+
+
 def test_trace_subcommand_rejects_unknown_approach(tmp_path, capsys):
     out = tmp_path / "trace.json"
     args = ["trace", "--out", str(out), "--approach", "nope"]

@@ -68,19 +68,20 @@ def test_clock_binding_stamps_timeseries():
 # tracer -> registry bridge
 
 
-def test_metrics_sink_folds_spans_counters_instants():
+def test_metrics_sink_folds_spans_and_instants():
     reg = MetricRegistry()
     tracer = Tracer(MetricsSink(reg), clock=iter(range(100)).__next__)
     tracer.complete("work", 2.0, cat="t", energy_j=5.0)
     tracer.complete("work", 4.0, cat="t")
-    tracer.counter("widgets", cat="t").inc(3)
+    tracer.instant("boom", cat="t")
     tracer.instant("boom", cat="t")
     h = reg.histogram("span.work.s")
     assert h.count == 2
     assert h.total == pytest.approx(6.0)
     assert reg.histogram("span.work.energy_j").count == 1
-    assert reg.gauge("widgets").value == 3.0
-    assert reg.counter("event.boom").value == 1
+    # an instant is counted once per record, never sampled as a gauge
+    assert reg.counter("event.boom").value == 2
+    assert not reg._gauges
 
 
 def test_metrics_sink_forwards_to_chained_sink():

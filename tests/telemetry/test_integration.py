@@ -125,14 +125,26 @@ def test_chrome_trace_loads_and_nests(tmp_path, traced_run):
 
 
 def test_summary_reports_phase_power(traced_run):
-    _, _, sink = traced_run
+    cfg, result, sink = traced_run
     summ = summarize(sink.records)
     assert summ.phases, "phase table must not be empty"
     for stat in summ.phases.values():
         assert stat.total_s > 0
         # phases draw between the RAPL floor and well under 2x TDP
         assert 50.0 < stat.mean_power_w < 2 * THETA_NODE.tdp_watts
-    assert summ.counters["insitu.sync_waits"] > 0
+    # counts come from the spans and instants themselves
+    waits = summ.spans[("insitu", "insitu.sync_wait")]
+    assert waits.count == cfg.n_syncs * cfg.world_size
+    assert summ.instants["core.seesaw.decision"] == len(result.allocation_log)
+    limited = sum(
+        1
+        for r in sink.records
+        if r["ph"] == "X"
+        and r["name"].startswith("phase.")
+        and r["args"]["limited"]
+    )
+    assert limited > 0
+    assert sum(s.limited for s in summ.phases.values()) == limited
 
 
 def test_untraced_engine_emits_nothing():
@@ -157,15 +169,10 @@ def test_campaign_cells_traced():
         engine.run_cells(cells)
     cell_spans = [r for r in sink.records if r["name"] == "campaign.cell"]
     assert len(cell_spans) == 2
+    # the cache outcome is the span's status: one run, one dedup
     statuses = sorted(r["args"]["status"] for r in cell_spans)
     assert statuses == ["done", "dup"]
-    counters = {
-        r["name"]: r["args"]["value"]
-        for r in sink.records
-        if r["ph"] == "C"
-    }
-    assert counters["campaign.cache_runs"] == 1.0
-    assert counters["campaign.cache_dups"] == 1.0
+    assert {r["ph"] for r in sink.records} <= {"B", "E", "X", "i", "M"}
 
 
 def test_trace_does_not_perturb_results():

@@ -39,10 +39,19 @@ def test_null_tracer_is_inert():
         t.instant("x")
     h = t.begin("b")
     h.end()
-    t.counter("c").inc()
-    t.gauge("g").set(3.0)
     t.complete("d", 1.0)
-    assert t.counter("c").value == 0.0
+
+
+def test_tracer_has_no_counter_channel():
+    # a count is the number of records carrying a fact; the tracer has
+    # no second, sampled channel for it
+    import repro.telemetry as telemetry
+
+    for name in ("Counter", "Gauge"):
+        assert not hasattr(telemetry, name)
+    for obj in (Tracer(MemorySink()), NULL_TRACER):
+        for attr in ("counter", "gauge", "_emit_counter"):
+            assert not hasattr(obj, attr)
 
 
 def test_span_nesting_and_balance():
@@ -66,22 +75,6 @@ def test_span_end_is_idempotent():
     h.end()
     t.end(h)
     assert [r["ph"] for r in sink.records] == ["B", "E"]
-
-
-def test_counters_accumulate_and_gauges_overwrite():
-    sink = MemorySink()
-    t = Tracer(sink)
-    c = t.counter("hits", cat="m")
-    c.inc()
-    c.inc(2.0)
-    assert c.value == 3.0
-    assert t.counter("hits") is c  # cached by name
-    g = t.gauge("level")
-    g.set(7.0)
-    g.set(2.0)
-    assert g.value == 2.0
-    samples = [r for r in sink.records if r["ph"] == "C"]
-    assert [s["args"]["value"] for s in samples] == [1.0, 3.0, 7.0, 2.0]
 
 
 def test_bind_clock_switches_timestamps_and_pid():
@@ -138,13 +131,12 @@ def test_chrome_export_shape(tmp_path):
     with t.span("outer", cat="insitu", tid=1):
         t.instant("ping", cat="core", tid=1)
         t.complete("phase.force", 0.25, cat="power", tid=1, energy_j=30.0)
-    t.counter("caps", cat="power").inc()
     out = sink.write(tmp_path / "trace.json")
     doc = json.loads(out.read_text())
     evs = doc["traceEvents"]
     assert isinstance(evs, list) and evs
     by_ph = {e["ph"] for e in evs}
-    assert {"M", "B", "E", "i", "X", "C"} <= by_ph
+    assert by_ph == {"M", "B", "E", "i", "X"}
     x = next(e for e in evs if e["ph"] == "X")
     assert x["dur"] == pytest.approx(0.25e6)  # microseconds
     assert x["args"]["energy_j"] == 30.0
@@ -205,13 +197,17 @@ def test_summarize_span_durations_and_phase_power():
     sink = MemorySink()
     t = Tracer(sink, clock=iter(range(100)).__next__)
     with t.span("work", cat="insitu", tid=1):
-        t.complete("phase.force", 2.0, cat="power", tid=1, energy_j=220.0)
+        t.complete("phase.force", 2.0, cat="power", tid=1, energy_j=220.0,
+                   limited=True)
+        t.complete("phase.force", 0.0, cat="power", tid=1, ts=1.0,
+                   limited=False)
     summ = summarize(sink.records)
     # fake clock ticks once per emit: B at 0, X at 1, E at 2
     assert summ.spans[("insitu", "work")].count == 1
     assert summ.spans[("insitu", "work")].total_s == 2.0
     force = summ.phases["force"]
+    assert force.count == 2 and force.limited == 1
     assert force.total_s == 2.0
     assert force.mean_power_w == pytest.approx(110.0)
     text = summ.render()
-    assert "force" in text and "110" in text
+    assert "force" in text and "110" in text and "limited" in text
