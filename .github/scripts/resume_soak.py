@@ -1,14 +1,18 @@
 #!/usr/bin/env python
-"""Kill-and-resume soak: repeatedly SIGKILL a journaled campaign
-mid-sweep and prove ``campaign resume`` heals it.
+"""Kill-and-re-run soak: repeatedly SIGKILL a cached campaign mid-sweep
+and prove that running it again against the same ``--cache`` heals it.
 
-Each iteration runs a fresh journaled campaign of the target
-experiment, SIGKILLs the process as soon as the journal shows a
-completed cell, resumes the journal, and asserts
+Each iteration starts a fresh cached campaign of the target
+experiment, SIGKILLs the process as soon as the cell store holds a
+committed entry, runs the same command again with ``--trace`` into a
+JSONL file, and asserts
 
-* the resumed run exits 0 and the ledger reaches ``finished``;
-* no previously-completed cell was recomputed (every one is served
-  as a cache ``hit`` after the ``resume`` record);
+* the re-run exits 0 and its trace ends with ``campaign.summary``;
+* no stored cell was recomputed: against the uninterrupted reference
+  run, the re-run has exactly one ``done`` cell span fewer per cell
+  the killed run stored, at least that many ``hit`` spans (a stored
+  cell its batch holds twice is two hits, where a cold run counts a
+  ``done`` and a ``dup``), and the same number of cells in all;
 * the merged experiment artifact is byte-identical to an
   uninterrupted reference run.
 
@@ -17,7 +21,7 @@ counted as ``too-fast`` and does not consume an iteration's worth of
 assertions; the soak fails if every iteration was too fast, since then
 nothing was actually exercised.
 
-Exits non-zero on the first violated assertion. Journals are left in
+Exits non-zero on the first violated assertion. Traces are left in
 the work directory for upload as CI artifacts.
 """
 
@@ -41,105 +45,95 @@ def run_cli(*args: str, timeout: float = 600.0) -> subprocess.CompletedProcess:
     )
 
 
-def journal_records(path: Path) -> list[dict]:
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text().splitlines():
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # torn tail from the kill — expected
-    return records
+def cell_statuses(trace: Path) -> list[str]:
+    """The ``campaign.cell`` statuses of a finished run's JSONL trace."""
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    if records[-1].get("name") != "campaign.summary":
+        raise SystemExit(f"soak: {trace} does not end with its summary")
+    return [r["args"]["status"] for r in records if r["name"] == "campaign.cell"]
 
 
-def wait_for_done_cell(
-    journal: Path, proc: subprocess.Popen, deadline_s: float
+def stored(cache: Path) -> int:
+    """Committed store entries (``os.replace``d, never temp files)."""
+    return len(list(cache.glob("??/*.pkl")))
+
+
+def wait_for_stored_cell(
+    cache: Path, proc: subprocess.Popen, deadline_s: float
 ) -> bool:
-    """True once a cell completed; False if the campaign finished first."""
+    """True once a cell is stored; False if the campaign finished first."""
     t0 = time.monotonic()
     while time.monotonic() - t0 < deadline_s:
-        if any(
-            r.get("event") == "cell" and r.get("status") == "done"
-            for r in journal_records(journal)
-        ):
+        if stored(cache) >= 1:
             return proc.poll() is None
         if proc.poll() is not None:
             return False
         time.sleep(0.005)
-    raise SystemExit(f"soak: no cell completed within {deadline_s:.0f}s")
+    raise SystemExit(f"soak: no cell stored within {deadline_s:.0f}s")
 
 
 def soak_once(
-    it: int, experiment: str, workdir: Path, ref_bytes: bytes, jobs: int
+    it: int,
+    experiment: str,
+    workdir: Path,
+    ref_bytes: bytes,
+    ref_statuses: list[str],
+    jobs: int,
 ) -> bool:
-    """One kill/resume cycle; True if the kill landed mid-campaign."""
-    journal = workdir / f"soak-{it}.jsonl"
+    """One kill/re-run cycle; True if the kill landed mid-campaign."""
+    cache = workdir / f"soak-{it}-cache"
     out_dir = workdir / f"soak-{it}-out"
+    command = [
+        "run",
+        experiment,
+        "--quick",
+        "--jobs",
+        str(jobs),
+        "--cache",
+        str(cache),
+        "--output",
+        str(out_dir),
+    ]
     proc = subprocess.Popen(
-        [
-            *CLI,
-            "run",
-            experiment,
-            "--quick",
-            "--jobs",
-            str(jobs),
-            "--cache",
-            str(workdir / f"soak-{it}-cache"),
-            "--journal",
-            str(journal),
-            "--output",
-            str(out_dir),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        [*CLI, *command], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
     try:
-        killed = wait_for_done_cell(journal, proc, deadline_s=120.0)
+        killed = wait_for_stored_cell(cache, proc, deadline_s=120.0)
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
     if not killed:
         print(f"[soak {it}] campaign finished before the kill (too fast)")
         return False
+    n_stored = stored(cache)
+    print(f"[soak {it}] killed with {n_stored} cells stored")
 
-    completed_before = {
-        r["key"]
-        for r in journal_records(journal)
-        if r.get("event") == "cell"
-        and r.get("status") in ("done", "retried", "hit", "dup")
-    }
-    print(f"[soak {it}] killed with {len(completed_before)} cells complete")
-
-    resumed = run_cli("campaign", "resume", str(journal), "--jobs", str(jobs))
-    if resumed.returncode != 0:
+    trace = workdir / f"soak-{it}.jsonl"
+    again = run_cli(*command, "--trace", str(trace))
+    if again.returncode != 0:
         raise SystemExit(
-            f"soak: resume failed (exit {resumed.returncode}):\n{resumed.stderr}"
+            f"soak: re-run failed (exit {again.returncode}):\n{again.stderr}"
         )
 
-    records = journal_records(journal)
-    resume_at = max(
-        i for i, r in enumerate(records) if r.get("event") == "resume"
-    )
-    after = [r for r in records[resume_at:] if r.get("event") == "cell"]
-    recomputed = [
-        r["key"]
-        for r in after
-        if r["key"] in completed_before and r["status"] in ("done", "retried")
-    ]
-    if recomputed:
-        raise SystemExit(f"soak: resume recomputed finished cells {recomputed}")
+    statuses = cell_statuses(trace)
+    done = statuses.count("done")
+    if done != ref_statuses.count("done") - n_stored:
+        raise SystemExit(
+            f"soak: re-run executed {done} cells; the reference executed "
+            f"{ref_statuses.count('done')} and {n_stored} were stored"
+        )
+    if statuses.count("hit") < n_stored or len(statuses) != len(ref_statuses):
+        raise SystemExit(
+            f"soak: re-run cell outcomes {sorted(statuses)} do not account "
+            f"for the reference's {sorted(ref_statuses)} with {n_stored} stored"
+        )
 
     artifact = out_dir / f"{experiment}.json"
     if not artifact.exists():
-        raise SystemExit(f"soak: resumed campaign wrote no artifact {artifact}")
+        raise SystemExit(f"soak: re-run wrote no artifact {artifact}")
     if artifact.read_bytes() != ref_bytes:
-        raise SystemExit("soak: resumed artifact differs from reference run")
-
-    status = run_cli("campaign", "status", str(journal))
-    if "finished" not in status.stdout:
-        raise SystemExit(f"soak: ledger not finished after resume:\n{status.stdout}")
-    print(f"[soak {it}] resume OK: zero recompute, bit-identical artifact")
+        raise SystemExit("soak: re-run artifact differs from reference run")
+    print(f"[soak {it}] re-run OK: zero recompute, bit-identical artifact")
     return True
 
 
@@ -163,18 +157,23 @@ def main() -> int:
         str(args.workdir / "ref-cache"),
         "--output",
         str(ref_out),
+        "--trace",
+        str(args.workdir / "ref.jsonl"),
     )
     if ref.returncode != 0:
         raise SystemExit(f"soak: reference run failed:\n{ref.stderr}")
     ref_bytes = (ref_out / f"{args.experiment}.json").read_bytes()
+    ref_statuses = cell_statuses(args.workdir / "ref.jsonl")
 
     exercised = sum(
-        soak_once(it, args.experiment, args.workdir, ref_bytes, args.jobs)
+        soak_once(
+            it, args.experiment, args.workdir, ref_bytes, ref_statuses, args.jobs
+        )
         for it in range(args.iterations)
     )
     if exercised == 0:
         raise SystemExit("soak: every campaign finished before the kill")
-    print(f"[soak] {exercised}/{args.iterations} kill/resume cycles verified")
+    print(f"[soak] {exercised}/{args.iterations} kill/re-run cycles verified")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Observed-run cost gate (ROADMAP item 3).
+"""Observed-run cost gate (ROADMAP item 6).
 
 Gate: the fig3a ``all``/dim-36 pair (SeeSAw and its static twin, 128
 nodes, 400 synchronizations each) run with the three file sinks that

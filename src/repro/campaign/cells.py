@@ -37,7 +37,7 @@ class CellSpec:
 
 
 def cell_label(spec: CellSpec) -> str:
-    """Compact human-readable label for journals and progress lines."""
+    """Compact human-readable label for trace spans and progress lines."""
     cfg = spec.cfg
     return (
         f"{spec.approach}/{'+'.join(cfg.analyses)}"

@@ -17,23 +17,23 @@ Execution strategy for a batch of cells:
 4. if the pool cannot be created at all (restricted environments,
    missing semaphores) the whole batch gracefully degrades to the
    in-process serial path — identical results, just slower;
-5. every outcome is journaled and stored; with a file-backed journal
-   the engine also writes ``scheduled`` ledger rows, making a killed
-   campaign resumable (:mod:`repro.campaign.resume`).
+5. every outcome is counted (:class:`~repro.campaign.journal.RunJournal`),
+   traced as a ``campaign.cell`` span under an enabled tracer, and
+   stored. The store is the checkpoint: re-running a killed campaign
+   against the same store recomputes no finished cell.
 
 Cells are deterministic (seed-addressed RNG streams), so parallel and
 serial execution are bit-identical — asserted by the regression tests.
 
 The experiment runner submits through the *ambient engine*
 (:func:`get_engine`); :func:`use_engine` swaps it for a scope, which is
-how the CLI's ``--jobs/--cache/--journal`` flags reach every harness
+how the CLI's ``--jobs/--cache/--trace`` flags reach every harness
 without per-harness plumbing.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import sys
 import time
 from typing import Callable, Sequence
@@ -63,9 +63,6 @@ class CampaignEngine:
         worker processes; ``1`` (default) runs in-process serially.
     store:
         optional :class:`CellStore` for content-addressed caching.
-    journal:
-        optional :class:`RunJournal`; one with ``path=None`` (counters
-        only) is created when omitted.
     timeout_s:
         per-cell bound on worker progress: a worker that produces no
         result for this long is killed and its cells retried
@@ -86,7 +83,6 @@ class CampaignEngine:
         self,
         jobs: int = 1,
         store: CellStore | None = None,
-        journal: RunJournal | None = None,
         timeout_s: float | None = None,
         retries: int = 1,
         run_fn: Callable[[CellSpec], object] = run_cell,
@@ -98,15 +94,16 @@ class CampaignEngine:
             raise ValueError("retries must be >= 0")
         self.jobs = jobs
         self.store = store
-        self.journal = journal if journal is not None else RunJournal()
+        #: cell-outcome counters; each outcome is also a traced span
+        self.journal = RunJournal()
         self.timeout_s = timeout_s
         self.retries = retries
         self.run_fn = run_fn
         self.progress = progress
         #: merges telemetry batches shipped back by pool workers into
-        #: the ambient tracer sink and the journal (repro.obs)
-        self.obs = TelemetryMux(journal=self.journal)
-        #: min wall seconds between journaled scheduler-stats rows
+        #: the ambient tracer sink (repro.obs)
+        self.obs = TelemetryMux()
+        #: min wall seconds between traced scheduler-stats instants
         self.sched_row_interval_s = 0.5
         self._last_sched_row = 0.0
         self._batch_t0: float | None = None
@@ -141,45 +138,16 @@ class CampaignEngine:
         self.close()
 
     # ------------------------------------------------------- telemetry
-    def _trace_cell(
-        self, spec: CellSpec, status: str, wall_s: float, tid: int = 0
-    ) -> None:
-        """One closed per-cell span, its cache outcome in ``status``.
+    def _sched_event(self, final: bool = False) -> None:
+        """Mirror live scheduler stats into the trace (throttled).
 
-        Campaign telemetry lives on the wall clock in trace process 0:
-        the cells *inside* bind the tracer to their own virtual clocks
-        (one pid per simulation run), so explicit wall timestamps keep
-        the campaign lane monotone regardless. Pool-executed cells land
-        on ``tid = wid + 1`` — one campaign-lane row per worker, with
-        each worker's cells laid end to end; cache hits and serial
-        cells stay on ``tid 0``.
-        """
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return
-        now = tracer.wall_now()
-        tracer.complete(
-            "campaign.cell",
-            wall_s,
-            cat="campaign",
-            tid=tid,
-            ts=now - wall_s,
-            pid=0,
-            label=cell_label(spec),
-            status=status,
-        )
-
-    def _journal_sched_stats(self, final: bool = False) -> None:
-        """Mirror live scheduler stats into the journal (throttled).
-
-        One ``sched`` row at most every ``sched_row_interval_s`` wall
-        seconds (plus an unconditional end-of-batch row) gives
-        ``campaign watch`` worker utilization, queue depth, dispatches
-        and ETA without a side channel — the journal stays the single
-        stream every observer tails.
+        One ``campaign.sched`` instant at most every
+        ``sched_row_interval_s`` wall seconds (plus an unconditional
+        end-of-batch one) gives ``campaign watch`` worker utilization,
+        queue depth, dispatches and ETA without a side channel.
         """
         pool = self._pool
-        if self.journal.path is None or pool is None or pool.stats is None:
+        if not get_tracer().enabled or pool is None or pool.stats is None:
             return
         now = time.perf_counter()
         if not final and now - self._last_sched_row < self.sched_row_interval_s:
@@ -218,6 +186,7 @@ class CampaignEngine:
     def run_cells(self, specs: Sequence[CellSpec]) -> list:
         """Execute ``specs``; returns results in submission order."""
         specs = list(specs)
+        self.journal.event("batch", cells=len(specs))
         faults = get_faults()
         if faults.enabled and faults.active:
             # Fault-injected runs bypass the engine entirely: pool
@@ -232,13 +201,8 @@ class CampaignEngine:
                 t0 = time.perf_counter()
                 result = self.run_fn(spec)
                 self.journal.cell(
-                    cell_key(spec),
-                    cell_label(spec),
-                    "faulted",
-                    time.perf_counter() - t0,
-                    backend="serial",
+                    cell_label(spec), "faulted", time.perf_counter() - t0
                 )
-                self._trace_cell(spec, "faulted", time.perf_counter() - t0)
                 self._tick()
                 results.append(result)
             self._finish_progress()
@@ -258,9 +222,9 @@ class CampaignEngine:
             cached = self.store.get(key) if self.store is not None else None
             if cached is not None:
                 results[i] = cached
-                wall_s = time.perf_counter() - t0
-                self.journal.cell(key, cell_label(spec), "hit", wall_s)
-                self._trace_cell(spec, "hit", wall_s)
+                self.journal.cell(
+                    cell_label(spec), "hit", time.perf_counter() - t0
+                )
                 self._tick()
                 continue
             first[key] = i
@@ -280,7 +244,6 @@ class CampaignEngine:
                     owned.append(i)
             todo = owned
 
-        self.journal.scheduled([keys[i] for i in todo])
         try:
             if todo:
                 if self.jobs > 1 and len(todo) > 1:
@@ -295,8 +258,7 @@ class CampaignEngine:
 
         for i, j in dups.items():
             results[i] = results[j]
-            self.journal.cell(keys[i], cell_label(specs[i]), "dup", 0.0)
-            self._trace_cell(specs[i], "dup", 0.0)
+            self.journal.cell(cell_label(specs[i]), "dup", 0.0)
             self._tick()
         self._finish_progress()
         return results
@@ -315,12 +277,13 @@ class CampaignEngine:
         """Resolve a cell another campaign is computing right now."""
         t0 = time.perf_counter()
         result = self.store.wait_for(key)
-        wall_s = time.perf_counter() - t0
         if result is not None:
             self.journal.cell(
-                key, cell_label(spec), "hit", wall_s, via="single-flight"
+                cell_label(spec),
+                "hit",
+                time.perf_counter() - t0,
+                via="single-flight",
             )
-            self._trace_cell(spec, "hit", wall_s)
             self._tick()
             return result
         # the other campaign died before committing: claim and compute
@@ -329,21 +292,11 @@ class CampaignEngine:
             self._leases[key] = lease
         return self._run_serial(spec, key)
 
-    def _complete(
-        self, spec, key, result, wall_s, status, backend, worker, tid=0
-    ):
+    def _complete(self, spec, key, result, wall_s, status, tid=0):
         if self.store is not None:
             self.store.put(key, result)
         self._release_lease(key)
-        self.journal.cell(
-            key,
-            cell_label(spec),
-            status,
-            wall_s,
-            backend=backend,
-            worker=worker,
-        )
-        self._trace_cell(spec, status, wall_s, tid=tid)
+        self.journal.cell(cell_label(spec), status, wall_s, tid=tid)
         self._tick()
 
     def _run_pool(self, specs, keys, todo, results) -> None:
@@ -359,54 +312,43 @@ class CampaignEngine:
             outcomes = pool.run(
                 [specs[i] for i in todo],
                 timeout_s=self.timeout_s,
-                ship=self.obs.wanted(),
+                ship=get_tracer().enabled,
             )
             for outcome in outcomes:
                 i = todo[outcome.task_id]
                 spec, key = specs[i], keys[i]
                 if outcome.telemetry is not None:
                     # merge the worker's shipped records before the
-                    # cell's own campaign-lane span, so the journal
+                    # cell's own campaign-lane span, so the trace
                     # reads in causal order
                     self.obs.absorb(
                         outcome.telemetry,
                         cell_label=cell_label(spec),
                         cell_key=key,
                     )
+                tid = outcome.wid + 1 if outcome.wid >= 0 else 0
                 if outcome.status == "ok":
                     self._complete(
-                        spec,
-                        key,
-                        outcome.result,
-                        outcome.wall_s,
-                        "done",
-                        "pool",
-                        outcome.worker,
-                        tid=outcome.wid + 1 if outcome.wid >= 0 else 0,
+                        spec, key, outcome.result, outcome.wall_s, "done", tid
                     )
                     results[i] = outcome.result
-                    self._journal_sched_stats()
+                    self._sched_event()
                     continue
-                status = {"error": "error", "timeout": "timeout"}.get(
-                    outcome.status, "error"
-                )
-                extra = {"error": outcome.error} if outcome.error else {}
+                status = "timeout" if outcome.status == "timeout" else "error"
                 if outcome.status == "lost":
                     self.journal.event(
                         "worker-lost", worker=outcome.worker, key=key
                     )
                 self.journal.cell(
-                    key,
                     cell_label(spec),
                     status,
                     outcome.wall_s,
-                    backend="pool",
-                    worker=outcome.worker,
-                    **extra,
+                    tid=tid,
+                    error=outcome.error,
                 )
-                self._journal_sched_stats()
+                self._sched_event()
                 retry.append(i)
-            self._journal_sched_stats(final=True)
+            self._sched_event(final=True)
         except SchedulerUnavailable as exc:
             # restricted env: no fork/pipes/semaphores — never try again
             self._pool_broken = True
@@ -434,7 +376,6 @@ class CampaignEngine:
             except Exception as exc:
                 last_exc = exc
                 self.journal.cell(
-                    key,
                     label,
                     "error",
                     time.perf_counter() - t0,
@@ -448,12 +389,10 @@ class CampaignEngine:
                 result,
                 time.perf_counter() - t0,
                 "done" if n == 1 else "retried",
-                "serial",
-                os.getpid(),
             )
             return result
         self._release_lease(key)
-        self.journal.cell(key, label, "failed", 0.0, attempt=self.retries + 1)
+        self.journal.cell(label, "failed", 0.0, attempt=self.retries + 1)
         raise CellFailure(
             f"cell {label} failed after {self.retries + 1} attempt(s)"
         ) from last_exc
@@ -490,7 +429,7 @@ _current_engine: CampaignEngine | None = None
 
 def get_engine() -> CampaignEngine:
     """The engine in effect: the :func:`use_engine` scope's engine, or
-    a process-wide default (serial, uncached, counters-only journal)."""
+    a process-wide default (serial, uncached)."""
     global _default_engine
     if _current_engine is not None:
         return _current_engine

@@ -148,8 +148,8 @@ def _worker_main(
     """Worker loop: receive ``(task_id, spec, ship)``, execute the
     cell, send one result frame back.
 
-    The parent sets ``ship`` when someone will consume worker records
-    (see :meth:`repro.obs.merge.TelemetryMux.wanted`). A shipped cell
+    The parent sets ``ship`` when someone will consume worker records:
+    when its ambient tracer is enabled. A shipped cell
     runs under a tracer bound to a bounded
     :class:`~repro.obs.ship.ShippingSink`, built on the first such
     cell; the drained batch rides the cell's own result frame (no extra

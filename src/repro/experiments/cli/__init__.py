@@ -6,7 +6,7 @@ Usage::
     seesaw-experiments run fig4
     seesaw-experiments run all --jobs 8
     seesaw-experiments run fig3a --quick --cache /tmp/cells
-    seesaw-experiments run all --output artifacts/ --journal run.jsonl
+    seesaw-experiments run all --output artifacts/ --trace run.jsonl
     seesaw-experiments run fig8 --trace fig8-trace.json
     seesaw-experiments run --spec specs/fig4.json
     seesaw-experiments scenario list
@@ -21,8 +21,8 @@ Usage::
     seesaw-experiments run fig2 --chaos-seed 7
     seesaw-experiments run fig8 --faults "cap_skew@2.0+200.0x-12.0"
     seesaw-experiments chaos --seed 7 --events chaos-events.jsonl
-    seesaw-experiments campaign status run.jsonl
-    seesaw-experiments campaign resume run.jsonl
+    seesaw-experiments campaign watch run.jsonl
+    seesaw-experiments campaign report run.jsonl --format html --out r.html
 
 ``--quick`` trades statistical fidelity for speed (fewer Verlet steps,
 single run instead of median-of-3) — useful for smoke-testing.
@@ -46,25 +46,28 @@ underlying cells out across N worker processes; results are cached
 content-addressed under ``--cache DIR`` (default
 ``~/.cache/seesaw-repro/cells``; disable with ``--no-cache``) so
 re-running an experiment whose inputs and code are unchanged is
-near-instant; ``--journal PATH`` appends a JSONL record per cell plus
-a final summary. With ``--jobs > 1`` the cells are dispatched
+near-instant. With ``--jobs > 1`` the cells are dispatched
 longest-first, one at a time, to a warm worker pool (see
 :mod:`repro.campaign.scheduler`).
 
-Resume (see :mod:`repro.campaign.resume`): a journal written by
-``run --journal`` is a replayable ledger. If the campaign is killed —
-even with SIGKILL — ``campaign resume <journal>`` re-enters it:
-completed cells are served from the recorded cache (never recomputed),
-in-flight and pending cells execute normally, and the merged results
-are bit-identical to an uninterrupted run. ``campaign status`` prints
-the ledger without running anything.
+Resume: the cell cache is the checkpoint. If a campaign is killed —
+even with SIGKILL — running the same ``run`` command against the same
+``--cache`` serves every finished cell from the cache (never
+recomputed), executes the rest, and writes results bit-identical to
+an uninterrupted run.
 
 Tracing (see :mod:`repro.telemetry`): ``run ... --trace PATH`` records
-spans and instants from every layer of the in-process runs into a Chrome
-``trace_event`` JSON that opens in ``chrome://tracing`` / Perfetto;
-``trace`` runs a purpose-built small in-situ job under any registered
-approach — including the experimental ``seesaw-exploring`` — and
-writes its trace plus a per-phase time/power summary.
+spans and instants from every layer of the runs, pool workers
+included: a ``.jsonl`` path streams JSON lines as the run goes, any
+other path gets a Chrome ``trace_event`` JSON that opens in
+``chrome://tracing`` / Perfetto. The JSONL trace is the campaign's
+log: each cell outcome is a ``campaign.cell`` span, and the run ends
+with a ``campaign.summary`` instant. ``campaign watch PATH`` tails it
+as a live dashboard; ``campaign report PATH`` renders the energy
+attribution (text, JSON or HTML). ``trace`` runs a purpose-built
+small in-situ job under any registered approach — including the
+experimental ``seesaw-exploring`` — and writes its trace plus a
+per-phase time/power summary.
 
 Observability (see :mod:`repro.metrics`): ``run ... --metrics PATH``
 collects streaming histograms/counters/gauges over the in-process runs

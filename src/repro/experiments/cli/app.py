@@ -57,8 +57,6 @@ def _main(argv: list[str] | None = None) -> int:
         return _cmd_scenario(args)
 
     if args.command == "campaign":
-        if args.campaign_cmd == "resume" and args.jobs is not None and args.jobs < 1:
-            parser.error("--jobs must be >= 1")
         if args.campaign_cmd == "watch":
             if args.interval <= 0:
                 parser.error("--interval must be > 0")

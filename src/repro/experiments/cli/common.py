@@ -12,12 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.campaign import (
-    CampaignEngine,
-    CellStore,
-    RunJournal,
-    default_cache_dir,
-)
+from repro.campaign import CampaignEngine, CellStore, default_cache_dir
 from repro.experiments import EXPERIMENTS
 
 __all__ = [
@@ -89,7 +84,7 @@ def _first_doc_line(fn) -> str:
     return ""
 
 
-def _build_engine(args) -> tuple[CampaignEngine, RunJournal]:
+def _build_engine(args) -> CampaignEngine:
     """Campaign engine from the CLI flags (cache failures degrade)."""
     store = None
     if not args.no_cache:
@@ -101,11 +96,6 @@ def _build_engine(args) -> tuple[CampaignEngine, RunJournal]:
                 f"warning: cell cache disabled ({cache_dir}: {exc})",
                 file=sys.stderr,
             )
-    journal = RunJournal(args.journal)
-    engine = CampaignEngine(
-        jobs=args.jobs,
-        store=store,
-        journal=journal,
-        progress=sys.stderr.isatty(),
+    return CampaignEngine(
+        jobs=args.jobs, store=store, progress=sys.stderr.isatty()
     )
-    return engine, journal

@@ -85,19 +85,14 @@ def _add_run(sub) -> None:
         help="disable the cell result cache",
     )
     run_p.add_argument(
-        "--journal",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="append a JSONL journal line per cell (plus a summary)",
-    )
-    run_p.add_argument(
         "--trace",
         type=Path,
         default=None,
         metavar="PATH",
-        help="write a Chrome trace_event JSON of the in-process runs "
-        "(open in chrome://tracing or Perfetto)",
+        help="trace the run, pool workers included: a .jsonl path "
+        "streams JSON lines (what 'campaign watch' and 'campaign "
+        "report' read), any other a Chrome trace_event JSON (open in "
+        "chrome://tracing or Perfetto)",
     )
     run_p.add_argument(
         "--metrics",
@@ -327,30 +322,23 @@ def _add_chaos(sub) -> None:
 def _add_campaign(sub) -> None:
     campaign_p = sub.add_parser(
         "campaign",
-        help="inspect, watch, report on, or resume a campaign journal",
-        description="Work with campaign journals written by "
-        "'run --journal PATH': 'status' prints the replayable ledger "
-        "(completed / in-flight cells, resumability); 'watch' tails "
-        "the journal as a live in-terminal dashboard (worker "
-        "utilization, queue depth, ETA, cache hit rate, power "
-        "sparklines); 'report' renders the SeeSAw-style energy attribution (joules "
-        "and wall time by rank x phase x controller decision interval) "
-        "as text, JSON, or self-contained HTML; 'resume' "
-        "re-enters a killed campaign — completed cells are served from "
-        "the recorded cell cache (never recomputed), in-flight and "
-        "pending cells execute normally, and the merged results are "
-        "bit-identical to an uninterrupted run.",
+        help="watch or report on a campaign's JSONL trace",
+        description="Work with the JSONL trace written by "
+        "'run --trace PATH.jsonl': 'watch' tails it as a live "
+        "in-terminal dashboard (worker utilization, queue depth, ETA, "
+        "cache hit rate, power sparklines); 'report' renders the "
+        "SeeSAw-style energy attribution (joules and wall time by "
+        "rank x phase x controller decision interval) as text, JSON, "
+        "or self-contained HTML. A killed campaign resumes by running "
+        "the same 'run' command against the same --cache: finished "
+        "cells are served from the cell cache, never recomputed.",
     )
     campaign_sub = campaign_p.add_subparsers(dest="campaign_cmd", required=True)
-    status_p = campaign_sub.add_parser(
-        "status", help="print the campaign ledger of one journal"
-    )
-    status_p.add_argument("journal", type=Path, help="campaign journal path")
     watch_p = campaign_sub.add_parser(
         "watch",
         help="live dashboard: tail a (possibly still-running) campaign",
     )
-    watch_p.add_argument("journal", type=Path, help="campaign journal path")
+    watch_p.add_argument("trace", type=Path, help="campaign JSONL trace path")
     watch_p.add_argument(
         "--interval",
         type=float,
@@ -363,7 +351,8 @@ def _add_campaign(sub) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="stop after N frames (default: run until the summary row)",
+        help="stop after N frames (default: run until the campaign "
+        "summary)",
     )
     watch_p.add_argument(
         "--once",
@@ -372,9 +361,9 @@ def _add_campaign(sub) -> None:
     )
     report_p = campaign_sub.add_parser(
         "report",
-        help="energy attribution report from the journal's telemetry",
+        help="energy attribution report from a campaign's JSONL trace",
     )
-    report_p.add_argument("journal", type=Path, help="campaign journal path")
+    report_p.add_argument("trace", type=Path, help="campaign JSONL trace path")
     report_p.add_argument(
         "--format",
         choices=("text", "json", "html"),
@@ -387,18 +376,6 @@ def _add_campaign(sub) -> None:
         default=None,
         metavar="PATH",
         help="write the report to PATH instead of stdout",
-    )
-    resume_p = campaign_sub.add_parser(
-        "resume",
-        help="resume a killed campaign; completed cells are never recomputed",
-    )
-    resume_p.add_argument("journal", type=Path, help="campaign journal path")
-    resume_p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the recorded worker count for the resumed leg",
     )
 
 

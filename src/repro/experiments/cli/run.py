@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.campaign import campaign_id, campaign_meta, use_engine
+from repro.campaign import use_engine
 from repro.experiments import EXPERIMENTS
 from repro.experiments.cli.common import (
     QUICK_OVERRIDES,
@@ -27,7 +27,7 @@ from repro.experiments.cli.common import (
     _jsonable,
     _run_one,
 )
-from repro.telemetry import ChromeTraceSink, Tracer, use_tracer
+from repro.telemetry import ChromeTraceSink, JsonlSink, Tracer, use_tracer
 
 __all__ = ["_cmd_list", "_cmd_run"]
 
@@ -224,15 +224,19 @@ def _cmd_run(parser, args) -> int:
     if args.runs is not None:
         overrides["n_runs"] = args.runs
 
-    # One tracer can feed both the metrics registry and the Chrome
-    # trace: the MetricsSink folds records and forwards to the file
-    # sink, so --metrics and --trace compose.
+    # One tracer can feed both the metrics registry and the trace file:
+    # the MetricsSink folds records and forwards to the file sink, so
+    # --metrics and --trace compose. A .jsonl trace streams as it runs
+    # (what 'campaign watch' tails); any other is Chrome JSON at exit.
     trace_sink = None
     registry = None
     audit_journal = None
     scopes = contextlib.ExitStack()
     if args.trace is not None:
-        trace_sink = ChromeTraceSink()
+        if args.trace.suffix == ".jsonl":
+            trace_sink = JsonlSink(args.trace)
+        else:
+            trace_sink = ChromeTraceSink()
     if args.metrics is not None:
         from repro.metrics import MetricRegistry, MetricsSink, use_metrics
 
@@ -260,21 +264,7 @@ def _cmd_run(parser, args) -> int:
             file=sys.stderr,
         )
 
-    engine, journal = _build_engine(args)
-    if args.journal is not None:
-        # the campaign header makes the journal a resumable ledger
-        meta = campaign_meta(
-            experiments=names,
-            overrides=overrides,
-            jobs=args.jobs,
-            cache=str(engine.store.root) if engine.store is not None else None,
-            output=str(args.output) if args.output is not None else None,
-            faulted=plan is not None,
-        )
-        cid = campaign_id(meta)
-        journal.campaign(cid, **meta)
-        # shipped worker telemetry carries the campaign identity
-        engine.obs.campaign_id = cid
+    engine = _build_engine(args)
     profiler = None
     if args.profile is not None:
         import cProfile
@@ -298,12 +288,13 @@ def _cmd_run(parser, args) -> int:
                 finally:
                     if profiler is not None:
                         profiler.disable()
-        journal.summary(jobs=args.jobs, experiments=names)
+                engine.journal.summary(jobs=args.jobs, experiments=names)
     finally:
         if audit_journal is not None:
             audit_journal.close()
+        if trace_sink is not None:
+            trace_sink.close()
         engine.close()
-        journal.close()
     if profiler is not None:
         import io
         import pstats
@@ -315,9 +306,11 @@ def _cmd_run(parser, args) -> int:
         ).print_stats(12)
         print(buf.getvalue(), file=sys.stderr)
         print(f"[profile -> {args.profile}]")
-    if trace_sink is not None:
+    if isinstance(trace_sink, ChromeTraceSink):
         path = trace_sink.write(args.trace)
         print(f"[trace: {len(trace_sink.records)} records -> {path}]")
+    elif trace_sink is not None:
+        print(f"[trace -> {args.trace}]")
     if registry is not None:
         registry.report().write(args.metrics)
         print(f"[metrics report -> {args.metrics}]")

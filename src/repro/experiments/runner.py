@@ -12,7 +12,7 @@ hands them to :func:`run_specs` once, and folds the results (paired
 ones through :func:`improvement`). The specs' cells go to the ambient
 campaign engine (:mod:`repro.campaign`) as one batch, so a baseline
 that several approaches share is executed once, and under ``use_engine``
-(what the CLI's ``--jobs/--cache/--journal`` flags install) the whole
+(what the CLI's ``--jobs/--cache`` flags install) the whole
 experiment fans out across worker processes and hits the
 content-addressed result cache.
 """

@@ -3,7 +3,7 @@
 One static page, zero external assets (no scripts, no CSS/font CDNs,
 no image files): styles are inlined and every figure is an inline SVG
 built from the :class:`~repro.obs.report.AttributionReport`, so the
-file can be archived next to the campaign journal, attached to CI as
+file can be archived next to the campaign trace, attached to CI as
 an artifact, or opened from a USB stick on an air-gapped cluster and
 render identically.
 
@@ -230,7 +230,8 @@ def render_html(
     if cuts_by_pid is None:
         cuts_by_pid = report.cuts_by_pid
     meta = report.campaign or {}
-    title = f"campaign report · {meta.get('id', 'unidentified')}"
+    experiments = ",".join(meta.get("experiments", []))
+    title = f"campaign report · {experiments or 'unidentified'}"
     legend = "".join(
         f"<span><span class='swatch' style='background:{color}'></span>"
         f"{_esc(cat)}</span>"
@@ -242,7 +243,7 @@ def render_html(
         f"<style>{_STYLE}</style></head><body>",
         f"<h1>{_esc(title)}</h1>",
         "<p class='meta'>",
-        f"experiments: {_esc(','.join(meta.get('experiments', [])) or '?')}"
+        f"experiments: {_esc(experiments or '?')}"
         f" · {report.records} telemetry records"
         f" · {report.decisions} decisions"
         f" · {report.actuations} cap actuations<br>"

@@ -6,21 +6,20 @@ independently, so records from two workers would collide on the same
 trace lane and read as interleaved garbage (overlapping spans, time
 running backwards). The :class:`TelemetryMux` re-stamps each record
 onto a collision-free lane derived from the worker id and tags it with
-the campaign-level identity the worker could not know:
+the cell identity the worker could not know:
 
 * ``pid`` → ``(wid + 1) * 1000 + worker-local pid`` — every worker
   gets its own block of trace processes, one per cell run, labelled
   ``w<wid> <cell-label>``;
-* ``worker`` / ``cell`` / ``label`` / ``campaign`` keys — which worker
-  executed the record's cell, the cell's content hash and label, and
-  the campaign id (what ``campaign report`` attributes energy by).
+* ``worker`` / ``cell`` / ``label`` keys — which worker executed the
+  record's cell, and the cell's content hash and label (what
+  ``campaign report`` attributes energy by).
 
-Re-stamped records flow to two places: the parent's ambient tracer
-sink (so ``run --trace --jobs N`` exports one merged Chrome trace with
-worker telemetry inlined, and ``--metrics`` folds worker phases into
-the registry via :class:`~repro.metrics.registry.MetricsSink`), and
-the campaign journal as ``telemetry`` rows (what ``campaign watch``
-and ``campaign report`` tail).
+Re-stamped records flow to one place, the parent's ambient tracer
+sink: ``run --trace --jobs N`` writes one merged trace with worker
+telemetry inlined (Chrome JSON, or the JSONL that ``campaign watch``
+and ``campaign report`` read), and ``--metrics`` folds worker phases
+into the registry via :class:`~repro.metrics.registry.MetricsSink`.
 
 The mux also widens the campaign's own trace lane: the engine stamps
 per-cell ``campaign.cell`` spans onto ``tid = wid + 1`` of trace
@@ -46,14 +45,10 @@ class TelemetryMux:
 
     One mux per :class:`~repro.campaign.executor.CampaignEngine`; the
     engine calls :meth:`absorb` for every task outcome that carried a
-    telemetry batch. ``journal`` is the engine's run journal (rows are
-    only written when it is file-backed); ``campaign_id`` is stamped
-    onto every record once the CLI assigns it.
+    telemetry batch.
     """
 
-    def __init__(self, journal=None, campaign_id: str | None = None) -> None:
-        self.journal = journal
-        self.campaign_id = campaign_id
+    def __init__(self) -> None:
         #: records merged / records dropped worker-side (buffer overflow)
         self.absorbed = 0
         self.dropped = 0
@@ -68,27 +63,12 @@ class TelemetryMux:
         # next worker's block
         return (wid + 1) * PID_STRIDE + (local_pid % PID_STRIDE)
 
-    def wanted(self) -> bool:
-        """Whether merged records would reach anyone: an enabled
-        ambient tracer or a file-backed journal. The engine asks once
-        per pooled batch; when nobody listens, workers run unshipped
-        with the null tracer."""
-        journal = self.journal
-        return get_tracer().enabled or (
-            journal is not None and journal.path is not None
-        )
-
-    def _emit(self, records: list[dict]) -> None:
-        """Fan ``records`` out: one by one to the ambient tracer's sink,
-        as one append (rows in order) to a file-backed journal."""
+    @staticmethod
+    def _emit(records: list[dict]) -> None:
+        """Hand ``records`` to the ambient tracer's sink, in order."""
         tracer = get_tracer()
         if tracer.enabled:
-            emit = tracer.sink.emit
-            for record in records:
-                emit(record)
-        journal = self.journal
-        if journal is not None and journal.path is not None:
-            journal.telemetry_many(records)
+            tracer.emit_many(records)
 
     def _lane_rows(self, wid: int) -> list[dict]:
         """The campaign process's name record for worker ``wid``'s row,
@@ -139,7 +119,6 @@ class TelemetryMux:
             return 0
         metrics.counter("obs.ship.records").inc(len(records))
         rows = self._lane_rows(wid)
-        campaign = self.campaign_id
         for rec in records:
             lane = (wid, rec.get("pid", 0))
             pid = self._lane_pids.get(lane)
@@ -152,8 +131,6 @@ class TelemetryMux:
                 out["cell"] = cell_key
             if cell_label:
                 out["label"] = cell_label
-            if campaign is not None:
-                out["campaign"] = campaign
             if out.get("ph") == "M" and out.get("name") == "process_name":
                 # prefix the run's own label so the merged trace reads
                 # "w2 seesaw/rdf/d16/..." rather than N identical names

@@ -1,9 +1,10 @@
-"""``campaign report``: SeeSAw-style energy attribution from a journal.
+"""``campaign report``: SeeSAw-style energy attribution from a trace.
 
 The paper's central accounting question — *where do the joules and the
-wall time go under a power cap?* — is answered here from the campaign
-journal alone. Shipped ``telemetry`` rows carry every phase the
-simulated ranks executed (``phase.force``, ``phase.ana_cpu``, …, each
+wall time go under a power cap?* — is answered here from the campaign's
+JSONL trace alone (``run --trace PATH.jsonl``). Its records carry every
+phase the simulated ranks executed, in-process or shipped back by pool
+workers (``phase.force``, ``phase.ana_cpu``, …, each
 an ``X`` record with ``energy_j`` in args), the controller's decision
 instants (``core.<approach>.decision``), the RAPL actuations
 (``power.rapl.apply``) and the in-situ synchronization spans
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign.journal import read_records
+from repro.telemetry.sinks import read_records
 from repro.telemetry.summary import span_seconds
 from repro.util.term import bar_chart
 
@@ -85,8 +86,9 @@ def _add(bucket: dict, energy_j: float, wall_s: float) -> None:
 
 @dataclass
 class AttributionReport:
-    """Aggregated energy/time attribution for one campaign journal."""
+    """Aggregated energy/time attribution for one campaign trace."""
 
+    #: the ``campaign.summary`` instant's args (experiments, counts)
     campaign: dict | None = None
     #: md / analysis / sync_wait / cap_actuation -> {energy_j, wall_s, count}
     by_category: dict = field(default_factory=dict)
@@ -140,16 +142,14 @@ class AttributionReport:
 
 
 def load_report_records(path: Path | str) -> tuple[dict | None, list[dict]]:
-    """The campaign header and telemetry rows of the journal at ``path``."""
+    """The ``campaign.summary`` args and every record of the JSONL trace
+    at ``path`` (the summary is None for a run that did not finish)."""
+    records = read_records(path)
     campaign = None
-    telemetry: list[dict] = []
-    for record in read_records(path):
-        event = record.get("event")
-        if event == "campaign":
-            campaign = record
-        elif event == "telemetry":
-            telemetry.append(record)
-    return campaign, telemetry
+    for record in records:
+        if record.get("ph") == "i" and record.get("name") == "campaign.summary":
+            campaign = record.get("args")
+    return campaign, records
 
 
 def build_report(
@@ -157,10 +157,10 @@ def build_report(
 ) -> AttributionReport:
     """Fold telemetry records into an :class:`AttributionReport`.
 
-    Works on journal ``telemetry`` rows and on raw in-process tracer
-    records alike (the ``event`` key is ignored), so single-process
-    ``run --trace`` output and shipped multi-worker campaigns report
-    through the same path.
+    Works on in-process and shipped (mux-stamped) tracer records alike,
+    so serial and multi-worker campaigns report through the same path;
+    records it does not attribute (campaign spans and instants) are
+    counted and skipped.
     """
     report = AttributionReport(campaign=campaign)
     decisions_by_pid: dict[int, list[dict]] = {}
@@ -324,8 +324,9 @@ def render_text(report: AttributionReport, width: int = 40) -> str:
     lines.append("== campaign energy attribution ==")
     if meta:
         lines.append(
-            f"campaign {meta.get('id', '?')}"
-            f" · {','.join(meta.get('experiments', []))}"
+            f"campaign {','.join(meta.get('experiments', [])) or '?'}"
+            f" · {meta.get('cells', 0)} cells"
+            f" · {meta.get('hits', 0)} cached"
         )
     lines.append(
         f"{report.records} telemetry records"

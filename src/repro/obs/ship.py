@@ -18,8 +18,8 @@ valid and makes the loss visible (``obs.ship.dropped``).
 
 Shipping is consumer-driven: the parent flags each dispatched chunk
 with whether anyone will read worker records (an enabled ambient
-tracer or a file-backed journal). Unflagged chunks run with the null
-tracer and ship nothing; results are bit-identical either way.
+tracer). Unflagged chunks run with the null tracer and ship nothing;
+results are bit-identical either way.
 """
 
 from __future__ import annotations

@@ -1,26 +1,29 @@
 """``campaign watch``: a live, in-terminal campaign dashboard.
 
-The watch is a pure journal tail: it polls the campaign journal with
-:func:`repro.campaign.journal.tail_records` (locked, torn-tail-safe,
+The watch is a pure trace tail: it polls the JSONL trace that ``run
+--trace PATH.jsonl`` writes with
+:func:`repro.telemetry.sinks.tail_records` (torn-tail-safe,
 incremental) and folds every record into a :class:`WatchState` — no
 side channel, no IPC with the running campaign, so it works from a
-second terminal, over NFS, or against a dead campaign's journal
-equally well. What it shows:
+second terminal, over NFS, or against a dead campaign's trace equally
+well. What it shows:
 
-* cells completed / scheduled, cache hit rate, errors and retries;
+* cells completed / scheduled, cache hit rate, errors and retries
+  (from the ``campaign.cell`` spans and ``campaign.batch`` instants);
 * per-worker utilization, executed cells and respawns plus queue
-  depth, dispatches and ETA (from the engine's ``sched`` rows);
+  depth, dispatches and ETA (from the engine's ``campaign.sched``
+  instants);
 * a rolling power sparkline and energy total per controller approach
-  (from shipped ``phase.*`` telemetry rows), and controller decision /
+  (from the ``phase.*`` spans), and controller decision /
   cap-actuation counts;
 * shipping health: records merged, records dropped to backpressure.
 
 On a TTY the frame redraws in place (ANSI clear) every ``interval``
 seconds; when stdout is not a TTY it degrades to sequentially numbered
-plain-text snapshots whose content depends only on the journal — the
-CI-safe mode. The loop ends when the journal's ``summary`` row lands
-(campaign finished), after ``--iterations``, or immediately with
-``--once``.
+plain-text snapshots whose content depends only on the trace — the
+CI-safe mode. The loop ends when the trace's ``campaign.summary``
+instant lands (campaign finished), after ``--iterations``, or
+immediately with ``--once``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign.journal import tail_records
+from repro.campaign.journal import COUNTS, tally
+from repro.telemetry.sinks import tail_records
 from repro.telemetry.summary import span_seconds
 from repro.util.term import sparkline
 
@@ -42,32 +46,23 @@ POWER_WINDOW = 180
 
 @dataclass
 class WatchState:
-    """Everything the dashboard knows, folded from journal records."""
+    """Everything the dashboard knows, folded from trace records."""
 
+    #: the watched file's name (the frame title)
+    source: str = ""
+    #: the ``campaign.summary`` instant's args, once it lands
     campaign: dict | None = None
-    legs: int = 1
+    #: cells submitted so far (``campaign.batch`` instants)
     scheduled: int = 0
-    counts: dict = field(
-        default_factory=lambda: {
-            "cells": 0,
-            "hits": 0,
-            "misses": 0,
-            "dups": 0,
-            "errors": 0,
-            "timeouts": 0,
-            "retries": 0,
-            "failed": 0,
-        }
-    )
-    #: most recent ``sched`` row (queue depth, eta, per-worker stats)
+    counts: dict = field(default_factory=lambda: dict.fromkeys(COUNTS, 0))
+    #: most recent ``campaign.sched`` args (queue depth, eta, workers)
     sched: dict | None = None
     #: approach -> rolling deque of mean phase power samples (W)
     power: dict = field(default_factory=dict)
-    #: approach -> total shipped energy (J)
+    #: approach -> total traced energy (J)
     energy_j: dict = field(default_factory=dict)
     decisions: int = 0
     actuations: int = 0
-    telemetry_rows: int = 0
     finished: bool = False
 
     @property
@@ -76,49 +71,25 @@ class WatchState:
         return self.counts["hits"] / done if done else 0.0
 
 
-def _approach(label: str) -> str:
-    """Controller approach from a cell label (``seesaw/rdf/...``)."""
-    return label.split("/", 1)[0] if label else "?"
+def _approach(record: dict) -> str:
+    """Controller approach from the cell label the mux stamps on
+    shipped records (``seesaw/rdf/...``); ``?`` for in-process ones."""
+    label = record.get("label")
+    return label.split("/", 1)[0] if isinstance(label, str) and label else "?"
 
 
 def fold(state: WatchState, record: dict) -> None:
-    """Fold one journal record into the watch state."""
-    event = record.get("event")
-    if event == "campaign":
-        state.campaign = record
-    elif event == "resume":
-        state.legs += 1
-    elif event == "scheduled":
-        state.scheduled += len(record.get("keys", ()))
-    elif event == "summary":
-        state.finished = True
-    elif event == "sched":
-        state.sched = record
-    elif event == "cell":
-        status = record.get("status")
-        counts = state.counts
-        if status in ("hit", "dup", "done", "retried"):
-            counts["cells"] += 1
-        if status == "hit":
-            counts["hits"] += 1
-        elif status == "dup":
-            counts["dups"] += 1
-        elif status == "done":
-            counts["misses"] += 1
-        elif status == "retried":
-            counts["misses"] += 1
-            counts["retries"] += 1
-        elif status in ("error", "timeout", "failed"):
-            counts[status + ("s" if status != "failed" else "")] += 1
-    elif event == "telemetry":
-        state.telemetry_rows += 1
-        ph = record.get("ph")
-        name = record.get("name", "")
-        if ph == "X" and name.startswith("phase."):
-            args = record.get("args") or {}
+    """Fold one trace record into the watch state."""
+    ph = record.get("ph")
+    name = record.get("name", "")
+    args = record.get("args") or {}
+    if ph == "X":
+        if name == "campaign.cell":
+            tally(state.counts, args.get("status"), args.get("via"))
+        elif name.startswith("phase."):
             dur = span_seconds(record)
             energy = float(args.get("energy_j", 0.0) or 0.0)
-            approach = _approach(_label_from(record))
+            approach = _approach(record)
             state.energy_j[approach] = (
                 state.energy_j.get(approach, 0.0) + energy
             )
@@ -129,20 +100,18 @@ def fold(state: WatchState, record: dict) -> None:
                         maxlen=POWER_WINDOW
                     )
                 series.append(energy / dur)
-        elif ph == "i":
-            if name.endswith(".decision"):
-                state.decisions += 1
-            elif name == "power.rapl.apply":
-                state.actuations += 1
-
-
-def _label_from(record: dict) -> str:
-    """Cell label stamped by the mux (top level), best effort."""
-    label = record.get("label")
-    if isinstance(label, str):
-        return label
-    cell = record.get("cell")
-    return str(cell)[:8] if cell else ""
+    elif ph == "i":
+        if name == "campaign.sched":
+            state.sched = args
+        elif name == "campaign.batch":
+            state.scheduled += int(args.get("cells", 0))
+        elif name == "campaign.summary":
+            state.campaign = args
+            state.finished = True
+        elif name.endswith(".decision"):
+            state.decisions += 1
+        elif name == "power.rapl.apply":
+            state.actuations += 1
 
 
 # ---------------------------------------------------------------------
@@ -152,19 +121,21 @@ def _label_from(record: dict) -> str:
 def render_state(state: WatchState, width: int = 72) -> str:
     """One dashboard frame; pure function of the folded state."""
     lines: list[str] = []
-    meta = state.campaign or {}
-    cid = meta.get("id", "?")
-    experiments = ",".join(meta.get("experiments", [])) or "?"
-    lines.append(f"== campaign watch · {cid} · {experiments} ==")
+    title = "== campaign watch"
+    if state.source:
+        title += f" · {state.source}"
+    experiments = (state.campaign or {}).get("experiments")
+    if experiments:
+        title += f" · {','.join(experiments)}"
+    lines.append(title + " ==")
     c = state.counts
-    total = max(state.scheduled, c["cells"]) or c["cells"]
+    total = max(state.scheduled, c["cells"])
     done = c["cells"]
     bar_w = 32
     filled = int(round(bar_w * (done / total))) if total else 0
     bar = "#" * filled + "." * (bar_w - filled)
     lines.append(
         f"cells   [{bar}] {done}/{total or '?'}"
-        f" · leg {state.legs}"
         + (" · FINISHED" if state.finished else "")
     )
     lines.append(
@@ -232,15 +203,23 @@ def render_state(state: WatchState, width: int = 72) -> str:
 
 
 class WatchModel:
-    """Incremental journal tail + fold; one instance per watch session."""
+    """Incremental trace tail + fold; one instance per watch session."""
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self.offset = 0
-        self.state = WatchState()
+        self.state = WatchState(source=self.path.name)
 
     def refresh(self) -> int:
         """Fold newly appended records; returns how many arrived."""
+        try:
+            size = self.path.stat().st_size
+        except OSError:
+            size = 0
+        if size < self.offset:
+            # a new run truncated the trace: start over with it
+            self.offset = 0
+            self.state = WatchState(source=self.path.name)
         records, self.offset = tail_records(self.path, self.offset)
         for record in records:
             fold(self.state, record)
@@ -260,13 +239,14 @@ def watch_journal(
 ) -> int:
     """The ``campaign watch`` loop; returns a process exit code.
 
-    TTY: clear-and-redraw every ``interval`` seconds. Non-TTY:
-    deterministic numbered snapshots (frame content depends only on
-    the journal). Ends when the campaign's ``summary`` row is seen,
-    after ``iterations`` frames, or after one frame with ``once``.
-    A journal that does not exist yet is watched patiently — start
-    the watch first, the sweep second, and the first frame appears
-    when the journal does.
+    ``path`` is a JSONL trace (``run --trace PATH.jsonl``), the
+    campaign's journal. TTY: clear-and-redraw every ``interval``
+    seconds. Non-TTY: deterministic numbered snapshots (frame content
+    depends only on the trace). Ends when the ``campaign.summary``
+    instant is seen, after ``iterations`` frames, or after one frame
+    with ``once``. A trace that does not exist yet is watched
+    patiently — start the watch first, the sweep second, and the
+    first frame shows the trace as it fills.
     """
     import sys
 

@@ -10,9 +10,9 @@ delay. This package makes that visible:
   of records that carry it (:class:`~repro.metrics.MetricsSink` folds
   them into a registry);
 * sinks — :class:`NullSink` (default, near-zero cost),
-  :class:`MemorySink` (tests), :class:`JsonlSink` /
-  :class:`JournalSink` (streaming JSONL, campaign journal), and
-  :class:`ChromeTraceSink` (opens in ``chrome://tracing`` / Perfetto);
+  :class:`MemorySink` (tests), :class:`JsonlSink` (streaming JSONL,
+  read back by :func:`read_records`), and :class:`ChromeTraceSink`
+  (opens in ``chrome://tracing`` / Perfetto);
 * :func:`summarize` — per-phase time/power breakdown, span totals and
   instant counts;
 * :func:`get_tracer` / :func:`use_tracer` — the ambient-tracer pattern
@@ -27,11 +27,12 @@ and sync waits (``insitu``), campaign cells and cache outcomes
 
 from repro.telemetry.chrome import ChromeTraceSink, to_chrome_events
 from repro.telemetry.sinks import (
-    JournalSink,
     JsonlSink,
     MemorySink,
     NullSink,
     Sink,
+    read_records,
+    tail_records,
 )
 from repro.telemetry.summary import (
     TelemetrySummary,
@@ -49,7 +50,6 @@ from repro.telemetry.tracer import (
 
 __all__ = [
     "ChromeTraceSink",
-    "JournalSink",
     "JsonlSink",
     "MemorySink",
     "NULL_TRACER",
@@ -60,7 +60,9 @@ __all__ = [
     "TelemetrySummary",
     "Tracer",
     "get_tracer",
+    "read_records",
     "summarize",
+    "tail_records",
     "to_chrome_events",
     "use_tracer",
     "validate_spans",

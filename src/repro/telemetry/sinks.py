@@ -7,10 +7,10 @@ for the schema) and may buffer, stream, or drop them:
   tracer short-circuit before a record is even built, which is what
   keeps an untraced run within the overhead budget (DESIGN.md §9);
 * :class:`MemorySink` — keeps records in a list; the test sink;
-* :class:`JsonlSink` — one JSON object per line to a file;
-* :class:`JournalSink` — forwards records into a campaign
-  :class:`repro.campaign.RunJournal`, interleaving telemetry with the
-  journal's cell records in one crash-tolerant JSONL stream.
+* :class:`JsonlSink` — one JSON object per line to a file; what
+  ``run --trace PATH.jsonl`` installs, and the stream ``campaign
+  watch`` and ``campaign report`` read back with
+  :func:`read_records` / :func:`tail_records`.
 
 The Chrome ``trace_event`` exporter lives in
 :mod:`repro.telemetry.chrome`.
@@ -22,7 +22,14 @@ import json
 import threading
 from pathlib import Path
 
-__all__ = ["Sink", "NullSink", "MemorySink", "JsonlSink", "JournalSink"]
+__all__ = [
+    "JsonlSink",
+    "MemorySink",
+    "NullSink",
+    "Sink",
+    "read_records",
+    "tail_records",
+]
 
 
 class Sink:
@@ -73,7 +80,11 @@ class MemorySink(Sink):
 
 
 class JsonlSink(Sink):
-    """Streams records as JSON lines to ``path`` (append mode).
+    """Streams records as JSON lines to ``path``, replacing its contents.
+
+    The file holds one sink's records: a second run into the same path
+    starts it afresh, as ``--audit`` does, so a reader never sees one
+    run's records behind another's ``campaign.summary``.
 
     ``flush_every`` bounds how stale the file can be: the sink flushes
     after every N records (and on :meth:`close`), so a live tail — a
@@ -87,7 +98,7 @@ class JsonlSink(Sink):
         self.path = Path(path)
         self.flush_every = flush_every
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a")
+        self._fh = self.path.open("w")
         self._pending = 0
 
     def emit(self, record: dict) -> None:
@@ -106,17 +117,48 @@ class JsonlSink(Sink):
             self._pending = 0
 
 
-class JournalSink(Sink):
-    """Forwards records into a campaign ``RunJournal``.
+# ---------------------------------------------------------------------
+# read side: torn-tail-aware record access
+#
+# A JSONL trace has one writer, which may be appending right now (a
+# live ``campaign watch``) or may have died mid-line (a killed run). A
+# newline-less final line is therefore not-yet-written, not an error.
 
-    Every record becomes a ``{"event": "telemetry", ...}`` journal line,
-    so a campaign's cells and the telemetry of the runs that produced
-    them land in one stream and survive crashes together (the journal
-    flushes-or-fsyncs per record).
+
+def _parse_lines(data: bytes) -> list[dict]:
+    """JSON records from complete lines; unparseable lines skipped."""
+    records: list[dict] = []
+    for line in data.splitlines():
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records
+
+
+def tail_records(path: Path | str, offset: int) -> tuple[list[dict], int]:
+    """Complete records written at/after byte ``offset``; new offset.
+
+    The incremental read behind ``campaign watch``: each call returns
+    the records whose final newline has landed since the last call and
+    the offset to resume from. A partial final line stays unread until
+    its newline arrives — the returned offset never points inside a
+    record. A missing file reads as no records.
     """
+    try:
+        with Path(path).open("rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except OSError:
+        return [], offset
+    end = data.rfind(b"\n")
+    if end < 0:
+        return [], offset
+    return _parse_lines(data[: end + 1]), offset + end + 1
 
-    def __init__(self, journal) -> None:
-        self.journal = journal
 
-    def emit(self, record: dict) -> None:
-        self.journal.telemetry(record)
+def read_records(path: Path | str) -> list[dict]:
+    """Every complete record in the JSONL file at ``path``."""
+    return tail_records(path, 0)[0]

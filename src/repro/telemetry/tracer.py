@@ -218,6 +218,7 @@ class Tracer:
         cat: str = "",
         tid: int = 0,
         ts: float | None = None,
+        pid: int | None = None,
         **args,
     ) -> None:
         """A point event (controller decision, cap actuation, ...)."""
@@ -227,7 +228,7 @@ class Tracer:
                 "name": name,
                 "cat": cat,
                 "ts": self.now() if ts is None else ts,
-                "pid": self.pid,
+                "pid": self.pid if pid is None else pid,
                 "tid": tid,
                 "args": args or None,
             }
@@ -308,7 +309,7 @@ class NullTracer(Tracer):
     def complete(self, name, dur, cat="", tid=0, ts=None, pid=None, **args) -> None:
         pass
 
-    def instant(self, name, cat="", tid=0, ts=None, **args) -> None:
+    def instant(self, name, cat="", tid=0, ts=None, pid=None, **args) -> None:
         pass
 
     def name_process(self, label, pid=None) -> None:

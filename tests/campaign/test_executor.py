@@ -8,7 +8,6 @@ the in-process retry succeed — exactly the recovery path the engine
 promises.
 """
 
-import json
 import multiprocessing
 import os
 import time
@@ -20,10 +19,10 @@ from repro.campaign import (
     CellFailure,
     CellSpec,
     CellStore,
-    RunJournal,
     run_cell,
 )
 from repro.campaign import executor as executor_mod
+from repro.telemetry import MemorySink, Tracer, use_tracer
 from repro.workloads import JobConfig
 
 
@@ -71,6 +70,31 @@ def counting_fn(spec):
     return run_cell(spec)
 
 
+def raise_once(spec):
+    _CALLS["n"] += 1
+    if _CALLS["n"] == 1:
+        raise RuntimeError("first attempt fails")
+    return run_cell(spec)
+
+
+def _traced(engine, specs):
+    """Run ``specs`` under a memory tracer; results and the engine's
+    own ``campaign.*`` records."""
+    sink = MemorySink()
+    with use_tracer(Tracer(sink)):
+        results = engine.run_cells(specs)
+    campaign = [
+        r for r in sink.records if r.get("name", "").startswith("campaign.")
+    ]
+    return results, campaign
+
+
+def _statuses(records):
+    return [
+        r["args"]["status"] for r in records if r["name"] == "campaign.cell"
+    ]
+
+
 # ----------------------------------------------------------- determinism
 def test_parallel_results_identical_to_serial():
     """ISSUE acceptance: --jobs N must be bit-identical to serial."""
@@ -92,14 +116,13 @@ def test_results_keep_submission_order():
 # ----------------------------------------------------------- caching
 def test_cache_hit_skips_execution(tmp_path):
     store = CellStore(tmp_path)
-    journal = RunJournal()
-    engine = CampaignEngine(store=store, journal=journal, run_fn=counting_fn)
+    engine = CampaignEngine(store=store, run_fn=counting_fn)
     _CALLS["n"] = 0
     cold = engine.run_cells([_spec(seed=1), _spec(seed=2)])
-    assert _CALLS["n"] == 2 and journal.counts["misses"] == 2
+    assert _CALLS["n"] == 2 and engine.journal.counts["misses"] == 2
 
-    journal2 = RunJournal()
-    engine2 = CampaignEngine(store=store, journal=journal2, run_fn=counting_fn)
+    engine2 = CampaignEngine(store=store, run_fn=counting_fn)
+    journal2 = engine2.journal
     warm = engine2.run_cells([_spec(seed=1), _spec(seed=2)])
     assert _CALLS["n"] == 2  # nothing re-executed
     assert journal2.all_hits and journal2.counts["hits"] == 2
@@ -107,41 +130,56 @@ def test_cache_hit_skips_execution(tmp_path):
 
 
 def test_identical_cells_in_batch_deduplicated():
-    journal = RunJournal()
-    engine = CampaignEngine(journal=journal, run_fn=counting_fn)
+    engine = CampaignEngine(run_fn=counting_fn)
     _CALLS["n"] = 0
     a, b = engine.run_cells([_spec(seed=7), _spec(seed=7)])
     assert _CALLS["n"] == 1
-    assert journal.counts["dups"] == 1
+    assert engine.journal.counts["dups"] == 1
     assert a == b
 
 
 # ----------------------------------------------------------- robustness
-def test_raising_worker_is_retried_and_journaled(tmp_path):
+def test_raising_worker_is_retried_and_journaled():
     """ISSUE acceptance: a raising worker is retried, the failure is
-    journaled, and the campaign completes with correct results."""
-    path = tmp_path / "run.jsonl"
+    traced as an ``error`` span, and the campaign completes with correct
+    results."""
     specs = [_spec(seed=1), _spec(seed=2)]
     expected = CampaignEngine().run_cells(specs)
-    with RunJournal(path) as journal:
-        engine = CampaignEngine(
-            jobs=2, journal=journal, run_fn=raise_in_child, retries=1
-        )
-        results = engine.run_cells(specs)
+    engine = CampaignEngine(jobs=2, run_fn=raise_in_child, retries=1)
+    try:
+        results, records = _traced(engine, specs)
+    finally:
+        engine.close()
+    journal = engine.journal
     assert results == expected
     assert journal.counts["errors"] == 2  # one pool failure per cell
     assert journal.counts["retries"] == 2  # both recovered in-process
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    errors = [l for l in lines if l.get("status") == "error"]
-    assert errors and all("injected worker fault" in l["error"] for l in errors)
-    assert any(l.get("status") == "retried" for l in lines)
+    errors = [r["args"] for r in records if r["name"] == "campaign.cell"
+              and r["args"]["status"] == "error"]
+    assert errors and all("injected worker fault" in a["error"] for a in errors)
+    assert "retried" in _statuses(records)
+
+
+def test_failed_attempt_spans_match_the_counters():
+    """A cell whose first attempt raises gets an ``error`` span, then a
+    ``retried`` span; the spans' statuses tally as the counters do."""
+    _CALLS["n"] = 0
+    engine = CampaignEngine(run_fn=raise_once, retries=1)
+    results, records = _traced(engine, [_spec(seed=4)])
+    assert results == [run_cell(_spec(seed=4))]
+    assert _statuses(records) == ["error", "retried"]
+    (error,) = [r for r in records if r["args"].get("status") == "error"]
+    assert error["args"]["attempt"] == 1
+    assert "first attempt fails" in error["args"]["error"]
+    counts = engine.journal.counts
+    assert counts["errors"] == _statuses(records).count("error") == 1
+    assert counts["retries"] == _statuses(records).count("retried") == 1
+    assert counts["misses"] == counts["cells"] == 1
 
 
 def test_hanging_worker_times_out_and_recovers():
-    journal = RunJournal()
-    engine = CampaignEngine(
-        jobs=2, journal=journal, run_fn=hang_in_child, timeout_s=0.5
-    )
+    engine = CampaignEngine(jobs=2, run_fn=hang_in_child, timeout_s=0.5)
+    journal = engine.journal
     specs = [_spec(seed=1), _spec(seed=2)]
     expected = CampaignEngine().run_cells(specs)
     results = engine.run_cells(specs)
@@ -151,29 +189,29 @@ def test_hanging_worker_times_out_and_recovers():
 
 
 def test_dead_worker_breaks_pool_and_falls_back():
-    journal = RunJournal()
-    engine = CampaignEngine(jobs=2, journal=journal, run_fn=die_in_child)
+    engine = CampaignEngine(jobs=2, run_fn=die_in_child)
     specs = [_spec(seed=1), _spec(seed=2)]
     results = engine.run_cells(specs)
     assert results == CampaignEngine().run_cells(specs)
-    assert journal.counts["cells"] == 2
+    assert engine.journal.counts["cells"] == 2
 
 
 def test_unrecoverable_cell_raises_cell_failure():
-    journal = RunJournal()
-    engine = CampaignEngine(journal=journal, run_fn=always_raise, retries=1)
-    with pytest.raises(CellFailure):
+    engine = CampaignEngine(run_fn=always_raise, retries=1)
+    sink = MemorySink()
+    with pytest.raises(CellFailure), use_tracer(Tracer(sink)):
         engine.run_cells([_spec()])
+    journal = engine.journal
     assert journal.counts["errors"] == 2  # initial attempt + 1 retry
     assert journal.counts["failed"] == 1
+    spans = [r for r in sink.records if r["name"] == "campaign.cell"]
+    assert _statuses(spans) == ["error", "error", "failed"]
 
 
 def test_unrecoverable_cell_raises_through_the_pool_path():
     """jobs > 1: pool error + exhausted in-process retries -> failure."""
-    journal = RunJournal()
-    engine = CampaignEngine(
-        jobs=2, journal=journal, run_fn=always_raise, retries=1
-    )
+    engine = CampaignEngine(jobs=2, run_fn=always_raise, retries=1)
+    journal = engine.journal
     try:
         with pytest.raises(CellFailure):
             engine.run_cells([_spec(seed=1), _spec(seed=2)])
@@ -183,40 +221,38 @@ def test_unrecoverable_cell_raises_through_the_pool_path():
     assert journal.counts["errors"] >= 2  # pool attempt + serial attempt
 
 
-def test_timeout_rows_are_journaled_with_pool_backend(tmp_path):
-    """A hung worker's cells land as 'timeout' rows tagged backend=pool,
-    then recover via the in-process retry ('retried' rows)."""
-    path = tmp_path / "run.jsonl"
+def test_timeout_rows_are_journaled_with_pool_backend():
+    """A hung worker's cells land as 'timeout' spans naming the worker,
+    then recover via the in-process retry ('retried' spans)."""
     specs = [_spec(seed=1), _spec(seed=2)]
     expected = CampaignEngine().run_cells(specs)
-    with RunJournal(path) as journal:
-        engine = CampaignEngine(
-            jobs=2, journal=journal, run_fn=hang_in_child, timeout_s=0.5
-        )
-        results = engine.run_cells(specs)
+    engine = CampaignEngine(jobs=2, run_fn=hang_in_child, timeout_s=0.5)
+    try:
+        results, records = _traced(engine, specs)
+    finally:
         engine.close()
     assert results == expected
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    timeouts = [l for l in lines if l.get("status") == "timeout"]
-    assert timeouts and all(l["backend"] == "pool" for l in timeouts)
-    assert any(l.get("status") == "retried" for l in lines)
+    timeouts = [r for r in records if r["name"] == "campaign.cell"
+                and r["args"]["status"] == "timeout"]
+    assert timeouts and all("timeout" in r["args"]["error"] for r in timeouts)
+    assert "retried" in _statuses(records)
+    assert engine.journal.counts["timeouts"] == len(timeouts)
 
 
-def test_worker_dying_mid_cell_journals_lost_event(tmp_path):
-    """A worker SIGKILLed mid-cell: the engine journals the loss, the
+def test_worker_dying_mid_cell_journals_lost_event():
+    """A worker SIGKILLed mid-cell: the engine traces the loss, the
     slot respawns, and the cell recovers in-process."""
-    path = tmp_path / "run.jsonl"
     specs = [_spec(seed=1), _spec(seed=2), _spec(seed=3)]
     expected = CampaignEngine().run_cells(specs)
-    with RunJournal(path) as journal:
-        engine = CampaignEngine(jobs=2, journal=journal, run_fn=die_in_child)
-        results = engine.run_cells(specs)
+    engine = CampaignEngine(jobs=2, run_fn=die_in_child)
+    try:
+        results, records = _traced(engine, specs)
+    finally:
         engine.close()
     assert results == expected
-    assert journal.counts["cells"] == 3
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert any(l["event"] == "worker-lost" for l in lines)
-    assert sum(1 for l in lines if l.get("status") == "retried") == 3
+    assert engine.journal.counts["cells"] == 3
+    assert any(r["name"] == "campaign.worker-lost" for r in records)
+    assert _statuses(records).count("retried") == 3
 
 
 def test_single_todo_cell_with_parallel_engine_runs_serially():
@@ -244,25 +280,26 @@ def test_scheduler_stats_exposed_after_pool_batch():
         engine.close()
 
 
-def test_pool_unavailable_falls_back_to_serial(tmp_path, monkeypatch):
+def test_pool_unavailable_falls_back_to_serial(monkeypatch):
     from repro.campaign.scheduler import SchedulerUnavailable, WorkerPool
 
     def broken_start(self):
         raise SchedulerUnavailable("no semaphores in this sandbox")
 
     monkeypatch.setattr(WorkerPool, "ensure_started", broken_start)
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as journal:
-        engine = CampaignEngine(jobs=4, journal=journal)
+    engine = CampaignEngine(jobs=4)
+    sink = MemorySink()
+    with use_tracer(Tracer(sink)):
         results = engine.run_cells([_spec(seed=1), _spec(seed=2)])
         # the broken pool is remembered: later batches skip it entirely
         more = engine.run_cells([_spec(seed=3), _spec(seed=4)])
-        engine.close()
+    engine.close()
     assert [r.config.seed for r in results] == [1, 2]
     assert [r.config.seed for r in more] == [3, 4]
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert any(l["event"] == "pool-unavailable" for l in lines)
-    assert journal.counts["misses"] == 4
+    names = [r["name"] for r in sink.records]
+    assert names.count("campaign.pool-unavailable") == 1
+    assert names.count("campaign.batch") == 2
+    assert engine.journal.counts["misses"] == 4
 
 
 def test_warm_pool_is_reused_across_batches():

@@ -1,21 +1,21 @@
-"""Run journal: JSONL structure, counters, ledger rows, and
-concurrent-writer integrity."""
+"""Run journal: outcome counters, their spans and instants in the
+JSONL trace, and the torn-tail-aware reader of that trace."""
 
 import json
-import multiprocessing
 
 from repro.campaign import RunJournal
-from repro.campaign.journal import read_records, tail_records
+from repro.telemetry import JsonlSink, MemorySink, Tracer, use_tracer
+from repro.telemetry.sinks import read_records, tail_records
 
 
 def test_counters_only_without_path():
     j = RunJournal()
-    j.cell("k1", "l1", "hit", 0.0)
-    j.cell("k2", "l2", "done", 0.5, backend="pool", worker=123)
-    j.cell("k2", "l2", "error", 0.1, attempt=1)
-    j.cell("k2", "l2", "retried", 0.2, attempt=2)
-    j.cell("k3", "l3", "timeout", 1.0)
-    j.cell("k4", "l4", "dup", 0.0)
+    j.cell("l1", "hit", 0.0)
+    j.cell("l2", "done", 0.5, tid=2)
+    j.cell("l2", "error", 0.1, attempt=1)
+    j.cell("l2", "retried", 0.2, attempt=2)
+    j.cell("l3", "timeout", 1.0)
+    j.cell("l4", "dup", 0.0)
     assert j.counts["cells"] == 4
     assert j.counts["hits"] == 1
     assert j.counts["misses"] == 2
@@ -28,178 +28,41 @@ def test_counters_only_without_path():
 
 def test_jsonl_file_contents(tmp_path):
     path = tmp_path / "sub" / "run.jsonl"
-    with RunJournal(path) as j:
+    tracer = Tracer(JsonlSink(path))
+    j = RunJournal()
+    with use_tracer(tracer):
         j.event("pool-unavailable", error="nope")
-        j.cell("deadbeef", "seesaw/x", "done", 0.25, backend="pool", worker=7)
+        j.cell("seesaw/x", "done", 0.25, tid=8)
         summary = j.summary(jobs=4)
+    tracer.close()
     lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert [l["event"] for l in lines] == ["pool-unavailable", "cell", "summary"]
+    assert [(l["ph"], l["name"]) for l in lines] == [
+        ("i", "campaign.pool-unavailable"),
+        ("X", "campaign.cell"),
+        ("i", "campaign.summary"),
+    ]
+    assert all(l["pid"] == 0 and l["cat"] == "campaign" for l in lines)
     cell = lines[1]
-    assert cell["key"] == "deadbeef"
-    assert cell["status"] == "done"
-    assert cell["backend"] == "pool"
-    assert cell["worker"] == 7
-    assert cell["wall_s"] == 0.25
-    assert lines[2]["misses"] == 1 and lines[2]["jobs"] == 4
+    assert cell["args"] == {"label": "seesaw/x", "status": "done"}
+    assert cell["tid"] == 8
+    assert cell["dur"] == 0.25
+    assert lines[2]["args"]["misses"] == 1 and lines[2]["args"]["jobs"] == 4
     assert summary["cells"] == 1
-
-
-def test_journal_appends_across_instances(tmp_path):
-    path = tmp_path / "run.jsonl"
-    RunJournal(path).cell("a", "a", "done", 0.1)
-    RunJournal(path).cell("b", "b", "done", 0.1)
-    assert len(path.read_text().splitlines()) == 2
 
 
 def test_all_hits():
     j = RunJournal()
     assert not j.all_hits  # vacuously false: nothing scheduled
-    j.cell("k", "l", "hit", 0.0)
+    j.cell("l", "hit", 0.0)
     assert j.all_hits
-
-
-# --------------------------------------------------------- crash tolerance
-def test_append_repairs_truncated_final_line(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        j.cell("a", "a", "done", 0.1)
-        j.cell("b", "b", "done", 0.1)
-    # simulate a crash mid-write: a partial record with no newline
-    with path.open("a") as fh:
-        fh.write('{"event": "cell", "key": "trunc')
-    with RunJournal(path) as j:
-        j.cell("c", "c", "done", 0.1)
-    records = [json.loads(l) for l in path.read_text().splitlines()]
-    assert [r["key"] for r in records] == ["a", "b", "c"]
-
-
-def test_append_repairs_file_that_is_one_partial_line(tmp_path):
-    path = tmp_path / "run.jsonl"
-    path.write_text('{"event": "cel')  # no newline anywhere
-    with RunJournal(path) as j:
-        j.cell("a", "a", "done", 0.1)
-    records = [json.loads(l) for l in path.read_text().splitlines()]
-    assert [r["key"] for r in records] == ["a"]
-
-
-def test_append_keeps_complete_file_intact(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        j.cell("a", "a", "done", 0.1)
-    before = path.read_text()
-    with RunJournal(path) as j:
-        pass  # re-open for append, write nothing
-    assert path.read_text() == before
-
-
-def test_repair_scans_past_chunk_boundary(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        j.cell("a", "a", "done", 0.1)
-    # partial tail longer than the 4 KiB backwards-scan chunk
-    with path.open("a") as fh:
-        fh.write('{"pad": "' + "x" * 10_000)
-    with RunJournal(path) as j:
-        j.cell("b", "b", "done", 0.1)
-    records = [json.loads(l) for l in path.read_text().splitlines()]
-    assert [r["key"] for r in records] == ["a", "b"]
-
-
-def test_every_record_is_durable_before_close(tmp_path):
-    path = tmp_path / "run.jsonl"
-    j = RunJournal(path)
-    j.cell("a", "a", "done", 0.1)
-    # flushed (and fsynced) per record: visible before close()
-    assert json.loads(path.read_text().splitlines()[0])["key"] == "a"
-    j.close()
-
-
-# --------------------------------------------------------- ledger rows
-def test_ledger_rows_roundtrip(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        j.campaign("cafe0123", experiments=["t1"], jobs=2, cache="/c")
-        j.scheduled(["k1", "k2"])
-        j.scheduled([])  # no-op: empty batches write nothing
-        j.cell("k1", "l1", "done", 0.1)
-        j.resume("cafe0123", previously_completed=1, in_flight=1)
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert [l["event"] for l in lines] == [
-        "campaign",
-        "scheduled",
-        "cell",
-        "resume",
-    ]
-    assert lines[0]["id"] == "cafe0123" and lines[0]["jobs"] == 2
-    assert lines[1]["keys"] == ["k1", "k2"]
-    assert lines[3]["in_flight"] == 1
 
 
 def test_single_flight_hit_counts_as_shared():
     j = RunJournal()
-    j.cell("k", "l", "hit", 0.0, via="single-flight")
-    j.cell("k2", "l2", "hit", 0.0)
+    j.cell("l", "hit", 0.0, via="single-flight")
+    j.cell("l2", "hit", 0.0)
     assert j.counts["hits"] == 2
     assert j.counts["shared"] == 1
-
-
-# ----------------------------------------------------- concurrent writers
-def _hammer(path, writer_id, n_records):
-    """Append ``n_records`` large rows (> the 4 KiB PIPE_BUF atomicity
-    guarantee, so unlocked appends would actually tear)."""
-    with RunJournal(path) as j:
-        for i in range(n_records):
-            j.cell(
-                f"w{writer_id}-{i}",
-                f"label-{writer_id}",
-                "done",
-                0.0,
-                pad="x" * 6000,
-            )
-
-
-def test_concurrent_writers_never_tear_records(tmp_path):
-    """Regression: two campaigns appending to one journal interleave
-    whole records, never bytes (flock-serialized appends)."""
-    path = tmp_path / "run.jsonl"
-    n = 40
-    procs = [
-        multiprocessing.Process(target=_hammer, args=(path, wid, n))
-        for wid in range(2)
-    ]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join(timeout=60)
-        assert p.exitcode == 0
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2 * n
-    records = [json.loads(l) for l in lines]  # every line parses whole
-    keys = {r["key"] for r in records}
-    assert keys == {f"w{w}-{i}" for w in range(2) for i in range(n)}
-
-
-def test_concurrent_open_repairs_tail_without_eating_live_records(tmp_path):
-    """A crashed writer's partial tail is repaired exactly once even
-    when two journals open the file for append concurrently."""
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        j.cell("old", "old", "done", 0.1)
-    with path.open("a") as fh:
-        fh.write('{"event": "cell", "key": "torn')  # crash mid-record
-    procs = [
-        multiprocessing.Process(target=_hammer, args=(path, wid, 10))
-        for wid in range(2)
-    ]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join(timeout=60)
-        assert p.exitcode == 0
-    records = [json.loads(l) for l in path.read_text().splitlines()]
-    keys = [r["key"] for r in records]
-    assert "old" in keys and len(keys) == 21  # 1 old + 2 x 10, torn dropped
-    assert not any(k == "torn" for k in keys)
 
 
 # ------------------------------------------------------------- read side
@@ -209,9 +72,10 @@ def test_read_records_of_missing_file_is_empty(tmp_path):
 
 def test_tail_records_is_incremental_and_torn_tail_aware(tmp_path):
     path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        j.cell("k1", "l1", "done", 0.1)
-        j.cell("k2", "l2", "done", 0.2)
+    sink = JsonlSink(path)
+    sink.emit({"key": "k1"})
+    sink.emit({"key": "k2"})
+    sink.close()
     records, offset = tail_records(path, 0)
     assert [r["key"] for r in records] == ["k1", "k2"]
     assert offset == path.stat().st_size
@@ -221,7 +85,7 @@ def test_tail_records_is_incremental_and_torn_tail_aware(tmp_path):
 
     # a torn tail stays unread until its newline arrives
     with path.open("a") as fh:
-        fh.write('{"event": "cell", "key": "k3"')
+        fh.write('{"key": "k3"')
     assert tail_records(path, offset) == ([], offset)
     with path.open("a") as fh:
         fh.write(', "status": "done"}\n')

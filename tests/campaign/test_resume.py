@@ -1,13 +1,11 @@
-"""Campaign checkpoint/resume: ledger parsing, CLI validation, and the
-kill-and-resume acceptance test.
+"""Kill and re-run: the cell store is the campaign's checkpoint.
 
 The acceptance test drives the real CLI in subprocesses: start a
-journaled campaign, SIGKILL it mid-sweep, ``campaign resume`` the
-journal, and require (a) zero recomputed finished cells and (b) merged
-results bit-identical to an uninterrupted run.
+cached campaign, SIGKILL it mid-sweep, run the same command again
+against the same ``--cache``, and require (a) zero recomputed finished
+cells and (b) results bit-identical to an uninterrupted run.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -16,158 +14,11 @@ import time
 from pathlib import Path
 
 import repro
-from repro.campaign import (
-    RunJournal,
-    campaign_id,
-    campaign_meta,
-    load_ledger,
-)
-from repro.experiments import cli
+from repro.telemetry.sinks import read_records
 
 SRC = str(Path(repro.__file__).parents[1])
 ENV = {**os.environ, "PYTHONPATH": SRC}
 
-
-# --------------------------------------------------------------- identity
-def test_campaign_id_is_stable_and_input_sensitive():
-    meta = campaign_meta(["fig4"], {"n_runs": 1}, jobs=2, cache="/c")
-    assert campaign_id(meta) == campaign_id(
-        campaign_meta(["fig4"], {"n_runs": 1}, jobs=2, cache="/c")
-    )
-    assert campaign_id(meta) != campaign_id(
-        campaign_meta(["fig4"], {"n_runs": 2}, jobs=2, cache="/c")
-    )
-    assert len(campaign_id(meta)) == 16
-
-
-# ----------------------------------------------------------------- ledger
-def _write_journal(path, *, header=True, faulted=False, cache="/c"):
-    with RunJournal(path) as j:
-        if header:
-            meta = campaign_meta(
-                ["fig4"], {}, jobs=2, cache=cache, faulted=faulted
-            )
-            j.campaign(campaign_id(meta), **meta)
-        j.scheduled(["k1", "k2", "k3"])
-        j.cell("k1", "l1", "done", 0.1)
-        j.cell("k2", "l2", "error", 0.1)
-    return path
-
-
-def test_load_ledger_reconstructs_progress(tmp_path):
-    path = _write_journal(tmp_path / "run.jsonl")
-    ledger = load_ledger(path)
-    assert ledger.campaign is not None
-    assert ledger.scheduled == {"k1", "k2", "k3"}
-    assert ledger.completed == {"k1"}
-    assert ledger.in_flight == {"k2", "k3"}  # error row is not completion
-    assert not ledger.finished
-    assert "interrupted (resumable)" in ledger.describe()
-
-
-def test_load_ledger_finished_campaign(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        meta = campaign_meta(["fig4"], {}, jobs=1, cache="/c")
-        j.campaign(campaign_id(meta), **meta)
-        j.scheduled(["k1"])
-        j.cell("k1", "l1", "done", 0.1)
-        j.summary(jobs=1)
-    ledger = load_ledger(path)
-    assert ledger.finished
-    assert "finished" in ledger.describe()
-
-
-def test_load_ledger_tolerates_torn_lines_and_missing_file(tmp_path):
-    path = _write_journal(tmp_path / "run.jsonl")
-    with path.open("a") as fh:
-        fh.write('{"event": "cell", "key": "torn')  # crashed writer
-    ledger = load_ledger(path)
-    assert ledger.completed == {"k1"}  # torn line skipped, not fatal
-    empty = load_ledger(tmp_path / "never-written.jsonl")
-    assert empty.campaign is None and not empty.scheduled
-
-
-def test_failed_cells_are_not_in_flight(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        j.scheduled(["k1", "k2"])
-        j.cell("k1", "l1", "failed", 0.0)
-        j.cell("k2", "l2", "retried", 0.1)
-    ledger = load_ledger(path)
-    assert ledger.failed == {"k1"}
-    assert ledger.completed == {"k2"}
-    assert ledger.in_flight == set()
-
-
-def test_status_tolerates_mid_write_journal(tmp_path, capsys):
-    """ISSUE satellite: ``campaign status`` on a journal a live writer
-    is mid-append to (torn final line) reads the complete prefix
-    read-only — the partial record is skipped, never repaired away."""
-    path = _write_journal(tmp_path / "run.jsonl")
-    before = path.read_bytes()
-    with path.open("a") as fh:
-        fh.write('{"event": "cell", "key": "k3", "stat')  # mid-write
-    torn = path.read_bytes()
-    assert cli.main(["campaign", "status", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "completed     1 cells" in out
-    assert "in flight     2 cells" in out  # k3's torn row not counted
-    # read-only: the torn tail is still on disk for its writer
-    assert path.read_bytes() == torn != before
-
-
-def test_load_ledger_skips_garbage_lines(tmp_path):
-    path = _write_journal(tmp_path / "run.jsonl")
-    with path.open("a") as fh:
-        fh.write("not json at all\n")
-        fh.write(json.dumps({"event": "cell", "key": "k3", "status": "done"}) + "\n")
-    ledger = load_ledger(path)
-    assert ledger.completed == {"k1", "k3"}
-
-
-# ---------------------------------------------------------- CLI validation
-def test_status_of_missing_journal_exits_2(tmp_path, capsys):
-    assert cli.main(["campaign", "status", str(tmp_path / "no.jsonl")]) == 2
-    assert "no journal" in capsys.readouterr().err
-
-
-def test_status_prints_ledger(tmp_path, capsys):
-    path = _write_journal(tmp_path / "run.jsonl")
-    assert cli.main(["campaign", "status", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "interrupted (resumable)" in out
-    assert "completed     1 cells" in out
-
-
-def test_resume_without_header_exits_2(tmp_path, capsys):
-    path = _write_journal(tmp_path / "run.jsonl", header=False)
-    assert cli.main(["campaign", "resume", str(path)]) == 2
-    assert "no campaign header" in capsys.readouterr().err
-
-
-def test_resume_of_faulted_campaign_exits_2(tmp_path, capsys):
-    path = _write_journal(tmp_path / "run.jsonl", faulted=True)
-    assert cli.main(["campaign", "resume", str(path)]) == 2
-    assert "not resumable" in capsys.readouterr().err
-
-
-def test_resume_without_cache_exits_2(tmp_path, capsys):
-    path = _write_journal(tmp_path / "run.jsonl", cache=None)
-    assert cli.main(["campaign", "resume", str(path)]) == 2
-    assert "--no-cache" in capsys.readouterr().err
-
-
-def test_resume_with_unknown_experiment_exits_2(tmp_path, capsys):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as j:
-        meta = campaign_meta(["not-an-experiment"], {}, jobs=1, cache="/c")
-        j.campaign(campaign_id(meta), **meta)
-    assert cli.main(["campaign", "resume", str(path)]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
-
-
-# ------------------------------------------------- kill-and-resume (E2E)
 #: CLI driver that first registers a 12-cell stub sweep (real cells,
 #: ~0.1 s each: a wide window to SIGKILL into) under 'stubsweep'
 DRIVER = '''
@@ -222,25 +73,24 @@ def _cli(driver, *args, **kwargs):
     )
 
 
-def _wait_for_done_cell(journal: Path, deadline_s: float = 120.0) -> None:
+def _stored(cache: Path) -> int:
+    """Committed store entries (``os.replace``d, never temp files)."""
+    return len(list(cache.glob("??/*.pkl")))
+
+
+def _wait_for_stored_cell(cache: Path, deadline_s: float = 120.0) -> None:
     t0 = time.monotonic()
     while time.monotonic() - t0 < deadline_s:
-        if journal.exists():
-            for line in journal.read_text().splitlines():
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if rec.get("event") == "cell" and rec.get("status") == "done":
-                    return
+        if _stored(cache) >= 1:
+            return
         time.sleep(0.005)
-    raise AssertionError("no cell completed before the kill deadline")
+    raise AssertionError("no cell was stored before the kill deadline")
 
 
 def test_sigkill_then_resume_is_bit_identical_with_zero_recompute(tmp_path):
-    """ISSUE acceptance: SIGKILL a campaign mid-run; 'campaign resume'
-    completes it with zero recomputed finished cells and merged results
-    bit-identical to an uninterrupted run."""
+    """SIGKILL a cached campaign mid-run; running it again against the
+    same --cache completes it with zero recomputed finished cells and
+    results bit-identical to an uninterrupted run."""
     driver = tmp_path / "driver.py"
     driver.write_text(DRIVER)
 
@@ -249,8 +99,6 @@ def test_sigkill_then_resume_is_bit_identical_with_zero_recompute(tmp_path):
         driver,
         "run",
         "stubsweep",
-        "--journal",
-        str(tmp_path / "ref.jsonl"),
         "--cache",
         str(tmp_path / "ref-cache"),
         "--output",
@@ -259,89 +107,46 @@ def test_sigkill_then_resume_is_bit_identical_with_zero_recompute(tmp_path):
     assert ref.returncode == 0, ref.stderr
     ref_bytes = (tmp_path / "ref-out" / "stubsweep.json").read_bytes()
 
-    # the victim: killed with SIGKILL as soon as one cell lands
-    journal = tmp_path / "victim.jsonl"
+    # the victim: killed with SIGKILL as soon as one cell is stored
+    cache = tmp_path / "victim-cache"
     out_dir = tmp_path / "victim-out"
+    command = [
+        "run", "stubsweep", "--cache", str(cache), "--output", str(out_dir),
+    ]
     proc = subprocess.Popen(
-        [
-            sys.executable,
-            str(driver),
-            "run",
-            "stubsweep",
-            "--journal",
-            str(journal),
-            "--cache",
-            str(tmp_path / "victim-cache"),
-            "--output",
-            str(out_dir),
-        ],
+        [sys.executable, str(driver), *command],
         env=ENV,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
     try:
-        _wait_for_done_cell(journal)
+        _wait_for_stored_cell(cache)
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
     assert not (out_dir / "stubsweep.json").exists()  # died mid-sweep
+    stored = _stored(cache)
+    assert 1 <= stored < 12  # finished cells to protect, work left
 
-    ledger = load_ledger(journal)
-    assert ledger.completed  # at least one finished cell to protect
-    assert ledger.in_flight  # and work left to resume
-    completed_before = set(ledger.completed)
+    trace = tmp_path / "again.jsonl"
+    again = _cli(driver, *command, "--trace", str(trace))
+    assert again.returncode == 0, again.stderr
 
-    status = _cli(driver, "campaign", "status", str(journal))
-    assert status.returncode == 0
-    assert "interrupted (resumable)" in status.stdout
-
-    resumed = _cli(driver, "campaign", "resume", str(journal))
-    assert resumed.returncode == 0, resumed.stderr
-    assert "resuming campaign" in resumed.stderr
-
-    # bit-identical merged results
+    # bit-identical results
     assert (out_dir / "stubsweep.json").read_bytes() == ref_bytes
 
-    # zero recomputed finished cells: after the resume record, every
-    # previously-completed key is a cache hit, never executed again
-    records = [
-        json.loads(l) for l in journal.read_text().splitlines() if l.strip()
+    # zero recomputed finished cells: every stored cell is a hit, and
+    # only the cells the killed run never stored execute
+    records = read_records(trace)
+    statuses = [
+        r["args"]["status"] for r in records if r["name"] == "campaign.cell"
     ]
-    resume_at = max(
-        i for i, r in enumerate(records) if r["event"] == "resume"
-    )
-    after = [r for r in records[resume_at:] if r["event"] == "cell"]
-    recomputed = [
-        r["key"]
-        for r in after
-        if r["key"] in completed_before and r["status"] in ("done", "retried")
+    assert statuses.count("done") == 12 - stored
+    assert statuses.count("hit") == stored
+    (summary,) = [
+        r["args"] for r in records if r["name"] == "campaign.summary"
     ]
-    assert recomputed == []
-    served = {
-        r["key"]
-        for r in after
-        if r["key"] in completed_before and r["status"] == "hit"
-    }
-    assert served == completed_before
-
-    # the resumed campaign is now a finished ledger
-    final = load_ledger(journal)
-    assert final.finished
-    assert final.resumes == 1
-    summary = [r for r in records if r["event"] == "summary"][-1]
-    assert summary.get("resumed") is True
+    assert summary["misses"] == 12 - stored
+    assert summary["hits"] == stored
     assert summary["failed"] == 0
-
-    # resuming a finished campaign is a cheap all-hits no-op
-    again = _cli(driver, "campaign", "resume", str(journal))
-    assert again.returncode == 0, again.stderr
-    records = [
-        json.loads(l) for l in journal.read_text().splitlines() if l.strip()
-    ]
-    last_resume = max(
-        i for i, r in enumerate(records) if r["event"] == "resume"
-    )
-    statuses = {
-        r["status"] for r in records[last_resume:] if r["event"] == "cell"
-    }
-    assert statuses == {"hit"}
+    assert _stored(cache) == 12

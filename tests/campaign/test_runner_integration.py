@@ -4,7 +4,7 @@ through the ambient engine, with unchanged numerics."""
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignEngine, CellStore, RunJournal, use_engine
+from repro.campaign import CampaignEngine, CellStore, use_engine
 from repro.experiments.runner import build_controller, improvement, run_specs
 from repro.scenario import JobParams, ScenarioSpec
 from repro.util.stats import percent_improvement
@@ -81,11 +81,11 @@ def test_cached_median_is_identical_and_all_hits(tmp_path):
     store = CellStore(tmp_path)
     with use_engine(CampaignEngine(store=store)):
         cold = _median_improvement("seesaw", job, n_runs=2)
-    warm_journal = RunJournal()
-    with use_engine(CampaignEngine(store=store, journal=warm_journal)):
+    warm_engine = CampaignEngine(store=store)
+    with use_engine(warm_engine):
         warm = _median_improvement("seesaw", job, n_runs=2)
     assert warm == cold
-    assert warm_journal.all_hits
+    assert warm_engine.journal.all_hits
 
 
 def test_engine_scope_restored_after_use_engine():

@@ -1,6 +1,6 @@
 """Single-flight across campaigns: two concurrent engines sharing one
 cache directory must never compute the same cell twice, never corrupt
-the shared journal-less store, and both finish with correct results.
+the shared store, and both finish with correct results.
 
 This is the ISSUE acceptance test for concurrent ``run --cache``
 invocations, driven at the engine level: each child process runs a full
@@ -9,7 +9,6 @@ counted through an append-only log (O_APPEND writes of < PIPE_BUF bytes
 are atomic), so a duplicated computation shows up as a duplicated key.
 """
 
-import json
 import multiprocessing
 import time
 
@@ -17,10 +16,12 @@ from repro.campaign import (
     CampaignEngine,
     CellSpec,
     CellStore,
-    RunJournal,
     cell_key,
+    cell_label,
     run_cell,
 )
+from repro.telemetry import JsonlSink, Tracer, use_tracer
+from repro.telemetry.sinks import read_records
 from repro.workloads import JobConfig
 
 
@@ -40,31 +41,30 @@ def _specs():
     ]
 
 
-def _campaign_proc(root, log_path, journal_path, barrier):
+def _campaign_proc(root, log_path, trace_path, barrier):
     def logged_run(spec):
         with open(log_path, "a") as fh:
             fh.write(cell_key(spec) + "\n")
         time.sleep(0.15)  # widen the race window: overlap is the point
         return run_cell(spec)
 
-    journal = RunJournal(journal_path)
-    engine = CampaignEngine(
-        store=CellStore(root), journal=journal, run_fn=logged_run
-    )
-    barrier.wait(timeout=30)
-    engine.run_cells(_specs())
-    journal.summary()
-    journal.close()
+    engine = CampaignEngine(store=CellStore(root), run_fn=logged_run)
+    tracer = Tracer(JsonlSink(trace_path))
+    with use_tracer(tracer):
+        barrier.wait(timeout=30)
+        engine.run_cells(_specs())
+        engine.journal.summary()
+    tracer.close()
 
 
 def test_concurrent_campaigns_compute_each_cell_exactly_once(tmp_path):
     root = tmp_path / "cache"
     log_path = tmp_path / "executions.log"
-    journals = [tmp_path / f"run{n}.jsonl" for n in range(2)]
+    traces = [tmp_path / f"run{n}.jsonl" for n in range(2)]
     barrier = multiprocessing.Barrier(2)
     procs = [
         multiprocessing.Process(
-            target=_campaign_proc, args=(root, log_path, journals[n], barrier)
+            target=_campaign_proc, args=(root, log_path, traces[n], barrier)
         )
         for n in range(2)
     ]
@@ -87,22 +87,25 @@ def test_concurrent_campaigns_compute_each_cell_exactly_once(tmp_path):
     for key, expected in zip(keys, serial):
         assert store.get(key) == expected  # and bit-identical to serial
 
-    # both journals are whole and consistent: each campaign accounted
-    # for all 4 cells, and 'done' rows across both cover each key once
-    done_keys, hits, shared = [], 0, 0
-    for path in journals:
-        records = [json.loads(l) for l in path.read_text().splitlines()]
-        summary = [r for r in records if r["event"] == "summary"][-1]
+    # both traces are whole and consistent: each campaign accounted
+    # for all 4 cells, and 'done' spans across both cover each cell once
+    labels = sorted(cell_label(s) for s in specs)
+    done, hits, shared = [], 0, 0
+    for path in traces:
+        records = read_records(path)
+        (summary,) = [
+            r["args"] for r in records if r["name"] == "campaign.summary"
+        ]
         assert summary["cells"] == 4
         assert summary["failed"] == 0
         hits += summary["hits"]
         shared += summary["shared"]
-        done_keys += [
-            r["key"]
+        done += [
+            r["args"]["label"]
             for r in records
-            if r["event"] == "cell" and r["status"] == "done"
+            if r["name"] == "campaign.cell" and r["args"]["status"] == "done"
         ]
-    assert sorted(done_keys) == sorted(keys)
+    assert sorted(done) == labels
     # the 4 cells not computed locally were observed from the sibling
     # campaign, at least some of them live through the in-flight lease
     assert hits == 4
@@ -131,8 +134,8 @@ def test_engine_recovers_when_inflight_holder_dies(tmp_path):
     )
     proc.start()
     time.sleep(0.1)  # let the child take the lease first
-    journal = RunJournal()
-    engine = CampaignEngine(store=CellStore(root), journal=journal)
+    engine = CampaignEngine(store=CellStore(root))
+    journal = engine.journal
     results = engine.run_cells([spec])
     proc.join(timeout=30)
     assert results == [run_cell(spec)]

@@ -3,7 +3,7 @@ static baseline that several scenarios share is executed once."""
 
 import pytest
 
-from repro.campaign import CampaignEngine, RunJournal, cell_key, use_engine
+from repro.campaign import CampaignEngine, cell_key, use_engine
 from repro.experiments import run_fig3a, run_fig6, run_summary, run_table2
 
 
@@ -26,8 +26,9 @@ def test_one_batch_and_no_recomputation(monkeypatch, run, kwargs):
         return run_cells(self, batches[-1])
 
     monkeypatch.setattr(CampaignEngine, "run_cells", spy)
-    journal = RunJournal()
-    with use_engine(CampaignEngine(journal=journal)):
+    engine = CampaignEngine()
+    journal = engine.journal
+    with use_engine(engine):
         run(**kwargs)
 
     assert len(batches) == 1

@@ -233,42 +233,48 @@ def _tiny_experiment(n_runs: int = 2, n_verlet_steps: int = 10):
     return StubResult(kwargs={"improvement": imp})
 
 
+def _summary(trace):
+    """The ``campaign.summary`` args of a JSONL trace (the last record)."""
+    last = json.loads(trace.read_text().splitlines()[-1])
+    assert last["name"] == "campaign.summary"
+    return last["args"]
+
+
 def test_cache_and_journal_flags(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
     cache = tmp_path / "cells"
-    cold_journal = tmp_path / "cold.jsonl"
-    warm_journal = tmp_path / "warm.jsonl"
+    cold_trace = tmp_path / "cold.jsonl"
+    warm_trace = tmp_path / "warm.jsonl"
     common = ["run", "tiny", "--quick", "--cache", str(cache)]
 
-    assert cli.main(common + ["--journal", str(cold_journal)]) == 0
-    cold = [json.loads(l) for l in cold_journal.read_text().splitlines()]
-    cold_summary = cold[-1]
-    assert cold_summary["event"] == "summary"
-    assert cold_summary["misses"] > 0
+    assert cli.main(common + ["--trace", str(cold_trace)]) == 0
+    assert _summary(cold_trace)["misses"] > 0
 
-    assert cli.main(common + ["--journal", str(warm_journal)]) == 0
-    warm = [json.loads(l) for l in warm_journal.read_text().splitlines()]
-    warm_summary = warm[-1]
-    # ISSUE acceptance: second invocation is 100 % cell cache hits
+    assert cli.main(common + ["--trace", str(warm_trace)]) == 0
+    warm_summary = _summary(warm_trace)
+    # second invocation is 100 % cell cache hits
     assert warm_summary["hits"] == warm_summary["cells"] > 0
     assert warm_summary["misses"] == 0
-    statuses = {l["status"] for l in warm if l["event"] == "cell"}
+    warm = [json.loads(l) for l in warm_trace.read_text().splitlines()]
+    statuses = {
+        r["args"]["status"] for r in warm if r["name"] == "campaign.cell"
+    }
     assert statuses == {"hit"}
-    capsys.readouterr()
+    assert "[trace -> " in capsys.readouterr().out
 
 
 def test_no_cache_disables_store(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
-    journal = tmp_path / "j.jsonl"
-    args = ["run", "tiny", "--quick", "--no-cache", "--journal", str(journal)]
+    trace = tmp_path / "j.jsonl"
+    args = ["run", "tiny", "--quick", "--no-cache", "--trace", str(trace)]
     assert cli.main(args) == 0
+    first = _summary(trace)
     assert cli.main(args) == 0  # second run must re-execute everything
-    summaries = [
-        json.loads(l)
-        for l in journal.read_text().splitlines()
-        if json.loads(l)["event"] == "summary"
-    ]
-    assert all(s["hits"] == 0 and s["misses"] > 0 for s in summaries)
+    second = _summary(trace)
+    assert all(s["hits"] == 0 and s["misses"] > 0 for s in (first, second))
+    # the trace holds the second run only
+    records = [json.loads(l) for l in trace.read_text().splitlines()]
+    assert sum(r["name"] == "campaign.summary" for r in records) == 1
     assert not (tmp_path / "default-cache").exists()
     capsys.readouterr()
 
@@ -381,6 +387,37 @@ def test_run_trace_with_jobs_ships_worker_telemetry(
     assert any(e["pid"] >= PID_STRIDE for e in events)  # worker lanes
 
 
+def test_campaign_watch_and_report_read_a_pooled_jsonl_trace(
+    monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
+    trace = tmp_path / "campaign.jsonl"
+    args = [
+        "run", "tiny", "--quick", "--no-cache",
+        "--trace", str(trace), "--jobs", "2",
+    ]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert cli.main(["campaign", "watch", str(trace), "--once"]) == 0
+    frame = capsys.readouterr().out
+    assert "FINISHED" in frame and "tiny" in frame
+    assert "sched   queue 0" in frame
+    assert cli.main(["campaign", "report", str(trace)]) == 0
+    text = capsys.readouterr().out
+    assert "energy by phase" in text and "campaign tiny" in text
+    for fmt in ("json", "html"):
+        out = tmp_path / f"report.{fmt}"
+        argv = ["campaign", "report", str(trace), "--format", fmt,
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.stat().st_size > 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["by_phase"]["phase.md"]["energy_j"] > 0
+    assert set(doc["by_worker"]) == {"0", "1"}
+    assert cli.main(["campaign", "report", str(tmp_path / "no.jsonl")]) == 2
+    assert "no trace" in capsys.readouterr().err
+
+
 # ----------------------------------------------------- metrics & audit
 def test_run_metrics_and_audit_flags(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
@@ -403,23 +440,25 @@ def test_run_metrics_and_audit_flags(monkeypatch, tmp_path, capsys):
 
 
 def test_observability_paths_create_missing_parents(monkeypatch, tmp_path, capsys):
-    """Satellite: --trace/--metrics/--audit/--journal all accept paths
-    whose parent directories do not exist yet."""
+    """Satellite: --trace (Chrome or JSONL)/--metrics/--audit all
+    accept paths whose parent directories do not exist yet."""
     monkeypatch.setitem(EXPERIMENTS, "tiny", _tiny_experiment)
     trace = tmp_path / "t" / "deep" / "trace.json"
     metrics = tmp_path / "m" / "deep" / "metrics.prom"
     audit = tmp_path / "a" / "deep" / "audit.jsonl"
-    journal = tmp_path / "j" / "deep" / "run.jsonl"
+    jsonl = tmp_path / "j" / "deep" / "run.jsonl"
     args = [
         "run", "tiny", "--quick", "--no-cache",
         "--trace", str(trace), "--metrics", str(metrics),
-        "--audit", str(audit), "--journal", str(journal),
+        "--audit", str(audit),
     ]
     assert cli.main(args) == 0
     assert json.loads(trace.read_text())["traceEvents"]
     assert "# TYPE" in metrics.read_text()
     assert audit.read_text().strip()
-    assert journal.read_text().strip()
+    args = ["run", "tiny", "--quick", "--no-cache", "--trace", str(jsonl)]
+    assert cli.main(args) == 0
+    assert jsonl.read_text().strip()
     capsys.readouterr()
 
 

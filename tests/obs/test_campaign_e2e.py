@@ -2,26 +2,33 @@
 
 ISSUE acceptance, pinned here:
 
-* a 4-cell, 2-worker campaign under ``--trace`` produces **one**
-  merged Chrome trace containing per-worker campaign lanes and the
-  workers' own phase telemetry, and the merged stream passes
+* a 4-cell, 2-worker campaign under ``--trace PATH.jsonl`` produces
+  **one** merged JSONL trace containing per-worker campaign lanes and
+  the workers' own phase telemetry, and the merged stream passes
   ``validate_spans``;
-* per-phase joule totals in the attribution report reconcile with the
-  metrics registry's ``span.<phase>.energy_j`` sums exactly;
-* shipping follows its consumers: a pooled batch ships worker records
-  only under an enabled tracer or a file-backed journal, and results
-  are bit-identical whether or not it ships.
+* per-phase joule totals in the attribution report, read back from
+  that trace, reconcile with the metrics registry's
+  ``span.<phase>.energy_j`` sums exactly;
+* shipping follows its consumer: a pooled batch ships worker records
+  only under an enabled tracer, and results are bit-identical whether
+  or not it ships.
 """
 
 import json
 
 import pytest
 
-from repro.campaign import CampaignEngine, CellSpec, RunJournal
-from repro.campaign.journal import read_records
+from repro.campaign import CampaignEngine, CellSpec
 from repro.metrics import MetricRegistry, MetricsSink, use_metrics
 from repro.obs.merge import PID_STRIDE
-from repro.telemetry import MemorySink, Tracer, use_tracer, validate_spans
+from repro.telemetry import (
+    JsonlSink,
+    MemorySink,
+    Tracer,
+    read_records,
+    use_tracer,
+    validate_spans,
+)
 from repro.workloads import JobConfig
 
 
@@ -42,16 +49,18 @@ def _specs():
 
 @pytest.fixture()
 def shipped(tmp_path):
-    """Run the acceptance campaign once; share it across assertions."""
+    """Run the acceptance campaign once, as ``run --jobs 2 --metrics
+    --trace run.jsonl`` does; share it across assertions."""
     registry = MetricRegistry()
-    mem = MemorySink()
-    journal = RunJournal(tmp_path / "run.jsonl")
-    engine = CampaignEngine(jobs=2, journal=journal)
-    with use_metrics(registry), use_tracer(Tracer(MetricsSink(registry, forward=mem))):
+    path = tmp_path / "run.jsonl"
+    tracer = Tracer(MetricsSink(registry, forward=JsonlSink(path)))
+    engine = CampaignEngine(jobs=2)
+    with use_metrics(registry), use_tracer(tracer):
         results = engine.run_cells(_specs())
+        engine.journal.summary(jobs=2, experiments=["acceptance"])
     engine.close()
-    journal.close()
-    return results, mem.records, registry, journal.path
+    tracer.close()
+    return results, read_records(path), registry, path
 
 
 def test_merged_trace_has_per_worker_lanes_and_validates(shipped):
@@ -78,9 +87,10 @@ def test_merged_trace_has_per_worker_lanes_and_validates(shipped):
 def test_report_joules_reconcile_with_metrics_registry(shipped):
     from repro.obs.report import build_report, load_report_records
 
-    _, _, registry, journal_path = shipped
-    campaign, telemetry = load_report_records(journal_path)
-    report = build_report(telemetry, campaign=campaign)
+    _, _, registry, trace_path = shipped
+    campaign, records = load_report_records(trace_path)
+    assert campaign["experiments"] == ["acceptance"]
+    report = build_report(records, campaign=campaign)
     assert report.by_phase  # phases actually shipped
     for name, bucket in report.by_phase.items():
         hist = registry.histogram(f"span.{name}.energy_j")
@@ -97,10 +107,11 @@ def test_report_joules_reconcile_with_metrics_registry(shipped):
 
 
 def test_sched_rows_journal_worker_stats(shipped):
-    _, _, _, journal_path = shipped
-    sched = [r for r in read_records(journal_path) if r["event"] == "sched"]
-    assert sched and sched[-1]["final"] is True
-    last = sched[-1]
+    _, records, _, _ = shipped
+    sched = [r for r in records if r["name"] == "campaign.sched"]
+    assert sched and all(r["pid"] == 0 and r["ph"] == "i" for r in sched)
+    last = sched[-1]["args"]
+    assert last["final"] is True
     assert last["n_workers"] == 2
     assert last["queue_depth"] == 0
     wids = {w["wid"] for w in last["workers"]}
@@ -109,7 +120,7 @@ def test_sched_rows_journal_worker_stats(shipped):
 
 
 def test_unconsumed_batch_ships_nothing_and_results_match(shipped):
-    """No tracer, no file journal: nobody reads worker records, so the
+    """No tracer: nobody reads worker records, so the
     workers run unshipped — and the cells' results cannot tell. The
     decision is made per batch: the same warm pool ships once a tracer
     is installed."""
@@ -131,16 +142,3 @@ def test_unconsumed_batch_ships_nothing_and_results_match(shipped):
     assert json.dumps(
         [r.total_time_s for r in unshipped]
     ) == json.dumps([r.total_time_s for r in shipped_results])
-
-
-def test_file_journal_alone_is_a_consumer(tmp_path):
-    journal = RunJournal(tmp_path / "run.jsonl")
-    engine = CampaignEngine(jobs=2, journal=journal)
-    engine.run_cells(_specs())
-    engine.close()
-    journal.close()
-    shipped = [
-        r for r in read_records(journal.path)
-        if r["event"] == "telemetry" and "worker" in r
-    ]
-    assert len(shipped) == engine.obs.absorbed > 0

@@ -85,7 +85,7 @@ def test_no_decisions_is_one_interval():
 
 
 def test_json_roundtrip_and_text_render():
-    report = build_report(_records(), campaign={"id": "c1", "experiments": ["e"]})
+    report = build_report(_records(), campaign={"experiments": ["c1"], "cells": 2})
     doc = json.loads(json.dumps(report.to_json()))
     assert doc["total_energy_j"] == pytest.approx(31.9)
     assert doc["by_category"]["md"]["count"] == 3
@@ -97,10 +97,13 @@ def test_json_roundtrip_and_text_render():
 
 def test_empty_journal_reports_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
-    path.write_text('{"event": "campaign", "id": "c2"}\n')
-    campaign, telemetry = load_report_records(path)
-    assert campaign["id"] == "c2" and telemetry == []
-    report = build_report(telemetry, campaign=campaign)
+    path.write_text(
+        '{"ph": "i", "name": "campaign.summary", "ts": 0.0, "pid": 0,'
+        ' "tid": 0, "args": {"experiments": ["c2"], "cells": 0}}\n'
+    )
+    campaign, records = load_report_records(path)
+    assert campaign["experiments"] == ["c2"] and len(records) == 1
+    report = build_report(records, campaign=campaign)
     assert report.total_energy_j == 0.0
     assert "c2" in render_text(report)
     assert "<svg" not in render_html(report) or True  # renders, no crash
@@ -129,7 +132,7 @@ def test_html_rasterizes_long_runs_to_a_bounded_page():
 
 def test_html_is_self_contained():
     report = build_report(
-        _records(), campaign={"id": "c3", "experiments": ["fig8"]}
+        _records(), campaign={"experiments": ["fig8"]}
     )
     page = render_html(report)
     assert page.startswith("<!doctype html>")

@@ -1,4 +1,4 @@
-"""Campaign watch: journal folding, rendering, TTY/non-TTY modes."""
+"""Campaign watch: trace folding, rendering, TTY/non-TTY modes."""
 
 import io
 import json
@@ -6,35 +6,46 @@ import json
 from repro.obs.watch import WatchModel, WatchState, fold, render_state, watch_journal
 
 
+def _cell(status, tid=0):
+    return {"ph": "X", "name": "campaign.cell", "cat": "campaign",
+            "ts": 0.0, "dur": 0.1, "pid": 0, "tid": tid,
+            "args": {"label": "seesaw/vacf", "status": status}}
+
+
+def _instant(name, **args):
+    return {"ph": "i", "name": name, "cat": "campaign", "ts": 0.0,
+            "pid": 0, "tid": 0, "args": args}
+
+
 def _journal_rows():
+    """A pooled campaign's JSONL trace, as ``run --trace`` writes it."""
     return [
-        {"event": "campaign", "id": "cafe0123", "experiments": ["fig8"],
-         "jobs": 2},
-        {"event": "scheduled", "keys": ["k1", "k2", "k3", "k4"]},
-        {"event": "cell", "status": "hit", "key": "k1"},
-        {"event": "cell", "status": "done", "key": "k2"},
-        {"event": "cell", "status": "error", "key": "k3"},
-        {"event": "cell", "status": "retried", "key": "k3"},
-        {"event": "sched", "final": False, "n_workers": 2, "dispatches": 3,
-         "queue_depth": 1, "eta_s": 4.5,
-         "ship_records": 120, "ship_dropped": 0,
-         "workers": [
-             {"wid": 0, "pid": 11, "cells": 2, "busy_s": 1.0,
-              "respawns": 0, "utilization": 0.8},
-             {"wid": 1, "pid": 12, "cells": 1, "busy_s": 0.4,
-              "respawns": 1, "utilization": 0.3},
-         ]},
-        {"event": "telemetry", "ph": "X", "name": "phase.md", "ts": 0.0,
+        _instant("campaign.batch", cells=4),
+        _cell("hit"),
+        _cell("done", tid=1),
+        _cell("error", tid=2),
+        _cell("retried"),
+        _instant("campaign.sched", final=False, n_workers=2, dispatches=3,
+                 queue_depth=1, eta_s=4.5, ship_records=120,
+                 ship_dropped=0,
+                 workers=[
+                     {"wid": 0, "pid": 11, "cells": 2, "busy_s": 1.0,
+                      "respawns": 0, "utilization": 0.8},
+                     {"wid": 1, "pid": 12, "cells": 1, "busy_s": 0.4,
+                      "respawns": 1, "utilization": 0.3},
+                 ]),
+        {"ph": "X", "name": "phase.md", "ts": 0.0,
          "dur": 2.0, "pid": 1000, "tid": 1, "args": {"energy_j": 100.0},
          "worker": 0, "label": "seesaw/vacf/d16/n8/s1/r0"},
-        {"event": "telemetry", "ph": "X", "name": "phase.md", "ts": 2.0,
+        {"ph": "X", "name": "phase.md", "ts": 2.0,
          "dur": 2.0, "pid": 1000, "tid": 1, "args": {"energy_j": 150.0},
          "worker": 0, "label": "seesaw/vacf/d16/n8/s1/r0"},
-        {"event": "telemetry", "ph": "i", "name": "core.seesaw.decision",
+        {"ph": "i", "name": "core.seesaw.decision",
          "ts": 2.0, "pid": 1000, "tid": 0, "worker": 0},
-        {"event": "telemetry", "ph": "i", "name": "power.rapl.apply",
+        {"ph": "i", "name": "power.rapl.apply",
          "ts": 2.1, "pid": 1000, "tid": 0, "worker": 0},
-        {"event": "summary", "cells": 4, "hits": 1},
+        _instant("campaign.summary", cells=4, hits=1,
+                 experiments=["fig8"], jobs=2),
     ]
 
 
@@ -47,7 +58,7 @@ def _fold_all():
 
 def test_fold_accumulates_campaign_state():
     state = _fold_all()
-    assert state.campaign["id"] == "cafe0123"
+    assert state.campaign["experiments"] == ["fig8"]
     assert state.scheduled == 4
     assert state.counts["cells"] == 3  # hit + done + retried
     assert state.counts["errors"] == 1 and state.counts["retries"] == 1
@@ -63,7 +74,7 @@ def test_render_is_deterministic_and_complete():
     state = _fold_all()
     frame = render_state(state)
     assert frame == render_state(state)  # no wall-clock dependence
-    assert "cafe0123" in frame and "fig8" in frame
+    assert "fig8" in frame
     assert "3/4" in frame and "FINISHED" in frame
     assert "queue 1" in frame and "dispatches 3" in frame
     assert "eta 4s" in frame
@@ -86,10 +97,14 @@ def test_model_tails_incrementally(tmp_path):
     with path.open("a") as fh:
         for row in rows[4:]:
             fh.write(json.dumps(row) + "\n")
-        fh.write('{"event": "cell", "status":')  # torn tail mid-write
+        fh.write('{"ph": "X", "name": "campaign.cell", "args":')  # torn tail
     assert model.refresh() == len(rows) - 4
     assert model.state.finished
     assert model.refresh() == 0  # torn tail stays unread
+    # a new run truncates the trace: the watch starts over with it
+    path.write_text(json.dumps(rows[0]) + "\n")
+    assert model.refresh() == 1
+    assert model.state.scheduled == 4 and not model.state.finished
 
 
 def test_watch_journal_non_tty_snapshots(tmp_path):
@@ -127,7 +142,7 @@ def test_watch_journal_once_on_missing_journal(tmp_path):
 
 def test_watch_journal_iterations_bound(tmp_path):
     path = tmp_path / "run.jsonl"
-    path.write_text(json.dumps({"event": "campaign", "id": "x"}) + "\n")
+    path.write_text(json.dumps(_instant("campaign.batch", cells=2)) + "\n")
     out = io.StringIO()
     assert (
         watch_journal(path, interval=0.01, iterations=3, stream=out, tty=False)

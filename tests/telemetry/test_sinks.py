@@ -47,6 +47,23 @@ def test_jsonl_flush_every_validated(tmp_path):
         JsonlSink(tmp_path / "t.jsonl", flush_every=0)
 
 
+def test_jsonl_sink_replaces_an_earlier_file(tmp_path):
+    """Two sink lifetimes on one path leave only the second one's
+    records: a second ``run --trace t.jsonl`` must not sit behind the
+    first run's ``campaign.summary``."""
+    path = tmp_path / "t.jsonl"
+    first = JsonlSink(path)
+    for i in range(3):
+        first.emit(_rec(i))
+    first.close()
+    second = JsonlSink(path)
+    second.emit(_rec(7))
+    second.close()
+    assert [json.loads(l) for l in path.read_text().splitlines()] == [
+        json.loads(json.dumps(_rec(7), sort_keys=True))
+    ]
+
+
 def test_jsonl_flush_every_one_is_unbuffered(tmp_path):
     path = tmp_path / "t.jsonl"
     sink = JsonlSink(path, flush_every=1)

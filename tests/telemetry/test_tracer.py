@@ -7,7 +7,6 @@ import pytest
 from repro.telemetry import (
     NULL_TRACER,
     ChromeTraceSink,
-    JournalSink,
     JsonlSink,
     MemorySink,
     Tracer,
@@ -17,7 +16,6 @@ from repro.telemetry import (
     use_tracer,
     validate_spans,
 )
-from repro.campaign import RunJournal
 
 
 def test_default_tracer_is_null_and_disabled():
@@ -109,19 +107,6 @@ def test_jsonl_sink_round_trips(tmp_path):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[0]["name"] == "x"
     assert lines[0]["args"] == {"foo": 1}
-
-
-def test_journal_sink_interleaves_with_journal(tmp_path):
-    path = tmp_path / "j.jsonl"
-    with RunJournal(path) as journal:
-        t = Tracer(JournalSink(journal))
-        journal.event("batch-start")
-        t.instant("decision", cat="core")
-        journal.cell("k", "label", "done", 0.1)
-    kinds = [
-        json.loads(line)["event"] for line in path.read_text().splitlines()
-    ]
-    assert kinds == ["batch-start", "telemetry", "cell"]
 
 
 def test_chrome_export_shape(tmp_path):
