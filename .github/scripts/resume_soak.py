@@ -10,9 +10,10 @@ JSONL file, and asserts
 * the re-run exits 0 and its trace ends with ``campaign.summary``;
 * no stored cell was recomputed: against the uninterrupted reference
   run, the re-run has exactly one ``done`` cell span fewer per cell
-  the killed run stored, at least that many ``hit`` spans (a stored
-  cell its batch holds twice is two hits, where a cold run counts a
-  ``done`` and a ``dup``), and the same number of cells in all;
+  the killed run stored, exactly that many ``hit`` spans (a stored
+  cell its batch holds twice is read once: one ``hit`` and one
+  ``dup``, as a cold run counts a ``done`` and a ``dup``), and the
+  same number of cells in all;
 * the merged experiment artifact is byte-identical to an
   uninterrupted reference run.
 
@@ -122,7 +123,7 @@ def soak_once(
             f"soak: re-run executed {done} cells; the reference executed "
             f"{ref_statuses.count('done')} and {n_stored} were stored"
         )
-    if statuses.count("hit") < n_stored or len(statuses) != len(ref_statuses):
+    if statuses.count("hit") != n_stored or len(statuses) != len(ref_statuses):
         raise SystemExit(
             f"soak: re-run cell outcomes {sorted(statuses)} do not account "
             f"for the reference's {sorted(ref_statuses)} with {n_stored} stored"

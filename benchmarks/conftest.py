@@ -20,10 +20,9 @@ without touching any benchmark:
   metrics (see :mod:`repro.metrics`) over the harness runs and write
   one merged report to PATH at session end (``.json`` → JSON,
   otherwise Prometheus text). The scope installs what ``run
-  --metrics`` does: the registry plus a tracer whose
-  :class:`~repro.metrics.MetricsSink` folds the runs' spans and
-  instants into it (phase histograms, cap and decision counts), so
-  pool workers' records are folded too.
+  --metrics`` does: a tracer whose :class:`~repro.metrics.MetricsSink`
+  folds the runs' records into the registry (phase histograms, cap and
+  decision counts), so pool workers' records are folded too.
 
 All unset (the default, and what CI uses) keeps the historical
 serial in-process behaviour — and identical numbers either way, since
@@ -38,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignEngine, CellStore, use_engine
-from repro.metrics import MetricRegistry, MetricsSink, use_metrics
+from repro.metrics import MetricRegistry, MetricsSink
 from repro.telemetry import Tracer, use_tracer
 
 
@@ -77,7 +76,6 @@ def regenerate(benchmark, fn, **kwargs):
 
         scope = contextlib.ExitStack()
         if _METRICS_REGISTRY is not None:
-            scope.enter_context(use_metrics(_METRICS_REGISTRY))
             scope.enter_context(
                 use_tracer(Tracer(MetricsSink(_METRICS_REGISTRY)))
             )

@@ -27,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.campaign.cells import run_cell
-from repro.metrics import AuditJournal, MetricRegistry, MetricsSink, use_audit, use_metrics
+from repro.metrics import AuditJournal, MetricRegistry, MetricsSink, use_audit
 from repro.scenario import load_suite
 from repro.telemetry import JsonlSink, Tracer, use_tracer
 
@@ -69,7 +69,7 @@ def _observed(cells, where: Path):
     tracer = Tracer(MetricsSink(registry, forward=JsonlSink(where / "trace.jsonl")))
     audit = AuditJournal(where / "audit.jsonl")
     try:
-        with use_metrics(registry), use_tracer(tracer), use_audit(audit):
+        with use_tracer(tracer), use_audit(audit):
             totals = [run_cell(c).total_time_s for c in cells]
         registry.report().write(where / "metrics.json")
     finally:

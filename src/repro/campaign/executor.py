@@ -114,11 +114,20 @@ class CampaignEngine:
         self._total = 0
 
     # ----------------------------------------------------------- pool
-    def _ensure_pool(self) -> WorkerPool:
-        """The warm pool (created once, reused per batch)."""
+    def _start_pool(self) -> None:
+        """Start the warm pool (created once, reused per batch). A pool
+        that cannot start here marks the engine serial for good."""
+        if self._pool_broken:
+            return
         if self._pool is None:
             self._pool = WorkerPool(self.jobs, self.run_fn)
-        return self._pool
+        try:
+            self._pool.ensure_started()
+        except SchedulerUnavailable as exc:
+            # restricted env: no fork/pipes/semaphores — never try again
+            self._pool_broken = True
+            self.journal.event("pool-unavailable", error=repr(exc))
+            self.close()
 
     @property
     def scheduler_stats(self):
@@ -213,11 +222,12 @@ class CampaignEngine:
 
         todo: list[int] = []  # first occurrence of each uncached key
         dups: dict[int, int] = {}  # duplicate index -> first index
-        first: dict[str, int] = {}
+        first: dict[str, int] = {}  # first occurrence of every key
         for i, (key, spec) in enumerate(zip(keys, specs)):
             if key in first:
                 dups[i] = first[key]
                 continue
+            first[key] = i
             t0 = time.perf_counter()
             cached = self.store.get(key) if self.store is not None else None
             if cached is not None:
@@ -227,8 +237,13 @@ class CampaignEngine:
                 )
                 self._tick()
                 continue
-            first[key] = i
             todo.append(i)
+
+        # Fork the pool before taking leases, so its workers inherit no
+        # lease fds: an orphaned worker would otherwise hold the leases
+        # of a killed run (a respawn drops them; see the worker loop).
+        if self.jobs > 1 and len(todo) > 1:
+            self._start_pool()
 
         # single-flight: lease what we will compute; cells leased by a
         # concurrent campaign sharing the store are observed instead
@@ -300,64 +315,55 @@ class CampaignEngine:
         self._tick()
 
     def _run_pool(self, specs, keys, todo, results) -> None:
-        """Longest-first fan-out over the warm pool; see the module doc."""
-        if self._pool_broken:
+        """Longest-first fan-out over the warm pool (started by
+        :meth:`run_cells` before it took the leases); see the module doc."""
+        pool = self._pool
+        if pool is None:  # no pool can start here
             for i in todo:
                 results[i] = self._run_serial(specs[i], keys[i])
             return
-        pool = self._ensure_pool()
         retry: list[int] = []  # indices to re-run in-process
         self._batch_t0 = time.perf_counter()
-        try:
-            outcomes = pool.run(
-                [specs[i] for i in todo],
-                timeout_s=self.timeout_s,
-                ship=get_tracer().enabled,
-            )
-            for outcome in outcomes:
-                i = todo[outcome.task_id]
-                spec, key = specs[i], keys[i]
-                if outcome.telemetry is not None:
-                    # merge the worker's shipped records before the
-                    # cell's own campaign-lane span, so the trace
-                    # reads in causal order
-                    self.obs.absorb(
-                        outcome.telemetry,
-                        cell_label=cell_label(spec),
-                        cell_key=key,
-                    )
-                tid = outcome.wid + 1 if outcome.wid >= 0 else 0
-                if outcome.status == "ok":
-                    self._complete(
-                        spec, key, outcome.result, outcome.wall_s, "done", tid
-                    )
-                    results[i] = outcome.result
-                    self._sched_event()
-                    continue
-                status = "timeout" if outcome.status == "timeout" else "error"
-                if outcome.status == "lost":
-                    self.journal.event(
-                        "worker-lost", worker=outcome.worker, key=key
-                    )
-                self.journal.cell(
-                    cell_label(spec),
-                    status,
-                    outcome.wall_s,
-                    tid=tid,
-                    error=outcome.error,
+        outcomes = pool.run(
+            [specs[i] for i in todo],
+            timeout_s=self.timeout_s,
+            ship=get_tracer().enabled,
+        )
+        for outcome in outcomes:
+            i = todo[outcome.task_id]
+            spec, key = specs[i], keys[i]
+            if outcome.telemetry is not None:
+                # merge the worker's shipped records before the
+                # cell's own campaign-lane span, so the trace
+                # reads in causal order
+                self.obs.absorb(
+                    outcome.telemetry,
+                    cell_label=cell_label(spec),
+                    cell_key=key,
                 )
+            tid = outcome.wid + 1 if outcome.wid >= 0 else 0
+            if outcome.status == "ok":
+                self._complete(
+                    spec, key, outcome.result, outcome.wall_s, "done", tid
+                )
+                results[i] = outcome.result
                 self._sched_event()
-                retry.append(i)
-            self._sched_event(final=True)
-        except SchedulerUnavailable as exc:
-            # restricted env: no fork/pipes/semaphores — never try again
-            self._pool_broken = True
-            self.journal.event("pool-unavailable", error=repr(exc))
-            self.close()
-            for i in todo:
-                if results[i] is None:
-                    results[i] = self._run_serial(specs[i], keys[i])
-            return
+                continue
+            status = "timeout" if outcome.status == "timeout" else "error"
+            if outcome.status == "lost":
+                self.journal.event(
+                    "worker-lost", worker=outcome.worker, key=key
+                )
+            self.journal.cell(
+                cell_label(spec),
+                status,
+                outcome.wall_s,
+                tid=tid,
+                error=outcome.error,
+            )
+            self._sched_event()
+            retry.append(i)
+        self._sched_event(final=True)
         for i in retry:
             results[i] = self._run_serial(specs[i], keys[i], attempt=2)
 

@@ -18,12 +18,13 @@ The pool itself is what ``ProcessPoolExecutor`` lacks:
 * a per-cell timeout that kills a hung worker and respawns its slot in
   place, and ``lost`` outcomes for a worker that dies mid-cell;
 * a parent-death watchdog in every worker, so a SIGKILLed campaign
-  never strands workers holding inherited ``flock`` leases;
+  strands no worker, and a worker closes the ``flock`` lease fds it
+  inherited at fork, so it never holds a lease;
 * telemetry shipped back on each cell's own result frame.
 
 Per-worker utilization, queue depth and a ratio ETA are exposed as
-:class:`SchedulerStats` and mirrored into the ambient
-:mod:`repro.metrics` registry.
+:class:`SchedulerStats`; the campaign engine traces them as
+``campaign.sched`` instants.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from multiprocessing import connection
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.campaign.cells import CellSpec, cell_units
-from repro.metrics import get_metrics
 
 __all__ = [
     "SchedulerStats",
@@ -119,7 +119,7 @@ class WorkerStats:
 
 @dataclass
 class SchedulerStats:
-    """One batch's scheduling telemetry (also mirrored into metrics)."""
+    """One batch's scheduling telemetry."""
 
     n_workers: int = 0
     dispatches: int = 0
@@ -161,20 +161,22 @@ def _worker_main(
     dead parent. Pipe EOF alone is not a reliable death signal under
     fork: sibling workers (and the worker itself) inherit duplicate
     parent-side pipe fds, so the write end may outlive the parent.
-    Worse, a worker forked while the parent held cell leases inherits
-    those ``flock`` fds — if it lingers after a SIGKILLed parent, the
-    leases stay locked and a resumed campaign wedges in ``wait_for``.
-    Exiting on re-parenting closes every inherited fd and releases the
-    locks (pinned by ``test_sigkill_of_parent_reaps_pool_workers``).
+    A worker forked while the parent held cell leases (a mid-batch
+    respawn) inherits those ``flock`` fds; it closes its copies first
+    thing, so a worker that lingers after a SIGKILLed parent holds no
+    lease. Exiting on re-parenting is pinned by
+    ``test_sigkill_of_parent_reaps_pool_workers``.
 
     ``parent_pid`` comes from the parent's ``os.getpid()`` at spawn time:
     capturing ``os.getppid()`` here instead would race with parent death —
     a worker whose parent is killed before this line runs would record the
     reaper's pid and never notice the orphaning.
     """
+    from repro.campaign.store import drop_inherited_leases
     from repro.obs.ship import ShippingSink
     from repro.telemetry import Tracer, use_tracer
 
+    drop_inherited_leases()
     #: built on the first shipped cell; unshipped cells run untraced
     shipping: tuple[Tracer, ShippingSink] | None = None
     while True:
@@ -402,7 +404,6 @@ class WorkerPool:
         when no pool can be started — callers fall back to serial.
         """
         self.ensure_started()
-        metrics = get_metrics()
         workers = self._workers
         stats = self.stats = SchedulerStats(n_workers=self.n_workers)
         for worker in workers:
@@ -427,10 +428,6 @@ class WorkerPool:
                         worker.task = task_id
                         worker.sent_at = time.perf_counter()
                         stats.dispatches += 1
-                        metrics.counter("campaign.sched.dispatches").inc()
-                        metrics.gauge("campaign.sched.queue_depth").set(
-                            len(queue)
-                        )
                 conns = {
                     worker.conn_recv: worker
                     for worker in workers
@@ -508,15 +505,6 @@ class WorkerPool:
                             worker=worker.wid,
                             error=f"worker {worker.wid} {status}",
                         )
-                eta = self.eta_s()
-                if eta is not None:
-                    metrics.gauge("campaign.sched.eta_s").set(eta)
         finally:
             stats.wall_s = time.perf_counter() - t_start
             stats.workers = [w.stats for w in workers]
-            if stats.wall_s > 0:
-                for w in workers:
-                    metrics.gauge(
-                        f"campaign.sched.worker{w.wid}.utilization"
-                    ).set(w.stats.utilization(stats.wall_s))
-            metrics.gauge("campaign.sched.queue_depth").set(0)

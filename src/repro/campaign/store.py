@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+import weakref
 from pathlib import Path
 
 try:  # POSIX advisory locking; degrade gracefully elsewhere
@@ -45,7 +46,12 @@ try:  # POSIX advisory locking; degrade gracefully elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["CellLease", "CellStore", "default_cache_dir"]
+__all__ = ["CellLease", "CellStore", "default_cache_dir", "drop_inherited_leases"]
+
+#: leases this process holds; a process forked while they are held
+#: inherits their fds and drops them (:func:`drop_inherited_leases`).
+#: Weak, so a lease nobody references still closes its file when freed.
+_held: weakref.WeakSet[CellLease] = weakref.WeakSet()
 
 
 def default_cache_dir() -> Path:
@@ -65,6 +71,8 @@ class CellLease:
     def __init__(self, key: str, fh) -> None:
         self.key = key
         self._fh = fh
+        if fh is not None:
+            _held.add(self)
 
     @property
     def held(self) -> bool:
@@ -74,6 +82,7 @@ class CellLease:
         fh, self._fh = self._fh, None
         if fh is None:
             return
+        _held.discard(self)
         try:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
@@ -85,6 +94,20 @@ class CellLease:
 
     def __exit__(self, *exc) -> None:
         self.release()
+
+
+def drop_inherited_leases() -> None:
+    """Close the lease fds a forked child inherited, without unlocking.
+
+    ``flock`` locks belong to the open file, which parent and child
+    share: unlocking here would release the parent's lease, while
+    closing this process's copy leaves the parent holding it and stops
+    a child that outlives the parent from keeping it locked.
+    """
+    for lease in list(_held):
+        fh, lease._fh = lease._fh, None
+        fh.close()
+    _held.clear()
 
 
 class CellStore:

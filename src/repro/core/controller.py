@@ -20,7 +20,7 @@ import numpy as np
 from repro.cluster.node import NodeSpec
 from repro.core.types import Allocation, Observation
 from repro.metrics.audit import get_audit
-from repro.metrics.registry import get_metrics
+from repro.telemetry import get_tracer
 
 __all__ = ["PowerController", "clamp_partition_totals", "clamp_totals"]
 
@@ -151,8 +151,8 @@ class PowerController(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    # audit / metrics hooks (no-ops unless a journal/registry is
-    # installed via use_audit()/use_metrics())
+    # audit / trace hooks (no-ops unless a journal/tracer is installed
+    # via use_audit()/use_tracer())
 
     def _audit_init(self, alloc: Allocation) -> None:
         """Record the initial allocation in the ambient audit journal."""
@@ -166,15 +166,10 @@ class PowerController(abc.ABC):
 
     def _audit_observe(self, obs: Observation) -> None:
         """Record one synchronization's measurement as the controller
-        saw it, and feed the slack histogram."""
+        saw it."""
         audit = get_audit()
         if audit.enabled:
             audit.record_observation(self.name, obs)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.histogram("core.sync.slack_s").observe(
-                abs(obs.sim.work_time_s - obs.ana.work_time_s)
-            )
 
     def guard_observation(
         self, obs: Observation, require_full_nodes: bool = False
@@ -193,9 +188,10 @@ class PowerController(abc.ABC):
         time-aware) whose arithmetic needs one entry per
         node; partition-total strategies tolerate surviving-rank
         aggregates. A hold lands in the audit journal (kind ``hold``)
-        and on the ``core.degraded_holds`` counter so resilience is
-        visible in ``audit replay``; stale-but-usable observations are
-        counted on ``core.stale_observations`` without holding.
+        and is traced as a ``core.degraded_hold`` instant so resilience
+        is visible in ``audit replay``; a stale-but-usable observation
+        is traced as a ``core.stale_observation`` instant without
+        holding.
         """
         reason: str | None = None
         if obs.sim.n_nodes == 0 or obs.ana.n_nodes == 0:
@@ -204,9 +200,9 @@ class PowerController(abc.ABC):
             obs.sim.n_nodes != self.n_sim or obs.ana.n_nodes != self.n_ana
         ):
             reason = "partial_nodes"
-        metrics = get_metrics()
-        if metrics.enabled and (obs.sim_stale or obs.ana_stale):
-            metrics.counter("core.stale_observations").inc()
+        tracer = get_tracer()
+        if tracer.enabled and (obs.sim_stale or obs.ana_stale):
+            tracer.instant("core.stale_observation", cat="core", step=obs.step)
         if reason is None:
             return True
         audit = get_audit()
@@ -224,8 +220,10 @@ class PowerController(abc.ABC):
                     "ana_stale": obs.ana_stale,
                 },
             )
-        if metrics.enabled:
-            metrics.counter("core.degraded_holds").inc()
+        if tracer.enabled:
+            tracer.instant(
+                "core.degraded_hold", cat="core", step=obs.step, reason=reason
+            )
         return False
 
     # ------------------------------------------------------------------

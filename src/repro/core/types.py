@@ -83,6 +83,12 @@ class Observation:
     ana_stale: int = 0
 
     @property
+    def slack_s(self) -> float:
+        """Work-time gap between the partitions: how long the faster
+        one waits at this synchronization."""
+        return abs(self.sim.work_time_s - self.ana.work_time_s)
+
+    @property
     def degraded(self) -> bool:
         """True when any rank's measurement is missing or stale."""
         return bool(

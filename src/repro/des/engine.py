@@ -24,7 +24,7 @@ Design notes
   bounding both memory and per-pop skip work under cap-change storms
   (see DESIGN.md §15).
 * ``run()`` is one drain-the-heap loop with the installed hooks
-  (tracer / sampler / faults) bound to locals at entry; ``step()`` is
+  (tracer / faults) bound to locals at entry; ``step()`` is
   the single-step API with the same hook order, so both produce
   bit-identical trajectories.
 * There is no wall-clock coupling anywhere: virtual time advances only
@@ -40,7 +40,6 @@ from typing import Any, Callable, List, Optional
 
 from repro.faults.injector import get_faults
 from repro.metrics.audit import get_audit
-from repro.metrics.registry import get_metrics
 from repro.telemetry import get_tracer
 
 __all__ = ["Engine", "EventHandle", "SimulationError"]
@@ -98,48 +97,23 @@ class Engine:
         if self._tracer is not None:
             tracer.bind_clock(lambda: self._now, label="des-engine")
             tracer.name_thread(0, "des/engine")
-        # The metrics registry and audit journal sample on the same
-        # virtual clock; both bindings are no-ops on the null objects.
-        metrics = get_metrics()
-        self._metrics = metrics if metrics.enabled else None
-        if self._metrics is not None:
-            metrics.bind_clock(lambda: self._now)
+        # The audit journal stamps decisions on the same virtual clock.
         audit = get_audit()
         if audit.enabled:
             audit.bind_clock(lambda: self._now)
-        # Fault windows open/close at exact virtual times via the same
-        # inline-hook discipline as the sampler: markers are fired on
-        # clock advances, never as heap events (which would move the
-        # virtual end time and break bit-identity).
+        # Fault windows open/close at exact virtual times: markers are
+        # fired inline on clock advances, never as heap events (which
+        # would move the virtual end time and break bit-identity).
         faults = get_faults()
         self._faults = faults if faults.enabled else None
         if self._faults is not None:
             faults.bind_engine(self)
-        #: inline sampler hook fired on clock advances (never a heap
-        #: event — synthetic events would move the virtual end time and
-        #: break the bit-identity contract). See attach_sampler().
-        self._sampler: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    def attach_sampler(self, sampler: Callable[[float], None]) -> None:
-        """Install a callable invoked with ``now`` after every clock
-        advance (see :class:`repro.metrics.timeseries.PeriodicSampler`).
-
-        The sampler is a pure observer: it must not schedule events or
-        otherwise perturb the simulation. Hooks are bound at ``run()``
-        entry, so samplers must be attached before the run starts.
-        """
-        if self._running:
-            raise SimulationError(
-                "attach_sampler() during run(): hooks are bound at run() "
-                "entry"
-            )
-        self._sampler = sampler
 
     def schedule(
         self, delay: float, callback: Callable[[], None]
@@ -196,8 +170,6 @@ class Engine:
         heapq.heapify(heap)
         self._dead = 0
         self.compactions += 1
-        if self._metrics is not None:
-            self._metrics.counter("des.heap_compactions").inc()
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or None when the heap is empty."""
@@ -220,8 +192,6 @@ class Engine:
             self._now = entry[0]
             if self._faults is not None:
                 self._faults.on_advance(self._now)
-            if self._sampler is not None:
-                self._sampler(self._now)
             self.events_executed += 1
             if self._tracer is not None:
                 # Callbacks are instantaneous in virtual time: a zero-width
@@ -238,7 +208,7 @@ class Engine:
 
         The unbounded form binds the installed hooks to locals at entry
         and dispatches in :meth:`step`'s hook order (advance clock →
-        faults → sampler → count → tracer → callback); the bounded form
+        faults → count → tracer → callback); the bounded form
         calls :meth:`step` itself. The executed-event count is flushed
         in a ``finally`` so an exception in a callback still leaves
         ``events_executed`` exact.
@@ -257,7 +227,6 @@ class Engine:
                 heap = self._heap
                 heappop = _heappop
                 faults = self._faults
-                sampler = self._sampler
                 n = 0
                 try:
                     while heap:
@@ -270,8 +239,6 @@ class Engine:
                         now = self._now = entry[0]
                         if faults is not None:
                             faults.on_advance(now)
-                        if sampler is not None:
-                            sampler(now)
                         n += 1
                         if tracer is not None:
                             tracer.complete(
@@ -290,13 +257,10 @@ class Engine:
         finally:
             self._running = False
             if run_span is not None:
-                run_span.end(events=self.events_executed)
-            if self._metrics is not None:
-                self._metrics.counter("des.runs").inc()
-                self._metrics.histogram("des.events_per_run").observe(
-                    float(self.events_executed)
+                run_span.end(
+                    events=self.events_executed,
+                    heap_compactions=self.compactions,
                 )
-                self._metrics.gauge("des.virtual_time_s").set(self._now)
 
     def run_until(self, time: float) -> None:
         """Run events with timestamps <= ``time``; then set now = time."""

@@ -70,9 +70,9 @@ experimental ``seesaw-exploring`` — and writes its trace plus a
 per-phase time/power summary.
 
 Observability (see :mod:`repro.metrics`): ``run ... --metrics PATH``
-collects streaming histograms/counters/gauges over the in-process runs
-and writes a report (JSON for ``.json`` paths, Prometheus text
-otherwise); ``run ... --audit PATH`` journals every controller decision
+folds the run's trace records, pool workers' included, into streaming
+histograms and counters and writes a report (JSON for ``.json`` paths,
+Prometheus text otherwise); ``run ... --audit PATH`` journals every controller decision
 to JSONL. ``audit replay`` re-executes a journal's decisions from their
 recorded inputs and verifies the cap schedule (exit 1 on mismatch);
 ``audit diff`` compares two journals decision-by-decision (exit 1 iff

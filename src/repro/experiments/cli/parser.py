@@ -99,7 +99,7 @@ def _add_run(sub) -> None:
         type=Path,
         default=None,
         metavar="PATH",
-        help="collect streaming metrics over the in-process runs and "
+        help="fold the run's trace records into streaming metrics and "
         "write a report (.json -> JSON, otherwise Prometheus text)",
     )
     run_p.add_argument(

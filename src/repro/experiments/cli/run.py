@@ -187,8 +187,8 @@ def _cmd_run(parser, args) -> int:
         parser.error("--faults and --chaos-seed are mutually exclusive")
     if args.audit is not None and args.jobs > 1:
         parser.error(
-            "--audit needs --jobs 1: pool workers ship trace and metrics "
-            "records but no audit rows"
+            "--audit needs --jobs 1: pool workers ship trace records but "
+            "no audit rows"
         )
     if args.spec is not None and args.experiment is not None:
         parser.error("give an experiment id or --spec FILE, not both")
@@ -238,10 +238,9 @@ def _cmd_run(parser, args) -> int:
         else:
             trace_sink = ChromeTraceSink()
     if args.metrics is not None:
-        from repro.metrics import MetricRegistry, MetricsSink, use_metrics
+        from repro.metrics import MetricRegistry, MetricsSink
 
         registry = MetricRegistry()
-        scopes.enter_context(use_metrics(registry))
         scopes.enter_context(
             use_tracer(Tracer(MetricsSink(registry, forward=trace_sink)))
         )

@@ -1,7 +1,7 @@
 """The fault injector: fires a :class:`FaultPlan` on the DES clock.
 
-The injector is an **ambient singleton** exactly like the tracer,
-metrics registry, and audit journal (:func:`get_faults` /
+The injector is an **ambient singleton** exactly like the tracer and
+the audit journal (:func:`get_faults` /
 :func:`use_faults`, with an inert :data:`NULL_FAULTS` default), so the
 hot paths pay a single cached ``is not None`` check when no faults are
 installed — the same discipline that keeps telemetry overhead under its
@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.metrics.audit import get_audit
-from repro.metrics.registry import get_metrics
 from repro.telemetry import get_tracer
 
 __all__ = [
@@ -72,8 +71,6 @@ class FaultInjector:
         self._cursor = 0
         tracer = get_tracer()
         self._tracer = tracer if tracer.enabled else None
-        metrics = get_metrics()
-        self._metrics = metrics if metrics.enabled else None
         audit = get_audit()
         self._audit = audit if audit.enabled else None
 
@@ -120,9 +117,6 @@ class FaultInjector:
                 rank=-1 if ev.rank is None else ev.rank,
                 magnitude=ev.magnitude,
             )
-        if self._metrics is not None and phase == "start":
-            self._metrics.counter("faults.injected").inc()
-            self._metrics.counter(f"faults.{ev.kind.value}").inc()
         if self._audit is not None and phase == "start":
             self._audit.record_fault(
                 ev.kind.value,
@@ -144,6 +138,20 @@ class FaultInjector:
         return [dict(row) for row in self.event_log[mark:]]
 
     # ----------------------------------------------------------- queries
+    def _hit(
+        self, t: float, kind: FaultKind, rank: int | None, **args
+    ) -> None:
+        """Trace one query that an open ``kind`` window changed, as a
+        ``faults.<kind>.hit`` instant at ``t``."""
+        if self._tracer is not None:
+            self._tracer.instant(
+                f"faults.{kind.value}.hit",
+                cat="faults",
+                ts=t,
+                rank=-1 if rank is None else rank,
+                **args,
+            )
+
     def _active(self, t: float, kind: FaultKind, rank: int | None):
         for ev in self.plan.events:
             if ev.kind is kind and ev.active(t) and ev.hits(rank):
@@ -165,9 +173,8 @@ class FaultInjector:
         stall = 0.0
         for ev in self._active(t, FaultKind.CRASH, rank):
             stall = max(stall, ev.t_end - t)
-        if stall > 0.0 and self._metrics is not None:
-            self._metrics.counter("faults.outage_stalls").inc()
-            self._metrics.histogram("faults.outage_stall_s").observe(stall)
+        if stall > 0.0:
+            self._hit(t, FaultKind.CRASH, rank, stall_s=stall)
         return stall
 
     def actuation(self, t: float, rank: int | None = None) -> ActuationFault | None:
@@ -183,13 +190,12 @@ class FaultInjector:
             offset += ev.magnitude
         if not (dropped or extra or offset):
             return None
-        if self._metrics is not None:
-            if dropped:
-                self._metrics.counter("faults.cap_dropped").inc()
-            if extra:
-                self._metrics.counter("faults.cap_lagged").inc()
-            if offset:
-                self._metrics.counter("faults.cap_skewed").inc()
+        if dropped:
+            self._hit(t, FaultKind.CAP_DROP, rank)
+        if extra:
+            self._hit(t, FaultKind.CAP_LAG, rank)
+        if offset:
+            self._hit(t, FaultKind.CAP_SKEW, rank)
         return ActuationFault(dropped, extra, offset)
 
     def measurement(self, t: float, rank: int | None) -> tuple[str, float] | None:
@@ -198,14 +204,13 @@ class FaultInjector:
         Drop wins over stale wins over garble when windows overlap (a
         lost report can't also be re-sent).
         """
-        for kind, metric in (
-            (FaultKind.MEAS_DROP, "faults.meas_dropped"),
-            (FaultKind.MEAS_STALE, "faults.meas_stale"),
-            (FaultKind.MEAS_GARBLE, "faults.meas_garbled"),
+        for kind in (
+            FaultKind.MEAS_DROP,
+            FaultKind.MEAS_STALE,
+            FaultKind.MEAS_GARBLE,
         ):
             for ev in self._active(t, kind, rank):
-                if self._metrics is not None:
-                    self._metrics.counter(metric).inc()
+                self._hit(t, kind, rank)
                 return (kind.value, ev.magnitude)
         return None
 
@@ -214,8 +219,8 @@ class FaultInjector:
         delay = 0.0
         for ev in self._active(t, FaultKind.MPI_DELAY, None):
             delay += ev.magnitude
-        if delay > 0.0 and self._metrics is not None:
-            self._metrics.counter("faults.mpi_delays").inc()
+        if delay > 0.0:
+            self._hit(t, FaultKind.MPI_DELAY, None, delay_s=delay)
         return delay
 
     def active_kinds(self, t: float) -> tuple[str, ...]:

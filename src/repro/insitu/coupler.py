@@ -58,15 +58,9 @@ from repro.insitu.costs import (
     SECONDS_PER_PAIR,
 )
 from repro.insitu.replica import TrajectoryKey, compute_trajectory, trajectory
-from repro.metrics.registry import get_metrics
-from repro.metrics.timeseries import PeriodicSampler
 from repro.polimer import poli_init_power_manager, poli_power_alloc
 from repro.telemetry import get_tracer
 from repro.workloads.profiles import PHASES
-
-#: virtual-time sampling period of the live power-split series —
-#: comfortably finer than any compute phase in the miniature jobs
-SAMPLE_PERIOD_S = 0.01
 
 __all__ = ["InsituConfig", "InsituResult", "run_insitu"]
 
@@ -186,31 +180,6 @@ def run_insitu(
     # bookkeeping below costs a method call when tracing is off.
     tracer = get_tracer()
 
-    # Live Fig. 1-style power-split series: sample the lead ranks' caps
-    # on a fixed virtual period. The sampler is a pure observer invoked
-    # inline by the engine (never a heap event), and the probes return
-    # None until the managers exist, so runs stay bit-identical.
-    metrics = get_metrics()
-    if metrics.enabled:
-
-        def cap_probe(rank: int):
-            def probe():
-                pm = managers.get(rank)
-                return None if pm is None else pm.node.current_cap_w
-
-            return probe
-
-        engine.attach_sampler(
-            PeriodicSampler(
-                metrics,
-                SAMPLE_PERIOD_S,
-                {
-                    "power.cap.sim_w": cap_probe(0),
-                    "power.cap.ana_w": cap_probe(cfg.n_sim_ranks),
-                },
-            )
-        )
-
     def sim_rank(rank: int, comm: Communicator):
         tid = rank + 1
         pm = poli_init_power_manager(
@@ -297,7 +266,11 @@ def run_insitu(
                     )
                     thermo_out.append(record)
                 step_span.end()
-            sync_span.end()
+            if rank == 0:
+                # world rank 0 made this sync's observation
+                sync_span.end(slack_s=pm.observation_log[-1].slack_s)
+            else:
+                sync_span.end()
         return None
 
     def ana_rank(rank: int, comm: Communicator):
@@ -361,9 +334,6 @@ def run_insitu(
     # the trajectory once
     hits = cfg.n_sim_ranks * traj.computations
     misses = traj.computations if computed else 0
-    if metrics.enabled:
-        metrics.counter("insitu.replica.hits").inc(hits)
-        metrics.counter("insitu.replica.misses").inc(misses)
     return InsituResult(
         config=cfg,
         virtual_time_s=engine.now,

@@ -1,11 +1,10 @@
 """Streaming metrics and the controller audit journal.
 
-The observability layer on top of (and independent of) the telemetry
-tracer — see DESIGN.md §10:
+The observability layer on top of the telemetry tracer — see
+DESIGN.md §10:
 
-* :mod:`repro.metrics.registry` — counters, gauges, streaming
-  histograms and virtual-clock time series behind an ambient
-  ``get_metrics()`` / ``use_metrics()`` pair;
+* :mod:`repro.metrics.registry` — counters and streaming histograms,
+  every one a fold of trace records by :class:`MetricsSink`;
 * :mod:`repro.metrics.audit` — every controller decision recorded,
   replayable and diffable.
 """
@@ -23,12 +22,8 @@ from repro.metrics.registry import (
     MetricRegistry,
     MetricsReport,
     MetricsSink,
-    NULL_METRICS,
-    NullMetricRegistry,
-    get_metrics,
     use_metrics,
 )
-from repro.metrics.timeseries import PeriodicSampler, RingBuffer
 
 __all__ = [
     "AuditJournal",
@@ -37,13 +32,8 @@ __all__ = [
     "MetricsReport",
     "MetricsSink",
     "NULL_AUDIT",
-    "NULL_METRICS",
-    "NullMetricRegistry",
-    "PeriodicSampler",
-    "RingBuffer",
     "StreamingHistogram",
     "get_audit",
-    "get_metrics",
     "load_journal",
     "use_audit",
     "use_metrics",

@@ -26,6 +26,10 @@ import math
 
 __all__ = ["StreamingHistogram"]
 
+_INF = math.inf
+_log = math.log
+_floor = math.floor
+
 
 class StreamingHistogram:
     """Fixed-growth log-bucket histogram with O(1) observe."""
@@ -61,26 +65,27 @@ class StreamingHistogram:
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        if value < 0.0 or math.isnan(value) or math.isinf(value):
+        if not 0.0 <= value < _INF:  # rejects negatives, NaN and inf
             raise ValueError(f"histogram values must be finite and >= 0, got {value}")
         idx = None
         if value >= self.v0:
             ratio = value / self.v0
             # near the float maximum value / v0 overflows; its log does not
             log_ratio = (
-                math.log(ratio)
-                if ratio != math.inf
-                else math.log(value) - math.log(self.v0)
+                _log(ratio) if ratio != _INF else _log(value) - _log(self.v0)
             )
-            idx = math.floor(log_ratio / self._log_growth)
+            idx = _floor(log_ratio / self._log_growth)
         self.count += 1
         self.total += value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
         if idx is None:
             self._underflow += 1
         else:
-            self._buckets[idx] = self._buckets.get(idx, 0) + 1
+            buckets = self._buckets
+            buckets[idx] = buckets.get(idx, 0) + 1
 
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold ``other`` (same growth/v0) into this histogram."""

@@ -1,56 +1,41 @@
-"""Metric registry: counters, gauges, histograms, time series.
+"""Metric registry: counters and streaming histograms folded from the trace.
 
-The registry is the metrics layer's hub, mirroring the tracer's shape
-(:mod:`repro.telemetry.tracer`) so instrumentation reads the same at
-every seam:
+Every metric is a fold of trace records. :class:`MetricsSink` is the
+only writer of a :class:`MetricRegistry`: install it as (or chain it in
+front of) a tracer sink and every record lands in the registry by one
+rule, without touching the instrumented code:
 
-* ``get_metrics()`` returns the ambient registry — a process-wide
-  **null registry** unless :func:`use_metrics` installs a real one, so
-  instrumented hot paths cost one cached identity check when metrics
-  are off;
-* instruments are created on first use and cached by name; names are
-  dotted (``insitu.sync_wait_s``) with the unit as the last component
-  by convention;
-* a DES :class:`~repro.des.engine.Engine` binds its virtual clock at
-  construction, so gauge/time-series timestamps live on simulated
-  seconds exactly like trace records.
+* an ``"X"`` complete span records its duration in ``span.<name>.s``;
+* an ``"i"`` instant counts once in ``event.<name>``;
+* a numeric arg whose name ends in a unit (``_s``, ``_w`` or ``_j``) on
+  an ``"X"``, ``"E"`` or ``"i"`` record lands in the
+  ``span.<name>.<arg>`` (spans) or ``event.<name>.<arg>`` (instants)
+  histogram.
 
-Two ways in
------------
-Direct instrumentation (engine, controllers, RAPL, PoLiMER, faults)
-calls the registry for facts no trace record carries; :class:`MetricsSink`
-*feeds the registry off the tracer* — install it as (or chain it in
-front of) a tracer sink and every complete-span duration and instant
-lands in streaming histograms and counters without touching the
-instrumented code. A fact has one source: what a record carries is
-folded from the record, never counted again beside it. Tracer-fed
-series are prefixed ``span.``/``event.`` to keep them apart from
-first-class metrics.
+A fact therefore has one source, the record that carries it. Pool
+workers ship their records to the parent, which folds them into the
+same registry, so a report holds the same facts whether the cells ran
+serially or on a pool.
 
 The per-run :class:`MetricsReport` renders the registry three ways:
-a terminal table, Prometheus text exposition (counters, gauges and
-cumulative ``_bucket`` rows), and a JSON dict.
+a terminal table, Prometheus text exposition (counters and cumulative
+``_bucket`` rows), and a JSON dict.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import re
-from typing import Callable, Optional
 
 from repro.metrics.histogram import StreamingHistogram
-from repro.metrics.timeseries import RingBuffer
 from repro.telemetry.sinks import Sink
-from repro.util.stats import quantiles as exact_quantiles
 
 __all__ = [
     "MetricRegistry",
     "MetricsReport",
     "MetricsSink",
-    "NULL_METRICS",
-    "NullMetricRegistry",
-    "get_metrics",
     "use_metrics",
 ]
 
@@ -68,186 +53,55 @@ class _CounterM:
         self.value += delta
 
 
-class _GaugeM:
-    """Last-written value plus a min/max envelope."""
-
-    __slots__ = ("name", "value", "minimum", "maximum", "samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-        self.samples = 0
-
-    def set(self, value: float) -> None:
-        value = float(value)
-        self.value = value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        self.samples += 1
-
-
 class MetricRegistry:
-    """Named instruments + the clock they are sampled on."""
+    """Named counters and histograms, created on first use."""
 
-    enabled = True
-
-    def __init__(
-        self,
-        histogram_growth: float = 1.1,
-        timeseries_capacity: int = 1024,
-    ) -> None:
-        self._histogram_growth = histogram_growth
-        self._timeseries_capacity = timeseries_capacity
+    def __init__(self) -> None:
         self._counters: dict[str, _CounterM] = {}
-        self._gauges: dict[str, _GaugeM] = {}
         self._histograms: dict[str, StreamingHistogram] = {}
-        self._timeseries: dict[str, RingBuffer] = {}
-        self._clock: Optional[Callable[[], float]] = None
 
-    # ------------------------------------------------------------ clock
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Adopt a (virtual) clock for time-series timestamps."""
-        self._clock = clock
-
-    def now(self) -> float:
-        clock = self._clock
-        return clock() if clock is not None else 0.0
-
-    # ------------------------------------------------------ instruments
     def counter(self, name: str) -> _CounterM:
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = _CounterM(name)
         return c
 
-    def gauge(self, name: str) -> _GaugeM:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = _GaugeM(name)
-        return g
-
     def histogram(self, name: str) -> StreamingHistogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = StreamingHistogram(
-                growth=self._histogram_growth
-            )
+            h = self._histograms[name] = StreamingHistogram()
         return h
 
-    def timeseries(self, name: str) -> RingBuffer:
-        t = self._timeseries.get(name)
-        if t is None:
-            t = self._timeseries[name] = RingBuffer(self._timeseries_capacity)
-        return t
-
-    def sample(self, name: str, value: float) -> None:
-        """Push ``(now, value)`` onto the ring buffer called ``name``."""
-        self.timeseries(name).push(self.now(), value)
-
-    # ------------------------------------------------------------ views
     def report(self) -> "MetricsReport":
         return MetricsReport(self)
 
 
-class NullMetricRegistry(MetricRegistry):
-    """Allocation-free no-op registry; the process default.
-
-    Instruments are shared inert singletons, so unconditional
-    ``get_metrics().counter("x").inc()`` in cold paths stays cheap and
-    hot paths can cache ``registry if registry.enabled else None``.
-    """
-
-    enabled = False
-
-    class _NullCounter(_CounterM):
-        __slots__ = ()
-
-        def inc(self, delta: float = 1.0) -> None:
-            pass
-
-    class _NullGauge(_GaugeM):
-        __slots__ = ()
-
-        def set(self, value: float) -> None:
-            pass
-
-    class _NullHistogram(StreamingHistogram):
-        __slots__ = ()
-
-        def observe(self, value: float) -> None:
-            pass
-
-    class _NullRing(RingBuffer):
-        __slots__ = ()
-
-        def push(self, t: float, value: float) -> None:
-            pass
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = self._NullCounter("")
-        self._null_gauge = self._NullGauge("")
-        self._null_histogram = self._NullHistogram()
-        self._null_ring = self._NullRing(1)
-
-    def bind_clock(self, clock) -> None:
-        pass
-
-    def counter(self, name: str) -> _CounterM:
-        return self._null_counter
-
-    def gauge(self, name: str) -> _GaugeM:
-        return self._null_gauge
-
-    def histogram(self, name: str) -> StreamingHistogram:
-        return self._null_histogram
-
-    def timeseries(self, name: str) -> RingBuffer:
-        return self._null_ring
-
-    def sample(self, name: str, value: float) -> None:
-        pass
-
-
-#: the process-wide default — safe to call, records nothing
-NULL_METRICS = NullMetricRegistry()
-
-_current: MetricRegistry | None = None
-
-
-def get_metrics() -> MetricRegistry:
-    """The ambient registry (:data:`NULL_METRICS` unless installed)."""
-    current = _current
-    return current if current is not None else NULL_METRICS
-
-
 @contextlib.contextmanager
 def use_metrics(registry: MetricRegistry):
-    """Install ``registry`` as the ambient metric registry for a scope."""
-    global _current
-    previous = _current
-    _current = registry
-    try:
-        yield registry
-    finally:
-        _current = previous
+    """A scope that yields ``registry`` and installs nothing.
+
+    Nothing reads an ambient registry any more: the registry is filled
+    only by a :class:`MetricsSink` on the tracer. The scope is kept for
+    perfbench's fig3a-observed workload, which still enters it.
+    """
+    yield registry
 
 
 # ---------------------------------------------------------------------------
-# tracer -> registry bridge
+# tracer -> registry fold
+
+#: arg-name suffixes that mark a unit-bearing quantity
+_UNITS = ("_s", "_w", "_j")
 
 
 class MetricsSink(Sink):
-    """Telemetry sink that folds trace records into a registry.
+    """Telemetry sink that folds trace records into a registry (see the
+    module docstring for the rule).
 
-    * ``"X"`` complete spans  -> ``span.<name>.s`` duration histograms
-      (plus ``span.<name>.energy_j`` when the span carries energy);
-    * ``"i"`` instants        -> ``event.<name>`` counters.
-
-    ``forward`` chains another sink behind the fold, so one tracer can
-    feed the live registry *and* a Chrome trace file at once.
+    An arg value a log-bucket histogram cannot hold (negative, NaN or
+    infinite) is skipped, as are bools, ``None``, strings, lists and
+    dicts. ``forward`` chains another sink behind the fold, so one
+    tracer can feed the registry *and* a trace file at once.
     """
 
     def __init__(self, registry: MetricRegistry, forward: Sink | None = None):
@@ -256,19 +110,28 @@ class MetricsSink(Sink):
 
     def emit(self, record: dict) -> None:
         ph = record.get("ph")
-        if ph == "X":
-            name = record["name"]
-            self.registry.histogram(f"span.{name}.s").observe(
-                max(record.get("dur", 0.0), 0.0)
-            )
-            args = record.get("args") or {}
-            energy = args.get("energy_j")
-            if energy is not None:
-                self.registry.histogram(f"span.{name}.energy_j").observe(
-                    max(float(energy), 0.0)
+        if ph == "X" or ph == "E":
+            prefix = f"span.{record['name']}"
+            if ph == "X":
+                self.registry.histogram(f"{prefix}.s").observe(
+                    max(record.get("dur", 0.0), 0.0)
                 )
         elif ph == "i":
-            self.registry.counter(f"event.{record['name']}").inc()
+            prefix = f"event.{record['name']}"
+            self.registry.counter(prefix).inc()
+        else:
+            prefix = None
+        args = record.get("args") if prefix is not None else None
+        if args:
+            histogram = self.registry.histogram
+            for key, value in args.items():
+                if (
+                    key.endswith(_UNITS)
+                    and isinstance(value, (int, float))
+                    and not isinstance(value, bool)
+                    and 0.0 <= value < math.inf
+                ):
+                    histogram(f"{prefix}.{key}").observe(value)
         if self.forward is not None:
             self.forward.emit(record)
 
@@ -302,21 +165,14 @@ class MetricsReport:
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         reg = self.registry
-        out: dict = {"counters": {}, "gauges": {}, "histograms": {}, "timeseries": {}}
-        for name, c in sorted(reg._counters.items()):
-            out["counters"][name] = c.value
-        for name, g in sorted(reg._gauges.items()):
-            out["gauges"][name] = {
-                "value": g.value,
-                "min": g.minimum,
-                "max": g.maximum,
-                "samples": g.samples,
-            }
-        for name, h in sorted(reg._histograms.items()):
-            out["histograms"][name] = h.to_json()
-        for name, t in sorted(reg._timeseries.items()):
-            out["timeseries"][name] = t.to_json()
-        return out
+        return {
+            "counters": {
+                name: c.value for name, c in sorted(reg._counters.items())
+            },
+            "histograms": {
+                name: h.to_json() for name, h in sorted(reg._histograms.items())
+            },
+        }
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition (format 0.0.4)."""
@@ -326,10 +182,6 @@ class MetricsReport:
             pname = _prom_name(name)
             lines.append(f"# TYPE {pname} counter")
             lines.append(f"{pname} {c.value:g}")
-        for name, g in sorted(reg._gauges.items()):
-            pname = _prom_name(name)
-            lines.append(f"# TYPE {pname} gauge")
-            lines.append(f"{pname} {g.value:g}")
         for name, h in sorted(reg._histograms.items()):
             pname = _prom_name(name)
             lines.append(f"# TYPE {pname} histogram")
@@ -364,26 +216,6 @@ class MetricsReport:
             lines.append("counters:")
             for name, c in sorted(reg._counters.items()):
                 lines.append(f"  {name:<40} {c.value:g}")
-        if reg._gauges:
-            lines.append("")
-            lines.append("gauges (last / min / max):")
-            for name, g in sorted(reg._gauges.items()):
-                lines.append(
-                    f"  {name:<40} {g.value:g} / {g.minimum:g} / {g.maximum:g}"
-                )
-        if reg._timeseries:
-            lines.append("")
-            lines.append("time series:")
-            for name, t in sorted(reg._timeseries.items()):
-                if len(t) == 0:
-                    continue
-                ts, vs = t.arrays()
-                p50, p90 = exact_quantiles(vs, (0.5, 0.9))
-                lines.append(
-                    f"  {name:<34} {len(t):>5} samples over"
-                    f" [{ts[0]:.4g}, {ts[-1]:.4g}] s"
-                    f"  p50={p50:.4g} p90={p90:.4g}"
-                )
         return "\n".join(lines)
 
     def write(self, path) -> None:

@@ -2,7 +2,7 @@
 
 SeeSAw's whole argument is visibility into *where* time and joules go
 under a power cap — yet campaign workers execute cells in subprocesses
-whose tracer spans and metrics die with the worker. This package is
+whose tracer records die with the worker. This package is
 the observability plane that carries those signals across the worker
 boundary and puts them in front of a human mid-run (DESIGN.md §14):
 

@@ -30,7 +30,6 @@ respawns visible as cells landing on whichever lane was idle.
 
 from __future__ import annotations
 
-from repro.metrics import get_metrics
 from repro.telemetry import get_tracer
 
 __all__ = ["TelemetryMux"]
@@ -110,14 +109,9 @@ class TelemetryMux:
         """Merge one shipped batch; returns the number of records kept."""
         wid = int(batch.get("wid", -1))
         records = batch.get("records") or ()
-        dropped = int(batch.get("dropped", 0))
-        metrics = get_metrics()
-        if dropped:
-            self.dropped += dropped
-            metrics.counter("obs.ship.dropped").inc(dropped)
+        self.dropped += int(batch.get("dropped", 0))
         if not records:
             return 0
-        metrics.counter("obs.ship.records").inc(len(records))
         rows = self._lane_rows(wid)
         for rec in records:
             lane = (wid, rec.get("pid", 0))

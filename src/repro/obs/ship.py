@@ -14,7 +14,8 @@ count. Partial shipment is worse than none — dropping an arbitrary
 suffix leaves unbalanced ``B``/``E`` spans that would poison the merged
 trace's :func:`~repro.telemetry.summary.validate_spans` pass, whereas
 an empty batch with a drop counter keeps the merged stream structurally
-valid and makes the loss visible (``obs.ship.dropped``).
+valid and makes the loss visible (the mux's ``dropped`` count, traced
+as the ``campaign.sched`` instant's ``ship_dropped``).
 
 Shipping is consumer-driven: the parent flags each dispatched chunk
 with whether anyone will read worker records (an enabled ambient

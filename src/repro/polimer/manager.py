@@ -38,7 +38,6 @@ from repro.core.controller import PowerController
 from repro.core.types import Allocation, Observation, PartitionMeasurement
 from repro.des.engine import Engine
 from repro.faults.injector import get_faults
-from repro.metrics.registry import get_metrics
 from repro.mpi.comm import Communicator
 from repro.polimer.noderuntime import NodeRuntime
 from repro.telemetry import get_tracer
@@ -119,11 +118,12 @@ class PowerManager:
         self._faults = faults if faults.enabled and faults.active else None
         tracer = get_tracer()
         self._tracer = tracer if tracer.enabled else None
-        metrics = get_metrics()
-        self._metrics = metrics if metrics.enabled else None
+        #: names this rank's partition on its trace records
+        self._part = "sim" if master == 0 else "ana"
         if self._tracer is not None:
-            part = "sim" if master == 0 else "ana"
-            self._tracer.name_thread(self._trace_tid, f"{part} rank {rank}")
+            self._tracer.name_thread(
+                self._trace_tid, f"{self._part} rank {rank}"
+            )
         #: allocation history (world rank 0 only): (step, Allocation)
         self.allocation_log: list[tuple[int, Allocation]] = []
         #: per-sync observations (world rank 0 only)
@@ -177,7 +177,6 @@ class PowerManager:
                 cat="insitu",
                 tid=self._trace_tid,
                 sync=self._syncs_seen,
-                work_time_s=work_time,
             )
             if self._tracer is not None
             else None
@@ -234,13 +233,12 @@ class PowerManager:
             sim_caps, ana_caps = result
             self.node.request_cap(self._my_cap(sim_caps, ana_caps))
         if span is not None:
-            span.end(wait_s=self.engine.now - now)
-        if self._metrics is not None:
-            self._metrics.histogram("insitu.sync_wait_s").observe(
-                max(self.engine.now - now, 0.0)
+            # the work time is keyed by partition (sim_work_s /
+            # ana_work_s) so the two fold into separate histograms
+            span.end(
+                wait_s=self.engine.now - now,
+                **{f"{self._part}_work_s": work_time},
             )
-            part = "sim" if self.master == 0 else "ana"
-            self._metrics.histogram(f"insitu.{part}.work_s").observe(work_time)
         # measurement interval restarts at the release of the bcast
         self._last_release = self.engine.now
         self._last_entry_t = self.engine.now

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.cluster.node import NodeSpec
 from repro.faults.injector import get_faults
-from repro.metrics.registry import get_metrics
 from repro.telemetry import get_tracer
 from repro.util.units import MS
 
@@ -115,8 +114,6 @@ class RaplDomainArray:
         # executor's integration loop
         tracer = get_tracer()
         self._tracer = tracer if tracer.enabled else None
-        metrics = get_metrics()
-        self._metrics = metrics if metrics.enabled else None
         faults = get_faults()
         self._faults = faults if faults.enabled else None
 
@@ -193,14 +190,11 @@ class RaplDomainArray:
                 cat="power",
                 ts=now,
                 mean_cap_w=float(caps.mean()),
+                # magnitude of the requested move per node — how hard
+                # the controller is steering
+                cap_change_w=float(np.abs(caps - self._caps).mean()),
                 n_nodes=self.n_nodes,
                 effective_at=now + delay_s,
-            )
-        if self._metrics is not None:
-            # magnitude of the requested move per node — how hard the
-            # controller is steering
-            self._metrics.histogram("power.cap_change_w").observe(
-                float(np.abs(caps - self._caps).mean())
             )
         return caps
 
@@ -229,8 +223,6 @@ class RaplDomainArray:
                     mean_cap_w=float(caps.mean()),
                     n_nodes=self.n_nodes,
                 )
-            if self._metrics is not None:
-                self._metrics.gauge("power.mean_cap_w").set(float(caps.mean()))
 
     def segment_at(self, t: float) -> tuple[np.ndarray, float]:
         """Enforced caps at time ``t`` and when they next change.

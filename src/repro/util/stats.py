@@ -49,9 +49,8 @@ def percent_change(new: float, old: float, name: str | None = None) -> float:
 def quantiles(values: Iterable[float], qs: Sequence[float]) -> list[float]:
     """Exact sample quantiles (linear interpolation, numpy convention).
 
-    The shared definition used by :class:`repro.metrics.MetricsReport`
-    and the tests that pin the streaming histogram's resolution against
-    the exact answer.
+    The exact answer the tests that pin the streaming histogram's
+    resolution compare against.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:

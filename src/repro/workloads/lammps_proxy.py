@@ -472,6 +472,7 @@ class ProxyJobSession:
         sim_energy_j = float(add(sim_energy))
         ana_energy_j = float(add(ana_energy))
         t_decide = t_arrive + step_overhead
+        slack_s = None
         if due:
             obs = _build_observation(
                 step,
@@ -490,6 +491,8 @@ class ProxyJobSession:
                 self._sensor,
                 self._epoch,
             )
+            if self._tracer is not None:
+                slack_s = obs.slack_s
             decision = self.controller.observe(obs)
             if decision is not None:
                 sim.domain.request_caps(decision.sim_caps_w, now=t_decide)
@@ -509,6 +512,7 @@ class ProxyJobSession:
                 ana_work_j,
                 sim_energy,
                 ana_energy,
+                slack_s,
             )
 
         n_sim, n_ana = sim.n, ana.n
@@ -567,6 +571,7 @@ class ProxyJobSession:
         ana_work_j: np.ndarray,
         sim_total_j: np.ndarray,
         ana_total_j: np.ndarray,
+        slack_s: float | None,
     ) -> None:
         """Per-partition phase spans for this interval (tracer enabled
         only).
@@ -583,12 +588,14 @@ class ProxyJobSession:
         energy accounting; ``ranks`` and ``rank_s`` (the per-rank
         seconds, summed) keep the rank-seconds and mean node power, and
         the sync span's ``slack_max_s`` / ``slack_mean_s`` summarize the
-        per-rank wait. A span no rank spent time in is skipped.
+        per-rank wait. At a synchronization the controller observed, the
+        simulation lane's sync span also carries the observation's
+        ``slack_s``. A span no rank spent time in is skipped.
         """
         pid = self._tracer.pid
         records: list[dict] = []
 
-        def lane(tid, phase_name, times, wait, work_j, total_j):
+        def lane(tid, phase_name, times, wait, work_j, total_j, slack_s=None):
             slowest = float(times.max())
             rank_s = float(times.sum())
             ranks = len(times)
@@ -606,22 +613,32 @@ class ProxyJobSession:
                 )
             sync_rank_s = float((wait + tail_s).sum())
             if sync_rank_s > 0.0:
+                args = {
+                    "energy_j": float((total_j - work_j).sum()),
+                    "ranks": ranks,
+                    "rank_s": sync_rank_s,
+                    "slack_max_s": float(wait.max()),
+                    "slack_mean_s": float(wait.mean()),
+                }
+                if slack_s is not None:
+                    args["slack_s"] = slack_s
                 records.append(
                     {
                         "ph": "X", "name": "insitu.sync", "cat": "proxy",
                         "ts": t0 + slowest, "dur": work + tail_s - slowest,
-                        "pid": pid, "tid": tid,
-                        "args": {
-                            "energy_j": float((total_j - work_j).sum()),
-                            "ranks": ranks,
-                            "rank_s": sync_rank_s,
-                            "slack_max_s": float(wait.max()),
-                            "slack_mean_s": float(wait.mean()),
-                        },
+                        "pid": pid, "tid": tid, "args": args,
                     }
                 )
 
-        lane(SIM_LANE, "phase.md", sim_times, sim_wait, sim_work_j, sim_total_j)
+        lane(
+            SIM_LANE,
+            "phase.md",
+            sim_times,
+            sim_wait,
+            sim_work_j,
+            sim_total_j,
+            slack_s,
+        )
         lane(
             ANA_LANE,
             "phase.analysis" if due else None,

@@ -77,6 +77,26 @@ def raise_once(spec):
     return run_cell(spec)
 
 
+def lease_fds(spec):
+    """``(pid, lease files this process holds open)``. The first time
+    the seed-1 cell reaches a worker, the worker dies, so its slot is
+    respawned while the parent holds the batch's leases."""
+    mark = os.environ["LEASE_FD_MARK"]
+    if spec.cfg.seed == 1 and _in_worker() and not os.path.exists(mark):
+        open(mark, "w").close()
+        os._exit(13)
+    time.sleep(0.1)  # keep the queue full until the respawn is done
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.endswith(".lock"):
+            held.append(target)
+    return os.getpid(), held
+
+
 def _traced(engine, specs):
     """Run ``specs`` under a memory tracer; results and the engine's
     own ``campaign.*`` records."""
@@ -136,6 +156,50 @@ def test_identical_cells_in_batch_deduplicated():
     assert _CALLS["n"] == 1
     assert engine.journal.counts["dups"] == 1
     assert a == b
+
+
+def test_cached_cell_held_twice_is_read_once(tmp_path):
+    store = CellStore(tmp_path)
+    CampaignEngine(store=store).run_cells([_spec(seed=7)])
+    gets = []
+    read = store.get
+
+    def counting_get(key):
+        gets.append(key)
+        return read(key)
+
+    store.get = counting_get
+    engine = CampaignEngine(store=store)
+    (a, b), records = _traced(engine, [_spec(seed=7), _spec(seed=7)])
+    assert len(gets) == 1
+    assert _statuses(records) == ["hit", "dup"]
+    assert engine.journal.counts["hits"] == engine.journal.counts["dups"] == 1
+    assert a == b
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd"
+)
+def test_pool_workers_hold_no_lease_fds(tmp_path, monkeypatch):
+    """Workers forked before the batch's leases are taken, and a slot
+    respawned while they are held, keep no lease file open: a worker
+    orphaned by a killed run must not block a re-run's leases."""
+    monkeypatch.setenv("LEASE_FD_MARK", str(tmp_path / "died"))
+    engine = CampaignEngine(
+        jobs=2, store=CellStore(tmp_path / "cache"), run_fn=lease_fds
+    )
+    try:
+        results, records = _traced(
+            engine, [_spec(seed=s) for s in range(1, 7)]
+        )
+        stats = engine.scheduler_stats
+    finally:
+        engine.close()
+    assert any(r["name"] == "campaign.worker-lost" for r in records)
+    assert stats.workers[0].respawns == 1
+    in_workers = [(pid, held) for pid, held in results if pid != os.getpid()]
+    assert stats.workers[0].pid in {pid for pid, _ in in_workers}
+    assert all(held == [] for _, held in in_workers), in_workers
 
 
 # ----------------------------------------------------------- robustness

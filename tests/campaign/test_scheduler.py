@@ -29,7 +29,8 @@ from repro.campaign.scheduler import (
     WorkerPool,
     dispatch_order,
 )
-from repro.metrics import MetricRegistry, use_metrics
+from repro.metrics import MetricRegistry, MetricsSink
+from repro.telemetry import MemorySink, Tracer, use_tracer
 from repro.workloads import JobConfig
 
 
@@ -116,17 +117,29 @@ def test_run_yields_every_task_exactly_once_with_correct_results():
 
 
 def test_scheduler_metrics_are_mirrored_into_registry():
+    # the stats ride the engine's campaign.sched instants, which a
+    # MetricsSink folds into the registry like any other record
     registry = MetricRegistry()
+    sink = MemorySink()
     specs = [_spec(seed=s) for s in range(1, 7)]
-    pool = WorkerPool(2, run_cell)
+    engine = CampaignEngine(jobs=2)
     try:
-        with use_metrics(registry):
-            list(pool.run(specs))
+        with use_tracer(Tracer(MetricsSink(registry, forward=sink))):
+            engine.run_cells(specs)
     finally:
-        pool.shutdown()
-    assert registry.counter("campaign.sched.dispatches").value >= 2
-    assert registry.gauge("campaign.sched.queue_depth").value == 0
-    assert registry.gauge("campaign.sched.worker0.utilization").samples == 1
+        engine.close()
+    sched = [
+        r["args"] for r in sink.records if r["name"] == "campaign.sched"
+    ]
+    assert registry.counter("event.campaign.sched").value == len(sched)
+    assert registry.histogram("event.campaign.sched.wall_s").count == len(sched)
+    final = sched[-1]
+    assert final["final"] is True
+    assert final["dispatches"] == 6
+    assert final["queue_depth"] == 0
+    assert [w["wid"] for w in final["workers"]] == [0, 1]
+    assert sum(w["cells"] for w in final["workers"]) == 6
+    assert all(0.0 <= w["utilization"] <= 1.0 for w in final["workers"])
 
 
 # ----------------------------------------------------------- pool

@@ -371,22 +371,6 @@ def test_run_and_step_produce_identical_trajectories():
     assert eng1.events_executed == eng2.events_executed
 
 
-def test_sampler_variant_matches_bare_trajectory():
-    bare, sampled = [], []
-    eng1 = Engine()
-    _churn_workload(eng1, bare)
-    eng1.run()
-
-    eng2 = Engine()
-    advances = []
-    eng2.attach_sampler(advances.append)
-    _churn_workload(eng2, sampled)
-    eng2.run()
-    assert sampled == bare
-    # the sampler saw every clock advance, in order
-    assert advances == [t for _, t in sampled]
-
-
 def test_tracer_variant_matches_bare_trajectory():
     from repro.telemetry import MemorySink, Tracer, use_tracer
 
@@ -403,18 +387,3 @@ def test_tracer_variant_matches_bare_trajectory():
     assert traced == bare
     dispatches = [r for r in sink.records if r.get("name") == "des.dispatch"]
     assert len(dispatches) == eng2.events_executed
-
-
-def test_attach_sampler_during_run_rejected():
-    eng = Engine()
-    errors = []
-
-    def attach():
-        try:
-            eng.attach_sampler(lambda t: None)
-        except SimulationError as e:
-            errors.append(e)
-
-    eng.schedule(1.0, attach)
-    eng.run()
-    assert len(errors) == 1

@@ -394,20 +394,3 @@ def test_fast_path_dedup_accounting():
     assert cold.replica_misses == computations == 18
     assert warm.replica_misses == 0
     assert cold.replica_hits == warm.replica_hits == cfg.n_sim_ranks * computations
-
-
-def test_metrics_counters_record_dedup():
-    from repro.metrics import MetricRegistry, use_metrics
-
-    cfg = InsituConfig(n_sim_ranks=2, n_ana_ranks=2, n_verlet_steps=4)
-    trajectory.cache_clear()
-    counters = []
-    for _ in range(2):
-        registry = MetricRegistry()
-        with use_metrics(registry):
-            run_insitu(cfg, build_controller("static", cfg))
-        counters.append(registry.report().to_json()["counters"])
-    cold, warm = counters
-    assert cold["insitu.replica.misses"] == 4 + 2 * 4
-    assert warm["insitu.replica.misses"] == 0
-    assert cold["insitu.replica.hits"] == warm["insitu.replica.hits"] == 2 * (4 + 2 * 4)

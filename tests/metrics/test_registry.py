@@ -1,67 +1,17 @@
-"""Registry, ambient installation, tracer bridge, and report tests."""
+"""Registry, the tracer fold, and report tests."""
 
 import json
 
 import pytest
 
-from repro.metrics import (
-    MetricRegistry,
-    MetricsSink,
-    NULL_METRICS,
-    get_metrics,
-    use_metrics,
-)
+from repro.metrics import MetricRegistry, MetricsSink
 from repro.telemetry import MemorySink, Tracer, use_tracer
-
-
-def test_ambient_default_is_null_and_disabled():
-    reg = get_metrics()
-    assert reg is NULL_METRICS
-    assert not reg.enabled
-    # all instruments are safe no-ops
-    reg.counter("x").inc()
-    reg.gauge("x").set(3.0)
-    reg.histogram("x").observe(1.0)
-    reg.sample("x", 1.0)
-    assert reg.histogram("x").count == 0
-
-
-def test_use_metrics_installs_and_restores():
-    reg = MetricRegistry()
-    with use_metrics(reg):
-        assert get_metrics() is reg
-        get_metrics().counter("hits").inc(2)
-    assert get_metrics() is NULL_METRICS
-    assert reg.counter("hits").value == 2
 
 
 def test_instruments_are_cached_by_name():
     reg = MetricRegistry()
     assert reg.counter("a") is reg.counter("a")
     assert reg.histogram("h") is reg.histogram("h")
-    assert reg.timeseries("t") is reg.timeseries("t")
-
-
-def test_gauge_tracks_envelope():
-    g = MetricRegistry().gauge("w")
-    for v in (5.0, 1.0, 9.0):
-        g.set(v)
-    assert g.value == 9.0
-    assert g.minimum == 1.0
-    assert g.maximum == 9.0
-    assert g.samples == 3
-
-
-def test_clock_binding_stamps_timeseries():
-    reg = MetricRegistry()
-    t = [0.0]
-    reg.bind_clock(lambda: t[0])
-    reg.sample("s", 1.0)
-    t[0] = 2.5
-    reg.sample("s", 2.0)
-    times, values = reg.timeseries("s").arrays()
-    assert list(times) == [0.0, 2.5]
-    assert list(values) == [1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +29,48 @@ def test_metrics_sink_folds_spans_and_instants():
     assert h.count == 2
     assert h.total == pytest.approx(6.0)
     assert reg.histogram("span.work.energy_j").count == 1
-    # an instant is counted once per record, never sampled as a gauge
+    # an instant is counted once per record
     assert reg.counter("event.boom").value == 2
-    assert not reg._gauges
+    assert set(reg._histograms) == {"span.work.s", "span.work.energy_j"}
+
+
+def test_metrics_sink_folds_unit_args_of_spans_ends_and_instants():
+    reg = MetricRegistry()
+    tracer = Tracer(MetricsSink(reg), clock=iter(range(100)).__next__)
+    tracer.complete("w", 1.0, wait_s=0.5, cap_w=90, n=3, label="x_s")
+    span = tracer.begin("sync", start_s=9.0)  # a begin record is not folded
+    span.end(wait_s=2.0, energy_j=4.0)
+    tracer.instant("req", cap_change_w=3.0, seq=7)
+    tracer.instant("req", cap_change_w=1.0)
+    assert reg.histogram("span.w.wait_s").total == 0.5
+    assert reg.histogram("span.w.cap_w").total == 90.0
+    assert reg.histogram("span.sync.wait_s").count == 1
+    assert reg.histogram("span.sync.energy_j").total == 4.0
+    assert reg.histogram("event.req.cap_change_w").count == 2
+    assert reg.histogram("event.req.cap_change_w").total == 4.0
+    assert reg.counter("event.req").value == 2
+    # an E record has no duration of its own; no arg without a unit
+    # suffix, and no string, is folded
+    assert set(reg._histograms) == {
+        "span.w.s",
+        "span.w.wait_s",
+        "span.w.cap_w",
+        "span.sync.wait_s",
+        "span.sync.energy_j",
+        "event.req.cap_change_w",
+    }
+
+
+def test_metrics_sink_skips_values_a_histogram_cannot_hold():
+    reg = MetricRegistry()
+    tracer = Tracer(MetricsSink(reg), clock=iter(range(100)).__next__)
+    for value in (True, None, [1.0], {"a": 1.0}, -1.0, float("nan"),
+                  float("inf")):
+        tracer.instant("odd", x_s=value)
+    tracer.instant("odd", x_s=2)
+    assert reg.counter("event.odd").value == 8
+    assert reg.histogram("event.odd.x_s").count == 1
+    assert reg.histogram("event.odd.x_s").total == 2.0
 
 
 def test_metrics_sink_forwards_to_chained_sink():
@@ -109,20 +98,16 @@ def test_metrics_sink_composes_with_use_tracer():
 def _populated_registry() -> MetricRegistry:
     reg = MetricRegistry()
     reg.counter("runs").inc(4)
-    reg.gauge("cap_w").set(110.0)
     for v in (0.1, 0.2, 0.4):
         reg.histogram("wait.s").observe(v)
-    reg.bind_clock(lambda: 1.0)
-    reg.sample("power.w", 100.0)
     return reg
 
 
 def test_report_json_shape():
     data = _populated_registry().report().to_json()
+    assert set(data) == {"counters", "histograms"}
     assert data["counters"]["runs"] == 4
-    assert data["gauges"]["cap_w"]["value"] == 110.0
     assert data["histograms"]["wait.s"]["count"] == 3
-    assert data["timeseries"]["power.w"]["values"] == [100.0]
     json.dumps(data)  # must be serializable
 
 
@@ -130,7 +115,6 @@ def test_report_prometheus_exposition():
     text = _populated_registry().report().to_prometheus()
     assert "# TYPE runs counter" in text
     assert "runs 4" in text
-    assert "# TYPE cap_w gauge" in text
     assert "# TYPE wait_s histogram" in text
     assert 'wait_s_bucket{le="+Inf"} 3' in text
     assert "wait_s_count 3" in text
@@ -140,7 +124,7 @@ def test_report_prometheus_exposition():
 
 def test_report_render_mentions_every_instrument():
     text = _populated_registry().report().render()
-    for needle in ("runs", "cap_w", "wait.s", "power.w", "p50", "p99"):
+    for needle in ("runs", "wait.s", "p50", "p99"):
         assert needle in text
 
 

@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.campaign import CampaignEngine, CellSpec
-from repro.metrics import MetricRegistry, MetricsSink, use_metrics
+from repro.metrics import MetricRegistry, MetricsSink
 from repro.obs.merge import PID_STRIDE
 from repro.telemetry import (
     JsonlSink,
@@ -55,7 +55,7 @@ def shipped(tmp_path):
     path = tmp_path / "run.jsonl"
     tracer = Tracer(MetricsSink(registry, forward=JsonlSink(path)))
     engine = CampaignEngine(jobs=2)
-    with use_metrics(registry), use_tracer(tracer):
+    with use_tracer(tracer):
         results = engine.run_cells(_specs())
         engine.journal.summary(jobs=2, experiments=["acceptance"])
     engine.close()

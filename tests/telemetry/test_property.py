@@ -106,16 +106,21 @@ def test_null_sink_leaves_job_results_bit_identical(seed, approach):
 )
 @settings(max_examples=8, deadline=None)
 def test_metrics_and_audit_leave_job_results_bit_identical(seed, approach):
-    """The metrics layer's contract: a run with a live registry and
-    audit journal installed matches a bare run bit for bit."""
-    from repro.metrics import AuditJournal, MetricRegistry, use_audit, use_metrics
+    """The metrics layer's contract: a run with a live registry (the
+    trace folded by a MetricsSink) and audit journal installed matches
+    a bare run bit for bit."""
+    from repro.metrics import AuditJournal, MetricRegistry, MetricsSink, use_audit
 
     cfg = JobConfig(dim=2, n_nodes=4, n_verlet_steps=6, seed=seed)
     base = run_job(cfg, build_controller(approach, cfg))
-    with use_metrics(MetricRegistry()), use_audit(AuditJournal()) as journal:
+    registry = MetricRegistry()
+    with use_tracer(Tracer(MetricsSink(registry))), use_audit(
+        AuditJournal()
+    ) as journal:
         metered = run_job(cfg, build_controller(approach, cfg))
     assert metered == base
     assert journal.records  # and the journal actually captured the run
+    assert registry.report().to_json()["histograms"]  # and the registry
 
 
 def test_memory_sink_also_preserves_numerics():

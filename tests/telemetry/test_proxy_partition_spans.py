@@ -25,7 +25,7 @@ class _PerRankSession(ProxyJobSession):
 
     def _emit_phases(
         self, t0, due, work, tail_s, sim_times, ana_times, sim_wait, ana_wait,
-        sim_work_j, ana_work_j, sim_total_j, ana_total_j,
+        sim_work_j, ana_work_j, sim_total_j, ana_total_j, slack_s,
     ):
         pid = self._tracer.pid
         records = []
