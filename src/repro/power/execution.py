@@ -202,21 +202,26 @@ def execute_phase(
         # A cap change lands before the slowest node finishes: integrate
         # up to it and query the next segment.
         span = t_change - t
-        done_in_seg = active & (finish_at <= t_change)
-        still_going = active & ~done_in_seg
-
-        # Progress accounting.
-        active_time = np.where(
-            done_in_seg, finish_at - t, np.where(still_going, span, 0.0)
-        )
-        remaining = np.where(
-            still_going, remaining - span * speed, np.where(done_in_seg, 0.0, remaining)
-        )
-        durations = np.where(
-            done_in_seg, finish_at - t_start, durations
-        )
-        energy += active_time * draw
-        active = still_going
+        if float(finish_at.min()) > t_change:
+            # No node finishes before the change (the common case: a
+            # 10 ms actuation inside a longer phase). Inactive entries
+            # hold t < t_change, so every node is active, and the general
+            # step below would find done all False and going == active
+            # all True. Its expressions reduce, operand for operand, to:
+            #   active_time = where(False, _, where(True, span, 0.0)) = span
+            #   remaining   = where(True, remaining - span * speed, _)
+            #   durations   = where(False, _, durations) = durations
+            #   energy     += active_time * draw = span * draw
+            remaining = remaining - span * speed
+            energy += span * draw
+        else:
+            done = active & (finish_at <= t_change)
+            going = active & ~done
+            active_time = np.where(done, finish_at - t, np.where(going, span, 0.0))
+            remaining = np.where(going, remaining - span * speed, np.where(done, 0.0, remaining))
+            durations = np.where(done, finish_at - t_start, durations)
+            energy += active_time * draw
+            active = going
         t = t_change
         t_change, speed, draw, finish_at = _segment(
             domain, source, node, row, t, remaining, active
@@ -306,16 +311,6 @@ def _trace_phase(
         trace.add(t, t + mean_dur, float(energy.mean()) / mean_dur)
 
 
-def _fold(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``acc + rows[0] + rows[1] + ...``, added strictly in that order.
-
-    ``np.add.accumulate`` is sequential by definition; an axis-0
-    ``np.add.reduce`` is not guaranteed to be (on one-column stacks it
-    sums pairwise), and the result must match per-phase ``+=``.
-    """
-    return np.add.accumulate(np.concatenate((acc[None], rows)), axis=0)[-1]
-
-
 def execute_program(
     program: PhaseProgram,
     node: NodeSpec,
@@ -375,7 +370,7 @@ def execute_program(
             clean_times += durations * (clean / spiked)
         energy += outcome.energy_joules
         # np.add.reduce(x) / n is exactly x.mean(), without its overhead
-        t = t_start + float(np.add.reduce(times) / n)
+        t = t_start + float(np.add.reduce(times)) / n
     else:
         return times, times.copy() if clean_times is None else clean_times, energy
 
@@ -404,16 +399,22 @@ def execute_program(
         np.add(t, run_s[p], out=row)
         np.subtract(row, t, out=row)
         times += row
-        t = t_start + float(np.add.reduce(times) / n)
+        t = t_start + float(np.add.reduce(times)) / n
 
     phase_energy = durations * op.draw_watts[i:]
     if trace is not None:
         for p in range(n_phases):
             _trace_phase(trace, starts[p], durations[p], phase_energy[p])
-    energy = _fold(energy, phase_energy)
+    # Sums fold in the per-phase order, row by row: an axis-0 reduce may
+    # sum pairwise, and an axis-0 accumulate walks a row-sized stride at
+    # several times the cost of contiguous row adds.
+    for row in phase_energy:
+        energy += row
     if clean_times is None:
         return times, times.copy(), energy
     clean = spiked.copy()
     for p, factors in spikes:
         clean[p] = factors
-    return times, _fold(clean_times, durations * (clean / spiked)), energy
+    for row in durations * (clean / spiked):
+        clean_times += row
+    return times, clean_times, energy

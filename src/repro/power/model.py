@@ -178,8 +178,6 @@ class _Stack:
         rows = list(zip(flat, kinds))
         self.k_inverse = column(1.0 if f else kind.k_watts for f, kind in rows)
         self.inverse = _Powers([None if f else 1.0 / kind.gamma for f, kind in rows])
-        self.k_watts = column(kind.k_watts for kind in kinds)
-        self.gamma = _Powers([kind.gamma for kind in kinds])
         self.beta = _Powers([kind.beta for kind in kinds])
         self.demand_turbo = column(kind.demand(node, node.f_turbo) for kind in kinds)
         self.demand_min = column(kind.demand(node, node.f_min) for kind in kinds)
@@ -208,35 +206,33 @@ def operating_point(
     single = isinstance(kinds, PhaseKind)
     stack = _stack((kinds,) if single else tuple(kinds), node)
     cap = np.atleast_1d(np.asarray(cap_watts, dtype=float))
-    if (cap <= 0).any():
+    if not (cap > 0.0).all():  # NaN fails the comparison too
         raise ValueError("power caps must be positive")
 
-    # PhaseKind.freq_for_cap, one row per kind
+    # PhaseKind.freq_for_cap, one row per kind; np.clip's float kernel
+    # is exactly min(max(x, lo), hi)
     headroom = np.maximum(cap - node.p_floor_watts, 0.0)
     freq = stack.inverse(headroom / stack.k_inverse) * node.f_base
-    freq = np.clip(freq, node.f_min, node.f_turbo)
+    freq = np.minimum(np.maximum(freq, node.f_min), node.f_turbo)
     if stack.flat is not None:
         # Demand is flat: frequency is unconstrained by the cap.
         freq = np.where(stack.flat, node.f_turbo, freq)
-    ratio = freq / node.f_base
-    speed = stack.beta(ratio)
-    draw = node.p_floor_watts + stack.k_watts * stack.gamma(ratio)
+    speed = stack.beta(freq / node.f_base)
 
     # Regime 1: headroom — unthrottled turbo, draw the (lower) demand.
+    # Regimes 2 (throttled: RAPL holds the moving average at the cap)
+    # and 3 (duty-cycled) both draw the cap. Every cap below
+    # demand(f_turbo) is in one of them, so the demand curve at the
+    # throttled frequency is never the draw.
     unconstrained = cap >= stack.demand_turbo
     speed = np.where(unconstrained, stack.speed_turbo, speed)
-    draw = np.where(unconstrained, stack.demand_turbo, draw)
-
-    # Regime 2: throttled — RAPL holds the moving average at the cap.
-    throttled = (~unconstrained) & (cap >= stack.demand_min)
-    draw = np.where(throttled, cap, draw)
+    draw = np.where(unconstrained, stack.demand_turbo, cap)
 
     # Regime 3: duty-cycled — cannot reach the cap even at f_min.
     starved = cap < stack.demand_min
     if starved.any():
         duty = cap / stack.demand_min
         speed = np.where(starved, stack.speed_min * duty, speed)
-        draw = np.where(starved, cap, draw)
 
     if single:
         return OperatingPoint(speed=speed[0], draw_watts=draw[0])

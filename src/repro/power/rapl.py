@@ -22,6 +22,7 @@ single-node domain is just an array of length 1.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Optional
 
 import numpy as np
@@ -51,6 +52,19 @@ class CapMode(enum.Enum):
         return 0.985 if self is CapMode.LONG_SHORT else 1.0
 
 
+def _valid_request(caps_watts) -> np.ndarray:
+    """``caps_watts`` as a float array, once it is known to be a valid
+    cap request: non-empty, finite and strictly positive."""
+    requested = np.asarray(caps_watts, dtype=float)
+    if requested.size == 0:
+        raise ValueError("empty cap request")
+    if not np.isfinite(requested).all():
+        raise ValueError(f"cap request contains non-finite watts: {requested!r}")
+    if (requested <= 0.0).any():
+        raise ValueError(f"cap request contains non-positive watts: {requested!r}")
+    return requested
+
+
 class RaplDomainArray:
     """Per-node power caps for a set of nodes, with actuation latency.
 
@@ -61,8 +75,9 @@ class RaplDomainArray:
     n_nodes:
         Number of nodes in the domain.
     initial_cap_watts:
-        Cap installed at time 0 (scalar or per-node array). Ignored and
-        pinned to TDP when ``mode`` is :attr:`CapMode.NONE`.
+        Cap installed at time 0 (scalar or per-node array), validated
+        as a cap request is. Ignored and pinned to TDP when ``mode`` is
+        :attr:`CapMode.NONE`.
     mode:
         Which RAPL windows are armed.
     actuation_delay_s:
@@ -81,6 +96,7 @@ class RaplDomainArray:
             raise ValueError("domain needs at least one node")
         if actuation_delay_s < 0:
             raise ValueError("negative actuation delay")
+        initial = _valid_request(initial_cap_watts)
         self.node = node
         self.n_nodes = n_nodes
         self.mode = mode
@@ -89,11 +105,7 @@ class RaplDomainArray:
             caps = np.full(n_nodes, node.tdp_watts, dtype=float)
             caps.flags.writeable = False
         else:
-            caps = self._clamp(
-                np.broadcast_to(
-                    np.asarray(initial_cap_watts, dtype=float), (n_nodes,)
-                )
-            )
+            caps = self._clamp(np.broadcast_to(initial, (n_nodes,)))
         self._caps = caps
         self._pending: Optional[tuple[float, np.ndarray]] = None
         #: monotone counter bumped whenever the installed caps change;
@@ -150,23 +162,27 @@ class RaplDomainArray:
         ``fault_rank`` identifies the requesting node to the fault
         injector for rank-targeted actuation faults; ``None`` matches
         domain-wide faults only.
+
+        A one-node domain (the per-rank DES's) checks and clamps a
+        scalar request in Python floats, bit for bit.
         """
-        requested = np.asarray(caps_watts, dtype=float)
-        if requested.size == 0:
-            raise ValueError("empty cap request")
-        if not np.isfinite(requested).all():
-            raise ValueError(
-                f"cap request contains non-finite watts: {requested!r}"
-            )
-        if (requested <= 0.0).any():
-            raise ValueError(
-                f"cap request contains non-positive watts: {requested!r}"
-            )
-        if self.mode is CapMode.NONE:
-            return self._caps
-        if requested.shape != (self.n_nodes,):
-            requested = np.broadcast_to(requested, (self.n_nodes,))
-        caps = self._clamp(requested)
+        if self.n_nodes == 1 and isinstance(caps_watts, (float, int)):
+            cap = float(caps_watts)
+            if not (math.isfinite(cap) and cap > 0.0):
+                _valid_request(cap)  # raises the array path's error
+            if self.mode is CapMode.NONE:
+                return self._caps
+            # min(max(x, lo), hi) picks the same operand _clamp does
+            node = self.node
+            caps = np.array((min(max(cap, node.rapl_min_watts), node.tdp_watts),))
+            caps.flags.writeable = False
+        else:
+            requested = _valid_request(caps_watts)
+            if self.mode is CapMode.NONE:
+                return self._caps
+            if requested.shape != (self.n_nodes,):
+                requested = np.broadcast_to(requested, (self.n_nodes,))
+            caps = self._clamp(requested)
         delay_s = self.actuation_delay_s
         fault = (
             self._faults.actuation(now, fault_rank)
@@ -202,7 +218,10 @@ class RaplDomainArray:
     def _apply_pending(self, t: float) -> None:
         if self._pending is not None and t >= self._pending[0]:
             t_act, caps = self._pending
-            unchanged = (caps == self._caps).all()
+            if self.n_nodes == 1:
+                unchanged = caps.item(0) == self._caps.item(0)
+            else:
+                unchanged = (caps == self._caps).all()
             self._caps = caps
             self._pending = None
             if not unchanged:

@@ -190,6 +190,53 @@ def test_last_segment_closed_form_matches_a_general_iteration(delay, caps):
     assert durations[4] == 0.0 and energy[4] == 0.0
 
 
+@pytest.mark.parametrize("kind", [COMPUTE, COMM], ids=["compute", "comm"])
+@pytest.mark.parametrize("n", [2, 64, 512])
+@pytest.mark.parametrize("case", ["none-finish", "some-finish", "zero-work"])
+def test_pending_segment_matches_a_general_iteration(kind, n, case):
+    # A 10 ms actuation inside a phase. With no node finishing before
+    # it, the split takes the no-finisher step; a node that does finish
+    # before it, or a node with no work (inactive from the start), sends
+    # the split through the general iteration.
+    rng = np.random.default_rng(n)
+    noise = rng.uniform(0.5, 1.5, n)
+    if case == "some-finish":
+        noise[::3] = 1e-3
+    elif case == "zero-work":
+        noise[::5] = 0.0
+    caps, requested = rng.uniform(98.0, 215.0, (2, n))
+    results, domains = [], []
+    for run in ("executor", "general"):
+        dom = make_domain(n=n, cap=caps, delay=0.01)
+        dom.request_caps(requested, now=2.0)
+        if run == "executor":
+            out = execute_phase(
+                kind, THETA_NODE, 0.4, dom, t_start=2.0, noise_factors=noise
+            )
+            results.append((out.durations, out.energy_joules))
+        else:
+            results.append(general_loop(kind, 0.4, dom, 2.0, noise))
+        domains.append(dom)
+    (durations, energy), (ref_durations, ref_energy) = results
+    assert np.array_equal(durations, ref_durations)
+    assert np.array_equal(energy, ref_energy)
+    finished_before = durations < 0.01
+    if case == "none-finish":
+        assert not finished_before.any()
+    elif case == "some-finish":
+        assert finished_before[::3].all() and not finished_before[1::3].any()
+    else:
+        idle = noise == 0.0
+        assert (durations[idle] == 0.0).all() and (energy[idle] == 0.0).all()
+        assert not finished_before[~idle].any()
+    dom, ref = domains
+    assert dom.caps_version == ref.caps_version == 1
+    assert dom.requested_caps.tobytes() == ref.requested_caps.tobytes()
+    caps, nxt = dom.segment_at(2.0 + float(durations.max()))
+    ref_caps, ref_nxt = ref.segment_at(2.0 + float(durations.max()))
+    assert caps.tobytes() == ref_caps.tobytes() and nxt == ref_nxt == np.inf
+
+
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize(
     "noise",

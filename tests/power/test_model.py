@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.node import THETA_NODE, NodeSpec
-from repro.power.model import OperatingPoint, PhaseKind, operating_point
+from repro.power.model import (
+    OperatingPoint,
+    PhaseKind,
+    _Powers,
+    _stack,
+    operating_point,
+)
 from repro.workloads.profiles import PHASES
 
 COMPUTE = PhaseKind("force", k_watts=85.0, gamma=2.0, beta=1.0)
@@ -127,6 +133,15 @@ def test_nonpositive_cap_rejected():
         operating_point(COMPUTE, THETA_NODE, 0.0)
 
 
+@pytest.mark.parametrize("cap", [float("nan"), [110.0, float("nan")]])
+def test_nan_cap_rejected(cap):
+    # NaN is not a positive cap: it must not resolve to a NaN speed
+    with pytest.raises(ValueError, match="must be positive"):
+        operating_point(COMPUTE, THETA_NODE, cap)
+    with pytest.raises(ValueError, match="must be positive"):
+        operating_point([COMPUTE, COMM], THETA_NODE, cap)
+
+
 # ------------------------------------------------------- stacked kinds
 def one_kind(kind, node, cap_watts):
     """The one-kind model as it was before kinds were stacked: the
@@ -212,3 +227,87 @@ def test_one_kind_gives_node_arrays():
 def test_stacked_nonpositive_cap_rejected():
     with pytest.raises(ValueError):
         operating_point([COMPUTE, COMM], THETA_NODE, [100.0, 0.0])
+
+
+# ---------------------------------------------------- regime invariant
+def three_regimes(kinds, node, cap_watts):
+    """The stacked model with the draw of every regime written out:
+    the demand curve at the resolved frequency, overwritten by the
+    demand at turbo where the cap leaves headroom and by the cap where
+    the node is throttled or duty-cycled."""
+    single = isinstance(kinds, PhaseKind)
+    kinds = (kinds,) if single else tuple(kinds)
+    stack = _stack(kinds, node)
+    k_watts = np.array([float(kind.k_watts) for kind in kinds])[:, None]
+    gamma = _Powers([kind.gamma for kind in kinds])
+    cap = np.atleast_1d(np.asarray(cap_watts, dtype=float))
+    headroom = np.maximum(cap - node.p_floor_watts, 0.0)
+    freq = stack.inverse(headroom / stack.k_inverse) * node.f_base
+    freq = np.clip(freq, node.f_min, node.f_turbo)
+    if stack.flat is not None:
+        freq = np.where(stack.flat, node.f_turbo, freq)
+    ratio = freq / node.f_base
+    speed = stack.beta(ratio)
+    draw = node.p_floor_watts + k_watts * gamma(ratio)
+    unconstrained = cap >= stack.demand_turbo
+    speed = np.where(unconstrained, stack.speed_turbo, speed)
+    draw = np.where(unconstrained, stack.demand_turbo, draw)
+    throttled = (~unconstrained) & (cap >= stack.demand_min)
+    draw = np.where(throttled, cap, draw)
+    starved = cap < stack.demand_min
+    if starved.any():
+        duty = cap / stack.demand_min
+        speed = np.where(starved, stack.speed_min * duty, speed)
+        draw = np.where(starved, cap, draw)
+    if single:
+        return OperatingPoint(speed=speed[0], draw_watts=draw[0])
+    return OperatingPoint(speed=speed, draw_watts=draw)
+
+
+PHASE_KINDS = sorted(PHASES.values(), key=lambda k: k.name)
+#: each kind's regime boundaries, where a cap switches between the
+#: demand at turbo and the cap itself
+BOUNDARIES = sorted(
+    {float(kind.demand(THETA_NODE, f)) for kind in PHASE_KINDS
+     for f in (THETA_NODE.f_min, THETA_NODE.f_turbo)}
+)
+caps = st.one_of(
+    st.floats(1.0, 400.0),
+    st.sampled_from(BOUNDARIES),
+    st.just(float("inf")),
+)
+
+
+@given(
+    kinds=st.one_of(
+        st.sampled_from(PHASE_KINDS),
+        st.lists(st.sampled_from(PHASE_KINDS), min_size=1, max_size=8),
+    ),
+    caps=st.lists(caps, min_size=1, max_size=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_draw_is_the_demand_at_turbo_or_the_cap(kinds, caps):
+    caps = np.array(caps)
+    op = operating_point(kinds, THETA_NODE, caps)
+    ref = three_regimes(kinds, THETA_NODE, caps)
+    assert op.speed.shape == op.draw_watts.shape == ref.speed.shape
+    assert np.array_equal(op.speed, ref.speed)
+    assert np.array_equal(op.draw_watts, ref.draw_watts)
+    rows = [kinds] if isinstance(kinds, PhaseKind) else kinds
+    draw = np.atleast_2d(op.draw_watts)
+    for row, kind in zip(draw, rows):
+        demand_turbo = float(kind.demand(THETA_NODE, THETA_NODE.f_turbo))
+        assert ((row == demand_turbo) | (row == caps)).all(), kind
+
+
+def test_every_phase_kind_draws_the_cap_up_to_its_turbo_demand():
+    caps = np.array(BOUNDARIES + [1.0, 400.0, float("inf")])
+    op = operating_point(PHASE_KINDS, THETA_NODE, caps)
+    ref = three_regimes(PHASE_KINDS, THETA_NODE, caps)
+    assert np.array_equal(op.speed, ref.speed)
+    assert np.array_equal(op.draw_watts, ref.draw_watts)
+    for row, kind in zip(op.draw_watts, PHASE_KINDS):
+        demand_turbo = float(kind.demand(THETA_NODE, THETA_NODE.f_turbo))
+        below = caps < demand_turbo
+        assert np.array_equal(row[below], caps[below]), kind
+        assert (row[~below] == demand_turbo).all(), kind

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.node import THETA_NODE
 from repro.power.rapl import CapMode, RaplDomainArray
@@ -91,3 +93,43 @@ def test_invalid_construction():
         make_domain(n=0)
     with pytest.raises(ValueError):
         make_domain(delay=-1.0)
+
+
+@given(
+    mode=st.sampled_from(list(CapMode)),
+    initial=st.floats(1.0, 400.0),
+    # in and out of the 98 W - TDP range, repeats of the installed cap
+    # included; each request is queried at its own time or later
+    requests=st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(1.0, 400.0),
+                st.sampled_from([98.0, 215.0]),
+                st.integers(1, 400),
+            ),
+            st.floats(0.0, 0.02),
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_node_scalar_request_matches_the_array_path(mode, initial, requests):
+    # a one-node domain checks, clamps and compares a scalar cap in
+    # floats; a two-node twin does it on arrays: node 0 stays equal
+    one, twin = (make_domain(n=n, cap=initial, mode=mode) for n in (1, 2))
+    t = 0.0
+    for watts, wait in requests:
+        out = one.request_caps(watts, now=t)
+        ref = twin.request_caps(watts, now=t)
+        assert out.shape == (1,) and not out.flags.writeable
+        assert out.tobytes() == ref[:1].tobytes()
+        t += wait
+        for dom in (one, twin):
+            dom.op_cache["probe"] = True
+        caps, nxt = one.segment_at(t)
+        ref_caps, ref_nxt = twin.segment_at(t)
+        assert caps.tobytes() == ref_caps[:1].tobytes() and nxt == ref_nxt
+        assert one.requested_caps.tobytes() == twin.requested_caps[:1].tobytes()
+        # an unchanged cap keeps the cache; a changed one clears it
+        assert one.op_cache == twin.op_cache
+        assert one.caps_version == twin.caps_version
