@@ -157,7 +157,7 @@ def _add_trace(sub) -> None:
         description="Run one fully-instrumented in-situ job (real MD + "
         "analyses on simulated MPI) and export spans from the DES, "
         "controller, power, and in-situ layers as Chrome trace_event "
-        "JSON, plus a per-phase time/power summary.",
+        "JSON, plus its energy attribution and per-phase time/power table.",
     )
     trace_p.add_argument(
         "--out",

@@ -6,7 +6,7 @@ import contextlib
 import sys
 from types import SimpleNamespace
 
-from repro.telemetry import ChromeTraceSink, Tracer, summarize, use_tracer, validate_spans
+from repro.telemetry import ChromeTraceSink, Tracer, use_tracer, validate_spans
 
 __all__ = ["_cmd_trace"]
 
@@ -76,7 +76,9 @@ def _cmd_trace(args) -> int:
             print(f"malformed trace: {p}", file=sys.stderr)
         return 1
     path = sink.write(args.out)
-    print(summarize(sink.records).render())
+    from repro.obs.report import build_report, render_text
+
+    print(render_text(build_report(sink.records)))
     print()
     print(
         f"[{args.approach}: {cfg.n_verlet_steps} steps on "

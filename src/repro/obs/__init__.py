@@ -20,7 +20,8 @@ boundary and puts them in front of a human mid-run (DESIGN.md §14):
   depth, dispatches, ETA, cache hit rate, rolling power sparkline per
   controller) driven purely by tailing the JSONL trace; degrades to
   deterministic plain-text snapshots when stdout is not a TTY;
-* :mod:`repro.obs.report` / :mod:`repro.obs.html` — ``campaign
+* :mod:`repro.obs.report` / :mod:`repro.obs.html` — the one trace
+  fold, which ``trace`` and the watch read too, and ``campaign
   report``: the SeeSAw-style energy attribution table, from the same
   trace (joules and
   wall time by rank × phase × controller decision interval, MD vs

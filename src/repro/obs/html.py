@@ -215,20 +215,9 @@ def _run_timeline(run: dict, events: list[dict], cuts: list[float], width: int =
     return "".join(parts)
 
 
-def render_html(
-    report: AttributionReport,
-    events_by_pid: dict[int, list[dict]] | None = None,
-    cuts_by_pid: dict[int, list[float]] | None = None,
-) -> str:
-    """The complete self-contained report page.
-
-    ``events_by_pid``/``cuts_by_pid`` default to the event stream the
-    report itself retained (``report.events_by_pid``/``cuts_by_pid``).
-    """
-    if events_by_pid is None:
-        events_by_pid = report.events_by_pid
-    if cuts_by_pid is None:
-        cuts_by_pid = report.cuts_by_pid
+def render_html(report: AttributionReport) -> str:
+    """The complete self-contained report page."""
+    events_by_pid = report.events_by_pid
     meta = report.campaign or {}
     experiments = ",".join(meta.get("experiments", []))
     title = f"campaign report · {experiments or 'unidentified'}"
@@ -278,7 +267,7 @@ def render_html(
                 _run_timeline(
                     run,
                     events_by_pid[pid],
-                    (cuts_by_pid or {}).get(pid, []),
+                    report.cuts_by_pid.get(pid, []),
                 )
             )
     if report.intervals:

@@ -87,18 +87,6 @@ class TelemetryMux:
             }
         ]
 
-    def ensure_worker_lane(self, wid: int) -> int:
-        """Name the campaign process's per-worker row once; return tid.
-
-        The engine stamps pool-executed ``campaign.cell`` spans onto
-        this lane (``tid = wid + 1`` of trace process 0), giving the
-        campaign process one row per worker.
-        """
-        rows = self._lane_rows(wid)
-        if rows:
-            self._emit(rows)
-        return wid + 1
-
     # ----------------------------------------------------------- absorb
     def absorb(
         self,

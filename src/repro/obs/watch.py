@@ -13,9 +13,10 @@ well. What it shows:
 * per-worker utilization, executed cells and respawns plus queue
   depth, dispatches and ETA (from the engine's ``campaign.sched``
   instants);
-* a rolling power sparkline and energy total per controller approach
-  (from the ``phase.*`` spans), and controller decision /
-  cap-actuation counts;
+* a rolling power sparkline and energy total per controller approach,
+  and controller decision / cap-actuation counts, all from the
+  attribution fold :class:`~repro.obs.report.TraceFold` that
+  ``campaign report`` renders;
 * shipping health: records merged, records dropped to backpressure.
 
 On a TTY the frame redraws in place (ANSI clear) every ``interval``
@@ -34,8 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.campaign.journal import COUNTS, tally
+from repro.obs.report import TraceFold
 from repro.telemetry.sinks import tail_records
-from repro.telemetry.summary import span_seconds
 from repro.util.term import sparkline
 
 __all__ = ["WatchModel", "WatchState", "render_state", "watch_journal"]
@@ -57,12 +58,12 @@ class WatchState:
     counts: dict = field(default_factory=lambda: dict.fromkeys(COUNTS, 0))
     #: most recent ``campaign.sched`` args (queue depth, eta, workers)
     sched: dict | None = None
+    #: the attribution fold of every record
+    trace: TraceFold = field(default_factory=TraceFold)
     #: approach -> rolling deque of mean phase power samples (W)
     power: dict = field(default_factory=dict)
-    #: approach -> total traced energy (J)
+    #: approach -> total traced phase energy (J)
     energy_j: dict = field(default_factory=dict)
-    decisions: int = 0
-    actuations: int = 0
     finished: bool = False
 
     @property
@@ -80,26 +81,21 @@ def _approach(record: dict) -> str:
 
 def fold(state: WatchState, record: dict) -> None:
     """Fold one trace record into the watch state."""
+    attributed = state.trace.add(record)
+    if attributed is not None and attributed[0] in ("md", "analysis"):
+        _, energy, seconds = attributed
+        approach = _approach(record)
+        state.energy_j[approach] = state.energy_j.get(approach, 0.0) + energy
+        if seconds > 0.0:
+            series = state.power.get(approach)
+            if series is None:
+                series = state.power[approach] = deque(maxlen=POWER_WINDOW)
+            series.append(energy / seconds)
     ph = record.get("ph")
     name = record.get("name", "")
     args = record.get("args") or {}
-    if ph == "X":
-        if name == "campaign.cell":
-            tally(state.counts, args.get("status"), args.get("via"))
-        elif name.startswith("phase."):
-            dur = span_seconds(record)
-            energy = float(args.get("energy_j", 0.0) or 0.0)
-            approach = _approach(record)
-            state.energy_j[approach] = (
-                state.energy_j.get(approach, 0.0) + energy
-            )
-            if dur > 0.0:
-                series = state.power.get(approach)
-                if series is None:
-                    series = state.power[approach] = deque(
-                        maxlen=POWER_WINDOW
-                    )
-                series.append(energy / dur)
+    if ph == "X" and name == "campaign.cell":
+        tally(state.counts, args.get("status"), args.get("via"))
     elif ph == "i":
         if name == "campaign.sched":
             state.sched = args
@@ -108,10 +104,6 @@ def fold(state: WatchState, record: dict) -> None:
         elif name == "campaign.summary":
             state.campaign = args
             state.finished = True
-        elif name.endswith(".decision"):
-            state.decisions += 1
-        elif name == "power.rapl.apply":
-            state.actuations += 1
 
 
 # ---------------------------------------------------------------------
@@ -194,10 +186,10 @@ def render_state(state: WatchState, width: int = 72) -> str:
             f"{a} {j:.1f} J" for a, j in sorted(state.energy_j.items())
         )
         lines.append(f"energy  {energy}")
-    if state.decisions or state.actuations:
+    if state.trace.decisions or state.trace.actuations:
         lines.append(
-            f"control {state.decisions} decisions"
-            f" · {state.actuations} cap actuations"
+            f"control {state.trace.decisions} decisions"
+            f" · {state.trace.actuations} cap actuations"
         )
     return "\n".join(lines)
 

@@ -259,6 +259,14 @@ class RaplDomainArray:
             nxt = np.inf
         return self._effective, nxt
 
+    def effective_at(self, t: float) -> np.ndarray:
+        """The effective caps :meth:`segment_at` gives for ``t``, read
+        without applying a pending request."""
+        pending = self._pending
+        if pending is not None and t >= pending[0]:
+            return self._make_effective(pending[1])
+        return self._effective
+
     @property
     def requested_caps(self) -> np.ndarray:
         """Most recently *requested* caps (pending included) — what the

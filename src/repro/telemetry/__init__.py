@@ -13,8 +13,8 @@ delay. This package makes that visible:
   :class:`MemorySink` (tests), :class:`JsonlSink` (streaming JSONL,
   read back by :func:`read_records`), and :class:`ChromeTraceSink`
   (opens in ``chrome://tracing`` / Perfetto);
-* :func:`summarize` — per-phase time/power breakdown, span totals and
-  instant counts;
+* :func:`validate_spans` — structural checks of a record stream (the
+  attribution fold that renders it is :mod:`repro.obs.report`);
 * :func:`get_tracer` / :func:`use_tracer` — the ambient-tracer pattern
   (same shape as :func:`repro.campaign.use_engine`) through which the
   CLI's ``--trace`` reaches every layer without parameter plumbing.
@@ -34,11 +34,7 @@ from repro.telemetry.sinks import (
     read_records,
     tail_records,
 )
-from repro.telemetry.summary import (
-    TelemetrySummary,
-    summarize,
-    validate_spans,
-)
+from repro.telemetry.summary import validate_spans
 from repro.telemetry.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -57,11 +53,9 @@ __all__ = [
     "NullTracer",
     "Sink",
     "SpanHandle",
-    "TelemetrySummary",
     "Tracer",
     "get_tracer",
     "read_records",
-    "summarize",
     "tail_records",
     "to_chrome_events",
     "use_tracer",

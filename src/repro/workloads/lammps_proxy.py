@@ -383,6 +383,8 @@ class ProxyJobSession:
         # one PhaseProgram, which keys its partition's operating points.
         self._sim_programs: dict[bool, PhaseProgram] = {}
         self._ana_programs: dict[tuple[str, ...], PhaseProgram] = {}
+        #: program -> turbo demand of its most demanding kind (traced)
+        self._turbo_demand: dict[PhaseProgram, float] = {}
 
         # Phase telemetry rides the ambient tracer when one is enabled
         # (campaign workers install a shipping tracer, `run --trace` an
@@ -421,6 +423,12 @@ class ProxyJobSession:
         # --- independent work -----------------------------------------
         due = _analyses_due(cfg, step)
         sim_phases, ana_phases = self._programs(step, due)
+        if self._tracer is not None:
+            # read before the programs run: they apply pending requests
+            limited = (
+                self._limited(sim, sim_phases, t0),
+                self._limited(ana, ana_phases, t0),
+            )
         sim_times, sim_clean, sim_energy = sim.run_program(sim_phases, t0)
         ana_times, ana_clean, ana_energy = ana.run_program(ana_phases, t0)
 
@@ -513,6 +521,7 @@ class ProxyJobSession:
                 sim_energy,
                 ana_energy,
                 slack_s,
+                limited,
             )
 
         n_sim, n_ana = sim.n, ana.n
@@ -557,6 +566,20 @@ class ProxyJobSession:
             )
         return sim_phases, ana_phases
 
+    def _limited(
+        self, part: _Partition, program: PhaseProgram, t: float
+    ) -> int:
+        """Ranks of ``part`` whose cap in effect at ``t`` sits below the
+        turbo demand of ``program``'s most demanding phase kind."""
+        demand = self._turbo_demand.get(program)
+        if demand is None:
+            node = part.node
+            demand = self._turbo_demand[program] = max(
+                (float(kind.demand(node, node.f_turbo)) for kind in program.kinds),
+                default=0.0,
+            )
+        return int(np.count_nonzero(part.domain.effective_at(t) < demand))
+
     def _emit_phases(
         self,
         t0: float,
@@ -572,6 +595,7 @@ class ProxyJobSession:
         sim_total_j: np.ndarray,
         ana_total_j: np.ndarray,
         slack_s: float | None,
+        limited: tuple[int, int],
     ) -> None:
         """Per-partition phase spans for this interval (tracer enabled
         only).
@@ -588,14 +612,18 @@ class ProxyJobSession:
         energy accounting; ``ranks`` and ``rank_s`` (the per-rank
         seconds, summed) keep the rank-seconds and mean node power, and
         the sync span's ``slack_max_s`` / ``slack_mean_s`` summarize the
-        per-rank wait. At a synchronization the controller observed, the
-        simulation lane's sync span also carries the observation's
+        per-rank wait; a work span's ``limited`` counts the ranks whose
+        cap at ``t0`` sat below the program's turbo demand
+        (:meth:`_limited`). At a synchronization the controller observed,
+        the simulation lane's sync span also carries the observation's
         ``slack_s``. A span no rank spent time in is skipped.
         """
         pid = self._tracer.pid
         records: list[dict] = []
 
-        def lane(tid, phase_name, times, wait, work_j, total_j, slack_s=None):
+        def lane(
+            tid, phase_name, times, wait, work_j, total_j, limited, slack_s=None
+        ):
             slowest = float(times.max())
             rank_s = float(times.sum())
             ranks = len(times)
@@ -608,6 +636,7 @@ class ProxyJobSession:
                             "energy_j": float(work_j.sum()),
                             "ranks": ranks,
                             "rank_s": rank_s,
+                            "limited": limited,
                         },
                     }
                 )
@@ -637,6 +666,7 @@ class ProxyJobSession:
             sim_wait,
             sim_work_j,
             sim_total_j,
+            limited[0],
             slack_s,
         )
         lane(
@@ -646,6 +676,7 @@ class ProxyJobSession:
             ana_wait,
             ana_work_j,
             ana_total_j,
+            limited[1],
         )
         self._tracer.emit_many(records)
 

@@ -73,9 +73,9 @@ def test_worker_lane_named_once_on_campaign_process():
     sink = MemorySink()
     mux = TelemetryMux()
     with use_tracer(Tracer(sink)):
-        assert mux.ensure_worker_lane(0) == 1
-        assert mux.ensure_worker_lane(0) == 1
-        assert mux.ensure_worker_lane(3) == 4
+        mux.absorb(_worker_batch(0), cell_label="seesaw/x", cell_key="k1")
+        mux.absorb(_worker_batch(0, t0=2.0), cell_label="seesaw/y", cell_key="k2")
+        mux.absorb(_worker_batch(3), cell_label="seesaw/z", cell_key="k3")
     names = [
         r for r in sink.records
         if r.get("ph") == "M" and r["name"] == "thread_name"

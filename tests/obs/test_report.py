@@ -34,10 +34,15 @@ def _records():
         {"ph": "X", "name": "phase.md", "ts": 1.5, "dur": 0.5,
          "pid": 1001, "tid": 1, "args": {"energy_j": 5.0},
          "worker": 0, "label": label},
-        # sync-wait measured from a B/E pair
-        {"ph": "B", "name": "insitu.sync", "ts": 2.0, "pid": 1001,
+        # sync-wait measured from PoLiMER's B/E pair; the DES's
+        # enclosing insitu.sync pair is not attributed
+        {"ph": "B", "name": "insitu.sync", "ts": 1.9, "pid": 1001,
          "tid": 2, "worker": 0, "label": label},
-        {"ph": "E", "name": "insitu.sync", "ts": 2.4, "pid": 1001,
+        {"ph": "B", "name": "insitu.sync_wait", "ts": 2.0, "pid": 1001,
+         "tid": 2, "worker": 0, "label": label},
+        {"ph": "E", "name": "insitu.sync_wait", "ts": 2.4, "pid": 1001,
+         "tid": 2, "worker": 0, "label": label},
+        {"ph": "E", "name": "insitu.sync", "ts": 3.0, "pid": 1001,
          "tid": 2, "worker": 0, "label": label},
         {"ph": "i", "name": "power.rapl.apply", "ts": 1.6, "pid": 1001,
          "tid": 0, "args": {"cap_w": 90.0}, "worker": 0},
@@ -50,6 +55,7 @@ def test_category_mapping():
     assert category_of("phase.ana_cpu") == "analysis"
     assert category_of("phase.analysis") == "analysis"
     assert category_of("insitu.sync") == "sync_wait"
+    assert category_of("insitu.sync_wait") == "sync_wait"
     assert category_of("power.rapl.apply") == "cap_actuation"
     assert category_of("campaign.cell") is None
 
@@ -60,8 +66,15 @@ def test_build_report_attribution():
     assert report.by_category["md"]["energy_j"] == pytest.approx(27.0)
     assert report.by_category["analysis"]["energy_j"] == pytest.approx(4.0)
     assert report.by_category["sync_wait"]["energy_j"] == pytest.approx(0.9)
-    # B/E sync pair contributes wall time
+    # the B/E wait pair contributes wall time, the enclosing pair none
     assert report.by_category["sync_wait"]["wall_s"] == pytest.approx(0.7)
+    assert set(report.by_phase) == {
+        "phase.md", "phase.analysis", "insitu.sync", "insitu.sync_wait",
+        "power.rapl.apply",
+    }
+    # span totals count both: the X span's 0.3 s and the pair's 1.1 s
+    sync = report.spans[("", "insitu.sync")]
+    assert sync["count"] == 2 and sync["wall_s"] == pytest.approx(1.4)
     assert report.by_rank[0]["energy_j"] == pytest.approx(15.9)
     assert report.decisions == 1 and report.actuations == 1
 

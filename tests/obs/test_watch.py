@@ -63,7 +63,7 @@ def test_fold_accumulates_campaign_state():
     assert state.counts["cells"] == 3  # hit + done + retried
     assert state.counts["errors"] == 1 and state.counts["retries"] == 1
     assert state.finished
-    assert state.decisions == 1 and state.actuations == 1
+    assert state.trace.decisions == 1 and state.trace.actuations == 1
     # power series: approach from the mux-stamped cell label
     assert list(state.power) == ["seesaw"]
     assert state.power["seesaw"][0] == 50.0  # 100 J / 2 s

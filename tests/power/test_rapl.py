@@ -42,6 +42,19 @@ def test_request_takes_effect_after_actuation_delay():
     assert nxt2 == np.inf
 
 
+def test_effective_at_reads_without_applying():
+    dom = make_domain(cap=110.0, mode=CapMode.LONG_SHORT, delay=0.010)
+    dom.request_caps(130.0, now=1.0)
+    version = dom.caps_version
+    assert np.array_equal(dom.effective_at(1.005), dom.segment_at(1.0)[0])
+    due = dom.effective_at(1.010)
+    assert np.allclose(due, 130.0 * CapMode.LONG_SHORT.undershoot)
+    # the read left the request pending
+    assert dom.caps_version == version
+    assert dom.segment_at(1.005)[1] == pytest.approx(1.010)
+    assert np.array_equal(due, dom.segment_at(1.010)[0])
+
+
 def test_second_request_supersedes_pending():
     dom = make_domain(cap=110.0, delay=0.010)
     dom.request_caps(130.0, now=1.0)

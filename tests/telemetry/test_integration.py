@@ -11,13 +11,13 @@ from repro.cluster.node import THETA_NODE
 from repro.core import SeeSAwController
 from repro.des.engine import Engine
 from repro.insitu import InsituConfig, run_insitu
+from repro.obs.report import build_report
 from repro.telemetry import (
     ChromeTraceSink,
     MemorySink,
     Tracer,
     use_tracer,
     validate_spans,
-    summarize,
 )
 from repro.workloads import JobConfig
 
@@ -126,16 +126,17 @@ def test_chrome_trace_loads_and_nests(tmp_path, traced_run):
 
 def test_summary_reports_phase_power(traced_run):
     cfg, result, sink = traced_run
-    summ = summarize(sink.records)
-    assert summ.phases, "phase table must not be empty"
-    for stat in summ.phases.values():
-        assert stat.total_s > 0
+    report = build_report(sink.records)
+    phases = [b for n, b in report.by_phase.items() if n.startswith("phase.")]
+    assert phases, "phase table must not be empty"
+    for stat in phases:
+        assert stat["wall_s"] > 0
         # phases draw between the RAPL floor and well under 2x TDP
-        assert 50.0 < stat.mean_power_w < 2 * THETA_NODE.tdp_watts
+        assert 50.0 < stat["energy_j"] / stat["wall_s"] < 2 * THETA_NODE.tdp_watts
     # counts come from the spans and instants themselves
-    waits = summ.spans[("insitu", "insitu.sync_wait")]
-    assert waits.count == cfg.n_syncs * cfg.world_size
-    assert summ.instants["core.seesaw.decision"] == len(result.allocation_log)
+    waits = report.spans[("insitu", "insitu.sync_wait")]
+    assert waits["count"] == cfg.n_syncs * cfg.world_size
+    assert report.instants["core.seesaw.decision"] == len(result.allocation_log)
     limited = sum(
         1
         for r in sink.records
@@ -144,7 +145,7 @@ def test_summary_reports_phase_power(traced_run):
         and r["args"]["limited"]
     )
     assert limited > 0
-    assert sum(s.limited for s in summ.phases.values()) == limited
+    assert sum(s["limited"] for s in phases) == limited
 
 
 def test_untraced_engine_emits_nothing():

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.runner import build_controller
+from repro.obs.report import build_report
 from repro.telemetry import (
     MemorySink,
     NullSink,
     Tracer,
-    summarize,
     to_chrome_events,
     use_tracer,
     validate_spans,
@@ -69,8 +69,8 @@ def test_span_programs_always_validate(prog):
     # every record survives Chrome conversion with the required keys
     for ev in to_chrome_events(sink.records):
         assert {"name", "cat", "ph", "ts", "pid", "tid"} <= set(ev)
-    # and the summary never chokes on a valid stream
-    summarize(sink.records)
+    # and the attribution fold never chokes on a valid stream
+    build_report(sink.records)
 
 
 @given(programs())

@@ -1,5 +1,5 @@
 """The proxy traces each synchronization as one work span and one sync
-span per partition. Folded by ``summarize`` and ``build_report``, those
+span per partition. Folded by ``build_report``, those
 spans give the per-phase joules, rank-seconds and mean node power that
 one span per rank gave; per interval and partition their energies sum
 to the proxy's own accounting; and tracing leaves the job's result bit
@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.runner import build_controller
 from repro.metrics import MetricRegistry, MetricsSink
 from repro.obs.report import build_report, render_text
-from repro.telemetry import MemorySink, Tracer, summarize, use_tracer, validate_spans
+from repro.telemetry import MemorySink, Tracer, use_tracer, validate_spans
 from repro.workloads import JobConfig
 from repro.workloads.lammps_proxy import ProxyJobSession
 
@@ -25,7 +25,7 @@ class _PerRankSession(ProxyJobSession):
 
     def _emit_phases(
         self, t0, due, work, tail_s, sim_times, ana_times, sim_wait, ana_wait,
-        sim_work_j, ana_work_j, sim_total_j, ana_total_j, slack_s,
+        sim_work_j, ana_work_j, sim_total_j, ana_total_j, slack_s, limited,
     ):
         pid = self._tracer.pid
         records = []
@@ -111,18 +111,22 @@ def test_two_spans_per_partition_per_interval(traced):
 
 def test_summary_and_report_match_per_rank_reference(traced):
     _, records, _, ref_records, _ = traced
-    got, want = summarize(records), summarize(ref_records)
-    assert set(got.phases) == set(want.phases) == {"md", "analysis"}
-    for name, w in want.phases.items():
-        g = got.phases[name]
-        assert g.energy_j == pytest.approx(w.energy_j, rel=REL)
-        assert g.total_s == pytest.approx(w.total_s, rel=REL)
-        assert g.mean_power_w == pytest.approx(w.mean_power_w, rel=REL)
-    for key, w in want.spans.items():
-        assert got.spans[key].energy_j == pytest.approx(w.energy_j, rel=REL)
-        assert got.spans[key].total_s == pytest.approx(w.total_s, rel=REL)
-
     report, ref_report = build_report(records), build_report(ref_records)
+    got, want = (
+        {n: b for n, b in r.by_phase.items() if n.startswith("phase.")}
+        for r in (report, ref_report)
+    )
+    assert set(got) == set(want) == {"phase.md", "phase.analysis"}
+    for name, w in want.items():
+        g = got[name]
+        assert g["energy_j"] == pytest.approx(w["energy_j"], rel=REL)
+        assert g["wall_s"] == pytest.approx(w["wall_s"], rel=REL)
+        assert g["energy_j"] / g["wall_s"] == pytest.approx(
+            w["energy_j"] / w["wall_s"], rel=REL
+        )
+    for key, w in ref_report.spans.items():
+        assert report.spans[key]["wall_s"] == pytest.approx(w["wall_s"], rel=REL)
+
     for table in ("by_phase", "by_category"):
         got_t, want_t = getattr(report, table), getattr(ref_report, table)
         assert set(got_t) == set(want_t)
@@ -189,3 +193,31 @@ def test_tracing_leaves_results_bit_identical(traced):
     base = _run()
     assert _bits(result) == _bits(base)
     assert _bits(reference) == _bits(base)
+
+
+def _limited_by_phase(budget_per_node_w):
+    cfg = JobConfig(
+        dim=2, n_nodes=4, n_verlet_steps=40, seed=3,
+        budget_per_node_w=budget_per_node_w,
+    )
+    sink = MemorySink()
+    with use_tracer(Tracer(sink)):
+        result = ProxyJobSession(cfg, build_controller("seesaw", cfg)).run()
+    untraced = ProxyJobSession(cfg, build_controller("seesaw", cfg)).run()
+    assert _bits(result) == _bits(untraced)
+    for rec in _spans(sink.records):
+        if rec["name"].startswith("phase."):
+            assert 0 <= rec["args"]["limited"] <= rec["args"]["ranks"]
+    report = build_report(sink.records)
+    return {
+        name: b["limited"]
+        for name, b in report.by_phase.items()
+        if name.startswith("phase.")
+    }
+
+
+def test_phase_spans_count_cap_limited_ranks():
+    # at 110 W per node the caps sit below every program's turbo demand
+    assert all(n > 0 for n in _limited_by_phase(110.0).values())
+    # at TDP every rank runs at or above turbo demand
+    assert set(_limited_by_phase(215.0).values()) == {0}

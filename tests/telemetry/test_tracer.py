@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.report import build_report, render_text
 from repro.telemetry import (
     NULL_TRACER,
     ChromeTraceSink,
@@ -11,7 +12,6 @@ from repro.telemetry import (
     MemorySink,
     Tracer,
     get_tracer,
-    summarize,
     to_chrome_events,
     use_tracer,
     validate_spans,
@@ -186,13 +186,13 @@ def test_summarize_span_durations_and_phase_power():
                    limited=True)
         t.complete("phase.force", 0.0, cat="power", tid=1, ts=1.0,
                    limited=False)
-    summ = summarize(sink.records)
+    report = build_report(sink.records)
     # fake clock ticks once per emit: B at 0, X at 1, E at 2
-    assert summ.spans[("insitu", "work")].count == 1
-    assert summ.spans[("insitu", "work")].total_s == 2.0
-    force = summ.phases["force"]
-    assert force.count == 2 and force.limited == 1
-    assert force.total_s == 2.0
-    assert force.mean_power_w == pytest.approx(110.0)
-    text = summ.render()
+    assert report.spans[("insitu", "work")]["count"] == 1
+    assert report.spans[("insitu", "work")]["wall_s"] == 2.0
+    force = report.by_phase["phase.force"]
+    assert force["count"] == 2 and force["limited"] == 1
+    assert force["wall_s"] == 2.0
+    assert force["energy_j"] / force["wall_s"] == pytest.approx(110.0)
+    text = render_text(report)
     assert "force" in text and "110" in text and "limited" in text
