@@ -60,15 +60,6 @@ class NodeSpec:
         if self.cores <= 0:
             raise ValueError("node needs at least one core")
 
-    @property
-    def turbo_ratio(self) -> float:
-        """Turbo frequency as a ratio of base (1.1538 on Theta)."""
-        return self.f_turbo / self.f_base
-
-    @property
-    def min_ratio(self) -> float:
-        return self.f_min / self.f_base
-
     def clamp_cap(self, cap_watts: float) -> float:
         """Clamp a requested cap to what the hardware supports."""
         return min(max(cap_watts, self.rapl_min_watts), self.tdp_watts)

@@ -171,8 +171,6 @@ class SeeSAwController(PowerController):
         self._p_ana = RunningMean()
         self._prev_total_sim: float | None = None
         self._prev_total_ana: float | None = None
-        #: history of (step, P_opt_sim, P_new_sim) for diagnostics
-        self.decision_log: list[tuple[int, float, float]] = []
 
     # ------------------------------------------------------------------
     def initial_allocation(self) -> Allocation:
@@ -276,7 +274,6 @@ class SeeSAwController(PowerController):
             )
         self._prev_total_sim = total_s
         self._prev_total_ana = total_a
-        self.decision_log.append((obs.step, p_opt_s, total_s))
         return Allocation(
             sim_caps_w=np.full(self.n_sim, total_s / self.n_sim),
             ana_caps_w=np.full(self.n_ana, total_a / self.n_ana),

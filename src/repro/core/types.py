@@ -111,11 +111,3 @@ class Allocation:
     @property
     def total_w(self) -> float:
         return float(self.sim_caps_w.sum() + self.ana_caps_w.sum())
-
-    def with_sim_total(self, total_sim_w: float, total_ana_w: float) -> "Allocation":
-        """Evenly divided allocation with the given partition totals."""
-        n_s, n_a = len(self.sim_caps_w), len(self.ana_caps_w)
-        return Allocation(
-            sim_caps_w=np.full(n_s, total_sim_w / n_s),
-            ana_caps_w=np.full(n_a, total_ana_w / n_a),
-        )

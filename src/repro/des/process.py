@@ -56,10 +56,6 @@ class SimEvent:
         self.name = name
 
     @property
-    def triggered(self) -> bool:
-        return self._done
-
-    @property
     def value(self) -> Any:
         if not self._done:
             raise SimulationError(f"event {self.name!r} has no value yet")

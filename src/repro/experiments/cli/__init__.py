@@ -65,9 +65,8 @@ log: each cell outcome is a ``campaign.cell`` span, and the run ends
 with a ``campaign.summary`` instant. ``campaign watch PATH`` tails it
 as a live dashboard; ``campaign report PATH`` renders the energy
 attribution (text, JSON or HTML). ``trace`` runs a purpose-built
-small in-situ job under any registered approach — including the
-experimental ``seesaw-exploring`` — writes its trace and prints the
-same attribution, per-phase time/power table included.
+small in-situ job under any registered approach, writes its trace
+and prints the same attribution, per-phase time/power table included.
 
 Observability (see :mod:`repro.metrics`): ``run ... --metrics PATH``
 folds the run's trace records, pool workers' included, into streaming

@@ -169,8 +169,8 @@ def _add_trace(sub) -> None:
     trace_p.add_argument(
         "--approach",
         default="seesaw",
-        help="controller to trace — any registered approach, including "
-        "the experimental seesaw-exploring (default: seesaw)",
+        help="controller to trace — any registered approach "
+        "(default: seesaw)",
     )
     trace_p.add_argument(
         "--steps",

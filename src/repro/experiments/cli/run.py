@@ -62,6 +62,13 @@ def _load_run_suite(path: Path):
         print(str(exc), file=sys.stderr)
         return None, 2
     problems = [p for s in suite for p in validate_spec(s)]
+    if not problems:
+        # a valid scenario whose workload the engine does not run
+        for s in suite:
+            try:
+                s.to_cells()
+            except SpecError as exc:
+                problems.append(str(exc))
     if problems:
         for p in problems:
             print(f"invalid spec: {p}", file=sys.stderr)

@@ -18,8 +18,6 @@ def _cmd_trace(args) -> int:
     from repro.scenario.registry import RegistryError, get_controller
 
     try:
-        # any registered controller traces, including the experimental
-        # seesaw-exploring variant
         get_controller(args.approach)
     except RegistryError as exc:
         print(str(exc), file=sys.stderr)

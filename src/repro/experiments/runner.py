@@ -42,12 +42,12 @@ def build_controller(
     """Construct a registered controller sized for ``cfg``.
 
     ``name`` is looked up in :mod:`repro.scenario.registry`, so every
-    registered approach — including the extensions — is constructible
-    here. ``window`` and ``sim_share`` are *soft* defaults: they are
-    forwarded only to controllers whose constructors take them (the
-    time-aware balancer ignores ``window`` by design, §VI-B, and the
-    static baseline has no feedback at all). Unknown approaches and
-    rejected options raise with the valid choices spelled out.
+    registered approach is constructible here. ``window`` and
+    ``sim_share`` are *soft* defaults: they are forwarded only to
+    controllers whose constructors take them (the time-aware balancer
+    ignores ``window`` by design, §VI-B, and the static baseline has no
+    feedback at all). Unknown approaches and rejected options raise
+    with the valid choices spelled out.
     """
     info = get_controller(name)
     soft = {"window": window, "sim_share": sim_share}

@@ -223,12 +223,6 @@ class FaultInjector:
             self._hit(t, FaultKind.MPI_DELAY, None, delay_s=delay)
         return delay
 
-    def active_kinds(self, t: float) -> tuple[str, ...]:
-        """Kinds with an open window at ``t`` (diagnostics)."""
-        return tuple(
-            sorted({e.kind.value for e in self.plan.events if e.active(t)})
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<FaultInjector {len(self.plan.events)} events>"
 

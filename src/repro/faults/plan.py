@@ -145,9 +145,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def by_kind(self, kind: FaultKind) -> tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind is kind)
-
     @property
     def kinds(self) -> tuple[str, ...]:
         return tuple(sorted({e.kind.value for e in self.events}))
@@ -252,12 +249,6 @@ class FaultPlan:
         return "".join(
             json.dumps(e.to_json(), sort_keys=True) + "\n" for e in self.events
         )
-
-    def write_jsonl(self, path: Path | str) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl())
-        return path
 
     def fingerprint(self) -> str:
         """Content hash of the canonical form (cache-key salt)."""

@@ -54,9 +54,3 @@ class Box:
         """Minimum-image distances between row-aligned coordinate sets."""
         dr = self.minimum_image(np.atleast_2d(a) - np.atleast_2d(b))
         return np.linalg.norm(dr, axis=-1)
-
-    def replicate_factor(self, factor: int) -> "Box":
-        """Box of a system replicated ``factor`` times per dimension."""
-        if factor < 1:
-            raise ValueError("replication factor must be >= 1")
-        return Box(self.lengths * factor)

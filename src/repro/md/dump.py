@@ -1,15 +1,11 @@
-"""Trajectory output: XYZ and LAMMPS-dump writers.
+"""Trajectory output: the LAMMPS-dump writer and reader.
 
 The paper's step 8 ("optional output of state") and the thermodynamic
 output make the simulation's I/O phase; this module provides the
-actual writers so the examples can persist trajectories, and so the
-in-situ coupler's output phase corresponds to real bytes.
-
-Two formats:
-
-* **XYZ** — the minimal interchange format (element + coordinates);
-* **LAMMPS dump** (``atom`` style) — id/type/xs/ys/zs with box bounds,
-  readable by OVITO/VMD and by :func:`read_lammps_dump` below.
+actual writer so the examples can persist trajectories, and so the
+in-situ coupler's output phase corresponds to real bytes. The format
+is the LAMMPS dump (``atom`` style): id/type/xs/ys/zs with box bounds,
+readable by OVITO/VMD and by :func:`read_lammps_dump` below.
 """
 
 from __future__ import annotations
@@ -19,12 +15,11 @@ from typing import TextIO
 
 import numpy as np
 
-from repro.md.system import ParticleSystem, Species
+from repro.md.system import ParticleSystem
 
 __all__ = [
     "read_lammps_dump",
     "write_lammps_dump",
-    "write_xyz",
 ]
 
 
@@ -32,26 +27,6 @@ def _as_handle(target) -> tuple[TextIO, bool]:
     if isinstance(target, (str, Path)):
         return open(target, "a"), True
     return target, False
-
-
-def write_xyz(
-    target,
-    system: ParticleSystem,
-    step: int = 0,
-    comment: str | None = None,
-) -> None:
-    """Append one XYZ frame to ``target`` (path or text handle)."""
-    handle, owned = _as_handle(target)
-    try:
-        names = Species.NAMES
-        handle.write(f"{system.n_atoms}\n")
-        handle.write(comment if comment is not None else f"step {step}")
-        handle.write("\n")
-        for t, (x, y, z) in zip(system.types, system.positions):
-            handle.write(f"{names[int(t)]} {x:.6f} {y:.6f} {z:.6f}\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def write_lammps_dump(

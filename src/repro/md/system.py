@@ -47,7 +47,6 @@ class Species:
     CAT = 2  #: hydronium-like cation
     AN = 3  #: anion
 
-    NAMES = {O: "O", H: "H", CAT: "CAT", AN: "AN"}
     COUNT = 4
 
 

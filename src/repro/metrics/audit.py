@@ -334,7 +334,6 @@ class ReplayResult:
 
     n_decisions: int = 0
     n_replayed: int = 0
-    n_skipped: int = 0
     #: degraded observations the controller declined to act on
     n_holds: int = 0
     #: injected fault windows recorded in the journal
@@ -350,9 +349,7 @@ class ReplayResult:
 
     def render(self) -> str:
         lines = [
-            f"replayed {self.n_replayed}/{self.n_decisions} decisions"
-            + (f" ({self.n_skipped} unsupported controller(s) skipped)"
-               if self.n_skipped else ""),
+            f"replayed {self.n_replayed}/{self.n_decisions} decisions",
         ]
         if self.n_faults:
             lines.append(f"{self.n_faults} fault window(s) injected")
@@ -381,82 +378,70 @@ class ReplayResult:
         return "\n".join(lines)
 
 
-def _replay_seesaw(rec: AuditRecord) -> tuple[float, float] | None:
+def _replay_seesaw(i: dict) -> tuple[float, float]:
     from repro.core.seesaw import decide_totals
 
-    i = rec.inputs
-    try:
-        _, total_s, total_a = decide_totals(
-            i["t_sim_s"],
-            i["p_sim_w"],
-            i["t_ana_s"],
-            i["p_ana_w"],
-            i["budget_w"],
-            i["prev_sim_w"],
-            i["prev_ana_w"],
-            i["feedback"],
-            i["damping"],
-            i["n_sim"],
-            i["n_ana"],
-            i["lo_w"],
-            i["hi_w"],
-        )
-    except KeyError:
-        return None
+    _, total_s, total_a = decide_totals(
+        i["t_sim_s"],
+        i["p_sim_w"],
+        i["t_ana_s"],
+        i["p_ana_w"],
+        i["budget_w"],
+        i["prev_sim_w"],
+        i["prev_ana_w"],
+        i["feedback"],
+        i["damping"],
+        i["n_sim"],
+        i["n_ana"],
+        i["lo_w"],
+        i["hi_w"],
+    )
     return total_s, total_a
 
 
-def _replay_power_aware(rec: AuditRecord) -> tuple[float, float] | None:
+def _replay_power_aware(i: dict) -> tuple[float, float]:
     import numpy as np
 
     from repro.core.power_aware import redistribute_caps
 
-    i = rec.inputs
-    try:
-        decided = redistribute_caps(
-            np.asarray(i["caps_w"], dtype=float),
-            np.asarray(i["mean_power_w"], dtype=float),
-            i["lo_w"],
-            i["hi_w"],
-            i["at_cap_margin_w"],
-            i["reclaim_margin_w"],
-        )
-        n_sim = i["n_sim"]
-    except KeyError:
-        return None
-    if decided is None:
-        return None
-    caps = decided[0]
+    caps = np.asarray(i["caps_w"], dtype=float)
+    decided = redistribute_caps(
+        caps,
+        np.asarray(i["mean_power_w"], dtype=float),
+        i["lo_w"],
+        i["hi_w"],
+        i["at_cap_margin_w"],
+        i["reclaim_margin_w"],
+    )
+    # declining to act leaves the caps where they were
+    if decided is not None:
+        caps = decided[0]
+    n_sim = i["n_sim"]
     return float(caps[:n_sim].sum()), float(caps[n_sim:].sum())
 
 
-def _replay_time_aware(rec: AuditRecord) -> tuple[float, float] | None:
+def _replay_time_aware(i: dict) -> tuple[float, float]:
     import numpy as np
 
     from repro.core.time_aware import balance_caps
 
-    i = rec.inputs
-    try:
-        caps, _slack = balance_caps(
-            np.asarray(i["caps_w"], dtype=float),
-            np.asarray(i["times_s"], dtype=float),
-            i["eta_w"],
-            i["reactivity"],
-            i["budget_w"],
-            i["lo_w"],
-            i["hi_w"],
-        )
-        n_sim = i["n_sim"]
-    except KeyError:
-        return None
+    caps, _slack = balance_caps(
+        np.asarray(i["caps_w"], dtype=float),
+        np.asarray(i["times_s"], dtype=float),
+        i["eta_w"],
+        i["reactivity"],
+        i["budget_w"],
+        i["lo_w"],
+        i["hi_w"],
+    )
+    n_sim = i["n_sim"]
     return float(caps[:n_sim].sum()), float(caps[n_sim:].sum())
 
 
-#: controller name -> pure-function replayer. The exploring variant
-#: replays SeeSAw's partition split (its probes bypass it).
+#: controller name -> pure-function replayer of its recorded inputs;
+#: the static baseline makes no decisions
 _REPLAYERS = {
     "seesaw": _replay_seesaw,
-    "seesaw-exploring": _replay_seesaw,
     "power-aware": _replay_power_aware,
     "time-aware": _replay_time_aware,
 }
@@ -464,7 +449,12 @@ _REPLAYERS = {
 
 def replay(records: list[AuditRecord]) -> ReplayResult:
     """Re-execute every decision from its recorded inputs and verify
-    the recorded cap schedule."""
+    the recorded cap schedule.
+
+    A decision that cannot be re-executed — its controller has no
+    replayer, or an input the replayer needs was not recorded — is a
+    mismatch: the schedule is only verified where it was recomputed.
+    """
     result = ReplayResult()
     for rec in records:
         if rec.kind == "init":
@@ -479,27 +469,30 @@ def replay(records: list[AuditRecord]) -> ReplayResult:
         if rec.kind != "decision":
             continue
         result.n_decisions += 1
+        result.schedule.append((rec.step, rec.after_sim_w, rec.after_ana_w))
         replayer = _REPLAYERS.get(rec.controller)
         if replayer is None:
-            result.n_skipped += 1
-            result.schedule.append((rec.step, rec.after_sim_w, rec.after_ana_w))
+            result.mismatches.append(
+                (rec.step, "controller", rec.controller, None)
+            )
             continue
-        recomputed = replayer(rec)
-        if recomputed is None:
-            result.n_skipped += 1
-            result.schedule.append((rec.step, rec.after_sim_w, rec.after_ana_w))
+        try:
+            recomputed = replayer(rec.inputs)
+        except KeyError as exc:
+            result.mismatches.append(
+                (rec.step, f"inputs[{exc.args[0]!r}]", None, None)
+            )
             continue
         result.n_replayed += 1
-        total_s, total_a = recomputed
-        for fieldname, recorded, value in (
-            ("after_sim_w", rec.after_sim_w, total_s),
-            ("after_ana_w", rec.after_ana_w, total_a),
+        for fieldname, recorded, value in zip(
+            ("after_sim_w", "after_ana_w"),
+            (rec.after_sim_w, rec.after_ana_w),
+            recomputed,
         ):
             if recorded is None or not math.isclose(
                 recorded, value, rel_tol=0.0, abs_tol=_EXACT
             ):
                 result.mismatches.append((rec.step, fieldname, recorded, value))
-        result.schedule.append((rec.step, rec.after_sim_w, rec.after_ana_w))
     return result
 
 

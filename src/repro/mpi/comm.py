@@ -91,9 +91,6 @@ class _PendingRecv:
 class _CollectiveRound:
     """State for one in-flight collective on a communicator.
 
-    Arrival times are kept in a preallocated vector (``arrivals[rank]``
-    is NaN until that rank joins), so the round never grows per-rank
-    Python containers beyond the contribution dict it already needs.
     ``members`` records ``(rank, per_rank_event, deliver)`` in join
     order for the release.
     """
@@ -104,7 +101,6 @@ class _CollectiveRound:
         "contributions",
         "event",
         "finalize",
-        "arrivals",
         "members",
     )
 
@@ -120,13 +116,7 @@ class _CollectiveRound:
         self.contributions: dict[int, Any] = {}
         self.event = event
         self.finalize = finalize
-        self.arrivals = np.full(expected, np.nan)
         self.members: list[tuple[int, SimEvent, Callable[[int, Any], Any]]] = []
-
-    @property
-    def last_arrival(self) -> float:
-        """Latest join time over the vectorized arrival record."""
-        return float(np.nanmax(self.arrivals))
 
     def release(self, result: Any) -> None:
         """Wake every member from one engine event, in join order.
@@ -416,7 +406,6 @@ class Communicator:
                 f"rank {rank} joined collective {op!r} twice on {self.name}"
             )
         round_.contributions[rank] = value
-        round_.arrivals[rank] = self.engine.now
 
         if deliver is not None:
             # Wrap the shared event in a per-rank event applying deliver.

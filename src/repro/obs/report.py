@@ -8,8 +8,9 @@ they agree by construction. Only leaf spans are attributed:
 * ``phase.*`` ``X`` spans (``energy_j`` in args) — MD (force /
   integrate / neighbor / comm, the proxy's ``md``) or analysis;
 * sync-wait, the time SeeSAw leaves out of work time — PoLiMER's
-  ``insitu.sync_wait`` ``B``/``E`` pair on the DES, the proxy's
-  per-partition ``insitu.sync`` ``X`` span;
+  ``insitu.sync_wait`` ``B``/``E`` pair on the DES (``energy_j`` in the
+  ``E`` record's args), the proxy's per-partition ``insitu.sync`` ``X``
+  span;
 * ``power.rapl.apply`` instants — cap actuation.
 
 The DES's enclosing ``insitu.sync`` pair and the ``insitu.exchange``
@@ -170,7 +171,10 @@ class TraceFold:
                 self._span(begin.get("cat", ""), begin["name"], wall)
                 if begin["name"] == WAIT_PAIR:
                     wall = max(wall, 0.0)
-                    return self._account(begin, WAIT_PAIR, 0.0, wall, wall)
+                    energy = (rec.get("args") or {}).get("energy_j", 0.0)
+                    return self._account(
+                        begin, WAIT_PAIR, float(energy or 0.0), wall, wall
+                    )
         return None
 
     def _span(self, cat: str, name: str, seconds: float) -> None:

@@ -232,17 +232,19 @@ class PowerManager:
         if result is not None:
             sim_caps, ana_caps = result
             self.node.request_cap(self._my_cap(sim_caps, ana_caps))
+        # measurement interval restarts at the release of the bcast
+        released_e = self.node.energy_counter_j()
         if span is not None:
             # the work time is keyed by partition (sim_work_s /
             # ana_work_s) so the two fold into separate histograms
             span.end(
                 wait_s=self.engine.now - now,
+                energy_j=released_e - energy,
                 **{f"{self._part}_work_s": work_time},
             )
-        # measurement interval restarts at the release of the bcast
         self._last_release = self.engine.now
         self._last_entry_t = self.engine.now
-        self._last_entry_e = self.node.energy_counter_j()
+        self._last_entry_e = released_e
 
     # ------------------------------------------------------------------
     def _build_observation(self, reports: list[_RankReport]) -> Observation:

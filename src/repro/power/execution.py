@@ -119,10 +119,6 @@ class PhaseOutcome:
     def slowest(self) -> float:
         return float(self.durations.max())
 
-    @property
-    def fastest(self) -> float:
-        return float(self.durations.min())
-
 
 def execute_phase(
     kind: PhaseKind,

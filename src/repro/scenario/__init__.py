@@ -31,7 +31,6 @@ from repro.scenario.registry import (
     get_machine,
     get_workload,
     list_analyses,
-    paper_approaches,
 )
 from repro.scenario.spec import (
     JobParams,
@@ -56,7 +55,6 @@ __all__ = [
     "list_analyses",
     "load_spec_file",
     "load_suite",
-    "paper_approaches",
     "set_field",
     "spec_hash",
     "spec_path",

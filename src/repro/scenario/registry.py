@@ -30,18 +30,15 @@ __all__ = [
     "get_machine",
     "get_workload",
     "list_analyses",
-    "paper_approaches",
 ]
 
-#: approach name → (implementing class, 1-based position in the
-#: paper's evaluated ordering; 0 = an extension outside the paper's
-#: four approaches: the §VIII local-optimum probe)
+#: approach name → implementing class, in the paper's evaluated
+#: ordering (static → power-aware → time-aware → SeeSAw)
 _CONTROLLERS = {
-    "static": ("repro.core.static:StaticController", 1),
-    "power-aware": ("repro.core.power_aware:PowerAwareController", 2),
-    "time-aware": ("repro.core.time_aware:TimeAwareController", 3),
-    "seesaw": ("repro.core.seesaw:SeeSAwController", 4),
-    "seesaw-exploring": ("repro.core.exploring:ExploringSeeSAwController", 0),
+    "static": "repro.core.static:StaticController",
+    "power-aware": "repro.core.power_aware:PowerAwareController",
+    "time-aware": "repro.core.time_aware:TimeAwareController",
+    "seesaw": "repro.core.seesaw:SeeSAwController",
 }
 
 #: workload name → entry point
@@ -82,9 +79,6 @@ class ControllerInfo:
     cls: type
     #: keyword options the constructor accepts, with their defaults
     options: dict[str, Any] = field(default_factory=dict)
-    #: 1-based position in the paper's evaluated approach ordering
-    #: (0 = an extension outside the paper's four approaches)
-    paper: int = 0
 
     def rejected_kwargs(self, kwargs: dict) -> list[str]:
         """Keys of ``kwargs`` this controller's constructor rejects."""
@@ -137,22 +131,13 @@ def _lookup(table: dict, kind: str, name: str):
 
 @functools.cache
 def get_controller(name: str) -> ControllerInfo:
-    target, paper = _lookup(_CONTROLLERS, "approach", name)
-    cls = _resolve(target)
-    return ControllerInfo(
-        name=name, cls=cls, options=_introspect_options(cls), paper=paper
-    )
+    cls = _resolve(_lookup(_CONTROLLERS, "approach", name))
+    return ControllerInfo(name=name, cls=cls, options=_introspect_options(cls))
 
 
 def controller_names() -> tuple[str, ...]:
-    """Every approach name, the paper's four first."""
+    """Every approach name, in the paper's evaluated ordering."""
     return tuple(_CONTROLLERS)
-
-
-def paper_approaches() -> tuple[str, ...]:
-    """The paper's evaluated approaches, in the paper's ordering."""
-    ranked = sorted((p, n) for n, (_, p) in _CONTROLLERS.items() if p)
-    return tuple(n for _, n in ranked)
 
 
 def get_workload(name: str) -> Callable:

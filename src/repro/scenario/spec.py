@@ -246,8 +246,19 @@ class ScenarioSpec:
         ``CellSpec`` objects the pre-scenario harnesses built, so cache
         keys are unchanged. A paired scenario interleaves each managed
         run with its static baseline (``[managed 0, static 0, managed
-        1, ...]``), the layout ``runner.improvement`` folds."""
+        1, ...]``), the layout ``runner.improvement`` folds.
+
+        A cell always runs the proxy, so any other workload raises
+        :class:`SpecError` rather than run the proxy in its place."""
         from repro.campaign.cells import CellSpec
+
+        if self.workload != "proxy":
+            raise SpecError(
+                f"{self.name}: workload {self.workload!r} has no campaign "
+                "cells; only 'proxy' scenarios run through the engine. Run "
+                "in-situ jobs with the 'chaos' or 'trace' commands "
+                "(ROADMAP item 5 routes them through the campaign)"
+            )
 
         cfg = self.job.to_job_config()
         kwargs = dict(self.controller)
@@ -303,8 +314,9 @@ def validate_spec(spec: ScenarioSpec, where: str | None = None) -> list[str]:
 
     Checks registry membership (approach, workload, machine, analysis
     names), controller options against the approach's accepted-option
-    metadata, measurement-protocol fields, fault options (which only
-    the ``insitu`` workload runs), and finally attempts the
+    metadata, measurement-protocol fields, fault options and
+    ``insitu`` overrides (which only the ``insitu`` workload reads),
+    and finally attempts the
     concrete ``JobConfig`` construction so infeasible parameter
     combinations (budget below the RAPL floor, odd node counts, bad
     ``j``) surface here rather than mid-campaign.
@@ -367,13 +379,19 @@ def validate_spec(spec: ScenarioSpec, where: str | None = None) -> list[str]:
             f"got {spec.baseline_sim_share}"
         )
     if spec.workload != "insitu":
-        # only the DES-backed workload runs under a fault plan
+        # only the DES-backed workload runs under a fault plan or
+        # reads InsituConfig overrides
         for name in ("faults", "chaos_seed"):
             if getattr(spec, name) is not None:
                 problems.append(
                     f"{where}.{name}: the {spec.workload!r} workload "
                     "ignores fault plans; only 'insitu' runs them"
                 )
+        if spec.insitu:
+            problems.append(
+                f"{where}.insitu: the {spec.workload!r} workload ignores "
+                "InsituConfig overrides; only 'insitu' reads them"
+            )
     if spec.faults is not None and spec.chaos_seed is not None:
         problems.append(
             f"{where}: faults and chaos_seed are mutually exclusive"

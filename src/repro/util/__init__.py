@@ -11,31 +11,17 @@ from repro.util.stats import (
     RunningMean,
     ewma,
     median,
-    percent_change,
     summarize,
     variability_pct,
 )
-from repro.util.units import (
-    MS,
-    US,
-    WATT,
-    format_seconds,
-    format_watts,
-    joules,
-)
+from repro.util.units import MS
 
 __all__ = [
     "MS",
-    "US",
-    "WATT",
     "RngStream",
     "RunningMean",
     "ewma",
-    "format_seconds",
-    "format_watts",
-    "joules",
     "median",
-    "percent_change",
     "scatter_add",
     "scatter_add_pairs",
     "spawn_streams",

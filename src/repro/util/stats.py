@@ -17,7 +17,6 @@ __all__ = [
     "RunningMean",
     "ewma",
     "median",
-    "percent_change",
     "percent_improvement",
     "quantiles",
     "summarize",
@@ -31,19 +30,6 @@ def median(values: Iterable[float]) -> float:
     if arr.size == 0:
         raise ValueError("median of empty sequence")
     return float(np.median(arr))
-
-
-def percent_change(new: float, old: float, name: str | None = None) -> float:
-    """Signed percent change from ``old`` to ``new``.
-
-    Positive means ``new`` is larger. ``old`` must be nonzero; the
-    error otherwise names the offending metric when ``name`` is given,
-    so a failed comparison in a table of many metrics is attributable.
-    """
-    if old == 0:
-        what = f"metric {name!r}" if name else "percent change"
-        raise ValueError(f"{what}: change against zero reference")
-    return 100.0 * (new - old) / old
 
 
 def quantiles(values: Iterable[float], qs: Sequence[float]) -> list[float]:

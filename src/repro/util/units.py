@@ -1,4 +1,4 @@
-"""Unit conventions and small formatting helpers.
+"""Unit conventions.
 
 The whole code base uses SI base units internally:
 
@@ -9,7 +9,7 @@ The whole code base uses SI base units internally:
   performance model actually consumes, so the absolute unit only matters
   for display)
 
-The constants below exist so call sites can write ``10 * MS`` instead of
+The constant below exists so call sites can write ``10 * MS`` instead of
 ``0.010`` and stay self-documenting.
 """
 
@@ -17,38 +17,3 @@ from __future__ import annotations
 
 #: One millisecond, in seconds.
 MS: float = 1e-3
-
-#: One microsecond, in seconds.
-US: float = 1e-6
-
-#: One watt (identity; used for readable arithmetic like ``110 * WATT``).
-WATT: float = 1.0
-
-
-def joules(power_watts: float, duration_s: float) -> float:
-    """Energy in joules for drawing ``power_watts`` over ``duration_s``.
-
-    >>> joules(110.0, 2.0)
-    220.0
-    """
-    return power_watts * duration_s
-
-
-def format_seconds(t: float) -> str:
-    """Render a duration with a sensible unit for logs and reports."""
-    if t < 1e-6:
-        return f"{t * 1e9:.1f} ns"
-    if t < 1e-3:
-        return f"{t * 1e6:.1f} us"
-    if t < 1.0:
-        return f"{t * 1e3:.1f} ms"
-    if t < 120.0:
-        return f"{t:.2f} s"
-    return f"{t / 60.0:.2f} min"
-
-
-def format_watts(p: float) -> str:
-    """Render a power value for logs and reports."""
-    if p >= 1000.0:
-        return f"{p / 1000.0:.2f} kW"
-    return f"{p:.1f} W"

@@ -46,16 +46,6 @@ def test_allocation_total_and_positive():
         )
 
 
-def test_allocation_with_sim_total_redivides():
-    a = Allocation(
-        sim_caps_w=np.array([100.0, 120.0]),
-        ana_caps_w=np.array([100.0, 120.0]),
-    )
-    b = a.with_sim_total(260.0, 180.0)
-    assert np.allclose(b.sim_caps_w, 130.0)
-    assert np.allclose(b.ana_caps_w, 90.0)
-
-
 def test_observation_bundles_partitions():
     obs = Observation(step=4, sim=measurement(), ana=measurement())
     assert obs.step == 4

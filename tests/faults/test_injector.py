@@ -72,12 +72,6 @@ def test_comm_delay_sums_active_windows():
     assert inj.comm_delay(3.5) == 0.0
 
 
-def test_active_kinds_reports_open_windows():
-    inj = FaultInjector(plan_of("crash@1.0+1.0:rank0;mpi_delay@0.5+1.0x0.001"))
-    assert inj.active_kinds(1.2) == ("crash", "mpi_delay")
-    assert inj.active_kinds(5.0) == ()
-
-
 # ------------------------------------------------------- engine markers
 def test_markers_fire_on_clock_advance_in_order():
     inj = FaultInjector(plan_of("slowdown@1.0+1.0x2.0:rank0"))

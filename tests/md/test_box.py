@@ -40,13 +40,6 @@ def test_distance_across_boundary():
     assert d[0] == pytest.approx(1.0)
 
 
-def test_replicate_factor():
-    box = Box.cubic(3.0).replicate_factor(4)
-    assert np.allclose(box.lengths, 12.0)
-    with pytest.raises(ValueError):
-        Box.cubic(3.0).replicate_factor(0)
-
-
 coords = arrays(
     np.float64,
     (5, 3),

@@ -5,31 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from repro.md.dump import read_lammps_dump, write_lammps_dump, write_xyz
+from repro.md.dump import read_lammps_dump, write_lammps_dump
 from repro.md.system import water_ion_box
 
 
 @pytest.fixture(scope="module")
 def system():
     return water_ion_box(dim=1, seed=1)
-
-
-def test_xyz_frame_shape(system):
-    buf = io.StringIO()
-    write_xyz(buf, system, step=7)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == str(system.n_atoms)
-    assert "step 7" in lines[1]
-    assert len(lines) == system.n_atoms + 2
-    first = lines[2].split()
-    assert first[0] in ("O", "H", "CAT", "AN")
-    assert len(first) == 4
-
-
-def test_xyz_custom_comment(system):
-    buf = io.StringIO()
-    write_xyz(buf, system, comment="hello world")
-    assert buf.getvalue().splitlines()[1] == "hello world"
 
 
 def test_dump_roundtrip(system):
@@ -60,10 +42,6 @@ def test_file_path_targets(system, tmp_path):
     write_lammps_dump(path, system, step=2)
     frames = read_lammps_dump(path)
     assert len(frames) == 2
-
-    xyz = tmp_path / "traj.xyz"
-    write_xyz(xyz, system)
-    assert xyz.read_text().splitlines()[0] == str(system.n_atoms)
 
 
 def test_malformed_dump_rejected():

@@ -91,7 +91,7 @@ def test_replay_reproduces_cap_schedule_exactly(approach):
     result = replay(journal.records)
     assert result.n_decisions > 0
     assert result.clean, result.mismatches
-    assert result.n_replayed + result.n_skipped == result.n_decisions
+    assert result.n_replayed == result.n_decisions
     # every recorded decision lands in the schedule
     assert len(result.schedule) == 1 + result.n_decisions  # + init
     assert "reproduced exactly" in result.render()
@@ -108,14 +108,27 @@ def test_replay_detects_tampered_caps():
     assert "MISMATCHES" in result.render()
 
 
-def test_replay_skips_unknown_controller():
+def test_replay_rejects_unknown_controller():
     rec = AuditRecord(
         kind="decision", step=1, controller="mystery",
         after_sim_w=1.0, after_ana_w=1.0,
     )
     result = replay([rec])
-    assert result.n_skipped == 1
-    assert result.clean
+    assert not result.clean
+    assert result.n_replayed == 0
+    assert result.mismatches == [(1, "controller", "mystery", None)]
+    assert "reproduced exactly" not in result.render()
+
+
+def test_replay_rejects_incomplete_inputs():
+    journal = _journaled_run("seesaw")
+    truncated = [AuditRecord.from_json(r.to_json()) for r in journal.records]
+    victim = next(r for r in truncated if r.kind == "decision")
+    del victim.inputs["budget_w"]
+    result = replay(truncated)
+    assert not result.clean
+    assert (victim.step, "inputs['budget_w']", None, None) in result.mismatches
+    assert result.n_replayed == result.n_decisions - 1
 
 
 def test_diff_same_run_is_empty():

@@ -84,3 +84,28 @@ def test_watch_and_report_agree_on_a_proxy_trace(tmp_path):
         report.by_category[c]["energy_j"] for c in ("md", "analysis")
     )
     assert sum(watch.energy_j.values()) == pytest.approx(work_j, rel=1e-12)
+
+
+def test_des_sync_wait_is_charged_its_joules(des_trace):
+    """Each wait pair's end carries the node counter's draw over the
+    wait, and the fold charges sync-wait exactly those joules."""
+    _, _, records = des_trace
+    begins, pairs = {}, []
+    for rec in records:
+        if rec["name"] != "insitu.sync_wait":
+            continue
+        lane = (rec["pid"], rec["tid"])
+        if rec["ph"] == "B":
+            begins[lane] = rec["ts"]
+        elif rec["ph"] == "E":
+            pairs.append((rec["ts"] - begins.pop(lane), rec["args"]["energy_j"]))
+    waited = [(wall, joules) for wall, joules in pairs if wall > 0]
+    assert waited
+    for wall, joules in waited:
+        # an idle node draws at most its wait power
+        assert 0 < joules <= THETA_NODE.p_wait_watts * wall * (1 + 1e-9)
+    sync = build_report(records).by_category["sync_wait"]
+    assert sync["energy_j"] == pytest.approx(
+        sum(joules for _, joules in pairs), rel=1e-12
+    )
+    assert sync["energy_j"] > 0

@@ -48,7 +48,6 @@ def test_noise_factors_scale_duration():
     )
     assert np.allclose(out.durations, 2.0 * noise)
     assert out.slowest == pytest.approx(2.2)
-    assert out.fastest == pytest.approx(1.8)
 
 
 # n=1 runs the one-node kernel, n=3 the per-node array loop

@@ -131,6 +131,22 @@ def test_run_spec_invalid_spec_exits_2(tmp_path, capsys):
     assert "invalid spec" in capsys.readouterr().err
 
 
+def test_run_spec_rejects_insitu_workload(tmp_path, capsys):
+    """An in-situ scenario is refused, not run as the proxy."""
+    spec = tmp_path / "insitu.json"
+    spec.write_text(json.dumps({
+        "name": "t/insitu",
+        "workload": "insitu",
+        "insitu": {"n_verlet_steps": 4},
+        "job": {"analyses": ["vacf"], "dim": 16, "n_nodes": 4},
+    }))
+    assert cli.main(["run", "--spec", str(spec), "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert "workload 'insitu' has no campaign cells" in captured.err
+    assert "'chaos' or 'trace'" in captured.err
+    assert captured.out == ""
+
+
 def test_run_spec_fig4_matches_in_code_harness(monkeypatch, tmp_path, capsys):
     """``run --spec specs/fig4.json`` == the in-code fig4 numbers."""
     monkeypatch.setenv("SEESAW_CACHE_DIR", str(tmp_path / "cache"))
@@ -185,8 +201,8 @@ def test_list_mentions_spec_paths(capsys):
     assert "[specs/table2.json]" in out
 
 
-@pytest.mark.parametrize("approach", ["seesaw-exploring"])
-def test_trace_runs_experimental_approaches(approach, tmp_path, capsys):
+@pytest.mark.parametrize("approach", ["time-aware"])
+def test_trace_runs_non_default_approaches(approach, tmp_path, capsys):
     out = tmp_path / "trace.json"
     args = ["trace", "--approach", approach, "--steps", "4", "--out", str(out)]
     assert cli.main(args) == 0

@@ -10,26 +10,22 @@ from repro.scenario import (
     get_machine,
     get_workload,
     list_analyses,
-    paper_approaches,
 )
 from repro.workloads import JobConfig
 
 
 def test_paper_approaches_order():
-    assert paper_approaches() == (
+    assert controller_names() == (
         "static", "power-aware", "time-aware", "seesaw",
     )
-    assert [get_controller(n).paper for n in paper_approaches()] == [1, 2, 3, 4]
 
 
 def test_all_controllers_registered():
-    names = controller_names()
-    assert set(names) == {
+    assert set(controller_names()) == {
         "static",
         "power-aware",
         "time-aware",
         "seesaw",
-        "seesaw-exploring",
     }
 
 
@@ -43,7 +39,9 @@ def test_unknown_controller_is_both_key_and_value_error():
 
 
 def test_lookup_error_lists_choices():
-    with pytest.raises(RegistryError, match="seesaw-exploring"):
+    with pytest.raises(
+        RegistryError, match="power-aware, seesaw, static, time-aware"
+    ):
         get_controller("zzz")
 
 
@@ -103,14 +101,14 @@ def test_build_controller_soft_defaults_dropped_silently():
     assert not hasattr(controller, "window")
 
 
-def test_experimental_controllers_run_a_small_job():
-    """seesaw-exploring actually drives a job."""
+def test_non_default_controller_runs_a_small_job():
+    """A registered approach other than the default drives a job."""
     from repro.experiments.runner import run_specs
     from repro.scenario import JobParams, ScenarioSpec
 
     spec = ScenarioSpec(
-        name="exploring",
-        approach="seesaw-exploring",
+        name="time-aware",
+        approach="time-aware",
         job=JobParams(analyses=("vacf",), dim=16, n_nodes=4, n_verlet_steps=6),
     )
     (res,) = run_specs([spec])[0]

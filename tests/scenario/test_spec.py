@@ -166,6 +166,18 @@ def test_validate_fault_options_only_on_insitu(workload, field, value):
     assert validate_spec(spec) == expected
 
 
+@pytest.mark.parametrize("workload", ["proxy", "insitu"])
+def test_validate_insitu_overrides_only_on_insitu(workload):
+    spec = ScenarioSpec(
+        name="t", workload=workload, insitu={"n_verlet_steps": 4}
+    )
+    expected = [] if workload == "insitu" else [
+        "t.insitu: the 'proxy' workload ignores InsituConfig overrides; "
+        "only 'insitu' reads them"
+    ]
+    assert validate_spec(spec) == expected
+
+
 def test_validate_bad_insitu_key():
     spec = ScenarioSpec(name="t", insitu={"frobnicate": 1})
     problems = validate_spec(spec)
@@ -185,6 +197,12 @@ def test_paired_cells_interleave_managed_and_static():
     assert cells[1].controller_kwargs == {
         "sim_share": spec.baseline_sim_share
     }
+
+
+def test_to_cells_rejects_non_proxy_workload():
+    spec = ScenarioSpec(name="t", workload="insitu")
+    with pytest.raises(SpecError, match="'chaos' or 'trace'"):
+        spec.to_cells()
 
 
 def test_plain_cells_advance_run_index():

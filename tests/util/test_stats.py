@@ -9,7 +9,6 @@ from repro.util.stats import (
     RunningMean,
     ewma,
     median,
-    percent_change,
     percent_improvement,
     quantiles,
     summarize,
@@ -27,13 +26,6 @@ def test_median_empty_raises():
         median([])
 
 
-def test_percent_change_sign():
-    assert percent_change(110.0, 100.0) == pytest.approx(10.0)
-    assert percent_change(90.0, 100.0) == pytest.approx(-10.0)
-    with pytest.raises(ValueError):
-        percent_change(1.0, 0.0)
-
-
 def test_percent_improvement_convention():
     # managed faster than baseline -> positive (a speedup)
     assert percent_improvement(75.0, 100.0) == pytest.approx(25.0)
@@ -41,14 +33,6 @@ def test_percent_improvement_convention():
     assert percent_improvement(125.0, 100.0) == pytest.approx(-25.0)
     with pytest.raises(ValueError):
         percent_improvement(1.0, 0.0)
-
-
-def test_percent_change_error_names_metric():
-    with pytest.raises(ValueError, match="metric 'fig8.cap110'"):
-        percent_change(1.0, 0.0, name="fig8.cap110")
-    # unnamed comparisons keep the generic wording
-    with pytest.raises(ValueError, match="percent change"):
-        percent_change(1.0, 0.0)
 
 
 def test_quantiles_match_numpy():

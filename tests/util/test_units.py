@@ -1,26 +1,7 @@
 """Tests for unit helpers."""
 
-from repro.util.units import MS, US, format_seconds, format_watts, joules
+from repro.util.units import MS
 
 
 def test_constants():
     assert MS == 1e-3
-    assert US == 1e-6
-
-
-def test_joules():
-    assert joules(110.0, 2.0) == 220.0
-    assert joules(0.0, 100.0) == 0.0
-
-
-def test_format_seconds_ranges():
-    assert "ns" in format_seconds(5e-9)
-    assert "us" in format_seconds(5e-6)
-    assert "ms" in format_seconds(5e-3)
-    assert format_seconds(5.0) == "5.00 s"
-    assert "min" in format_seconds(300.0)
-
-
-def test_format_watts():
-    assert format_watts(110.0) == "110.0 W"
-    assert "kW" in format_watts(2500.0)
